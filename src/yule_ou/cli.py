@@ -10,7 +10,6 @@ output).  Exit codes: 0 success, 2 configuration error, 1 runtime error.
 import argparse
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -33,8 +32,9 @@ def _parse_float_list(text):
         raise ConfigError(f"cannot parse number list {text!r}: {exc}")
 
 
-def _merge_config(args, parser_dests):
-    """Overlay config-file values under explicitly passed flags."""
+def _merge_config(args, parser):
+    """Overlay config-file values under explicitly passed flags; each value
+    is converted and checked as the flag's command-line text would be."""
     if not args.config:
         return
     try:
@@ -46,12 +46,25 @@ def _merge_config(args, parser_dests):
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         raise ConfigError("config file must hold a single JSON object")
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, value in payload.items():
         dest = key.replace("-", "_")
-        if dest not in parser_dests:
+        if dest not in vars(args):
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, dest) is None:  # flags override file values
-            setattr(args, dest, value)
+        if getattr(args, dest) is not None:  # flags override file values
+            continue
+        action = actions[dest]
+        try:
+            value = value if action.type is None else action.type(str(value))
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: invalid value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        if action.const is not None and not isinstance(value, bool):  # an on/off flag
+            raise ConfigError(f"config key {key!r}: {value!r} is not true or false")
+        setattr(args, dest, value)
 
 
 def _require(args, *names):
@@ -89,9 +102,8 @@ def _config_echo(pairs):
 
 def _cmd_simulate(args):
     _require(args, "theta", "r", "T", "dt", "seed")
-    config = CorrelatedPairConfig(theta=float(args.theta), r=float(args.r),
-                                  horizon_T=float(args.T), dt=float(args.dt),
-                                  seed=int(args.seed))
+    config = CorrelatedPairConfig(theta=args.theta, r=args.r, horizon_T=args.T,
+                                  dt=args.dt, seed=args.seed)
     pair = sde.simulate_correlated_pair(config)
     echo = _config_echo({"command": "simulate", "theta": config.theta, "r": config.r,
                          "T": config.horizon_T, "dt": config.dt, "seed": config.seed})
@@ -133,26 +145,20 @@ def _cmd_stat(args):
     return 0
 
 
+_VARIANT_ALIASES = {"rho": "rho_known_theta", "rho-est": "rho_estimated_theta",
+                    "num": "numerator_known_theta"}
+
+
 def _cmd_test(args):
     _require(args, "variant", "input")
     _apply_defaults(args, alpha=0.05)
-    variant = str(args.variant)
-    if variant not in ("rho", "rho-est", "num"):
-        raise ConfigError(f"unknown test variant {variant!r}")
-    if variant in ("rho", "num"):
+    if args.variant != "rho-est":
         _require(args, "theta")
     p1, p2 = _load_pair(args.input)
     stats = yule_rho(PathPair(x1=p1, x2=p2))
-    alpha = float(args.alpha)
-    if variant == "rho":
-        outcome = hyp.rho_test(stats, float(args.theta), alpha)
-    elif variant == "rho-est":
-        outcome = hyp.rho_test_estimated_theta(stats, alpha)
-    else:
-        outcome = hyp.numerator_test(stats.y12 / math.sqrt(stats.horizon_T),
-                                     float(args.theta), alpha)
+    outcome = hyp.apply_test(stats, _VARIANT_ALIASES[args.variant], args.alpha, args.theta)
     payload = outcome.to_dict()
-    payload["config"] = {"command": "test", "variant": variant, "alpha": alpha,
+    payload["config"] = {"command": "test", "variant": args.variant, "alpha": args.alpha,
                          "theta": args.theta, "input": args.input}
     out, close = _open_out(args.out)
     _emit(out, json.dumps(payload, sort_keys=True) + "\n", close)
@@ -165,12 +171,10 @@ def _cmd_mc(args):
     grid = mc.ExperimentGrid(thetas=_parse_float_list(args.thetas),
                              rs=_parse_float_list(args.rs),
                              horizons=_parse_float_list(args.Ts),
-                             replications=int(args.reps),
-                             base_seed=int(args.seed),
-                             statistic=str(args.statistic),
-                             dt_policy=None if args.dt is None else float(args.dt),
-                             alpha=float(args.alpha))
-    reports = mc.run_grid(grid, jobs=int(args.jobs))
+                             replications=args.reps, base_seed=args.seed,
+                             statistic=args.statistic, dt_policy=args.dt,
+                             alpha=args.alpha)
+    reports = mc.run_grid(grid, jobs=args.jobs)
     echo = _config_echo({"command": "mc", "thetas": list(grid.thetas),
                          "rs": list(grid.rs), "Ts": list(grid.horizons),
                          "reps": grid.replications, "seed": grid.base_seed,
@@ -187,24 +191,17 @@ def _cmd_mc(args):
     return 0
 
 
-_VARIANT_ALIASES = {"rho": "rho_known_theta", "rho-est": "rho_estimated_theta",
-                    "num": "numerator_known_theta"}
-
-
 def _cmd_spde(args):
     _require(args, "N", "r", "T", "reps", "seed")
     _apply_defaults(args, alpha=0.05, variant="rho", jobs=mc.default_jobs())
-    n_modes = int(args.N)
-    variant = _VARIANT_ALIASES.get(str(args.variant), str(args.variant))
-    alpha = float(args.alpha)
-    sidak = bool(args.sidak)
-    samples = mc.spde_mode_samples(n_modes, float(args.r), float(args.T),
-                                   replications=int(args.reps),
-                                   base_seed=int(args.seed), jobs=int(args.jobs))
+    n_modes, alpha, sidak = args.N, args.alpha, bool(args.sidak)
+    variant = _VARIANT_ALIASES[args.variant]
+    samples = mc.spde_mode_samples(n_modes, args.r, args.T, replications=args.reps,
+                                   base_seed=args.seed, jobs=args.jobs)
     per_mode, family = mc.spde_family_rejections(samples, alpha, variant, sidak=sidak)
     rate, lo, hi = mc.error_rates(family.tolist())
-    echo = {"command": "spde", "N": n_modes, "r": float(args.r), "T": float(args.T),
-            "reps": int(args.reps), "seed": int(args.seed), "alpha": alpha,
+    echo = {"command": "spde", "N": n_modes, "r": args.r, "T": args.T,
+            "reps": args.reps, "seed": args.seed, "alpha": alpha,
             "variant": variant, "sidak": sidak}
     payload = {"config": echo, "family_reject_rate": rate, "ci_lo": lo, "ci_hi": hi,
                "per_mode": [{"k": k + 1, "theta": float((k + 1) ** 2),
@@ -215,75 +212,49 @@ def _cmd_spde(args):
 
     if args.csv:
         level = hyp.sidak_level(alpha, n_modes) if sidak else alpha
-        rows = []
-        for j in range(int(args.reps)):
-            stats_j = [_replication_stats(s, j) for s in samples]
-            multi = hyp.spde_multimode_test(stats_j, alpha, variant=variant,
-                                            sidak=sidak)
-            for k, outcome in enumerate(multi.per_mode, start=1):
-                rows.append((variant, level, float(k * k), float(args.r),
-                             float(args.T), outcome))
+        test = hyp.TestVariant(variant)
+        columns = [(s.theta, hyp.variant_statistic(s, test),
+                    hyp.critical_value(test, level, s.theta), flags)
+                   for s, flags in zip(samples, per_mode)]
+        rows = [(test, level, theta, args.r, args.T,
+                 hyp.TestOutcome(float(stat[j]), float(threshold), level, bool(reject[j]), test))
+                for j in range(args.reps) for theta, stat, threshold, reject in columns]
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             hyp.write_outcomes_csv(fh, rows, header_comment=f"config: {_config_echo(echo)}")
     return 0
 
 
-def _replication_stats(sample, j):
-    from .estimators import YuleStatistics
-    return YuleStatistics(y11=float(sample.y11[j]), y22=float(sample.y22[j]),
-                          y12=float(sample.y12[j]), rho=float(sample.rho[j]),
-                          theta_hat=float(sample.theta_hat[j]),
-                          horizon_T=sample.horizon_T)
-
-
 # ---------------------------------------------------------------------------
-# theory subcommand registry: name -> (param names, evaluator)
+# theory subcommand registry: name -> (param names, evaluator taking them in
+# order); each evaluator validates its own domain, integer orders included
 # ---------------------------------------------------------------------------
 
 _THEORY = {
-    "c1": (("theta", "r"), lambda a: theory.chaos_constants(a["theta"], a["r"]).c1),
-    "c2": (("theta", "r"), lambda a: theory.chaos_constants(a["theta"], a["r"]).c2),
-    "sigma": (("theta", "r"), lambda a: theory.chaos_constants(a["theta"], a["r"]).sigma),
-    "clt_var_rho": (("theta", "r"), lambda a: theory.clt_variance_rho(a["theta"], a["r"])),
+    "c1": (("theta", "r"), lambda theta, r: theory.chaos_constants(theta, r).c1),
+    "c2": (("theta", "r"), lambda theta, r: theory.chaos_constants(theta, r).c2),
+    "sigma": (("theta", "r"), lambda theta, r: theory.chaos_constants(theta, r).sigma),
+    "clt_var_rho": (("theta", "r"), theory.clt_variance_rho),
     "cumulant_bounds": (("theta", "r"),
-                        lambda a: list(theory.cumulant_bound_constants(a["theta"], a["r"]))),
-    "delta_inner": (("p", "theta"),
-                    lambda a: theory.delta_convolution_inner(int(a["p"]), a["theta"])),
-    "asymptotic_cumulant": (("p", "theta", "r", "T"),
-                            lambda a: theory.asymptotic_cumulant(int(a["p"]), a["theta"],
-                                                                 a["r"], a["T"])),
-    "second_moment_Ar": (("theta", "r", "T"),
-                         lambda a: theory.exact_second_moment_Ar(a["theta"], a["r"], a["T"])),
+                        lambda theta, r: list(theory.cumulant_bound_constants(theta, r))),
+    "delta_inner": (("p", "theta"), theory.delta_convolution_inner),
+    "asymptotic_cumulant": (("p", "theta", "r", "T"), theory.asymptotic_cumulant),
+    "second_moment_Ar": (("theta", "r", "T"), theory.exact_second_moment_Ar),
     "h_norm": (("theta", "r", "T"),
-               lambda a: theory.kernel_h_norm(theory.KernelSpec(a["theta"], a["r"], a["T"]))),
-    "h_norm_limit": (("theta", "r"),
-                     lambda a: theory.kernel_h_norm_limit(a["theta"], a["r"])),
+               lambda *spec: theory.kernel_h_norm(theory.KernelSpec(*spec))),
+    "h_norm_limit": (("theta", "r"), theory.kernel_h_norm_limit),
     "g_norm": (("theta", "r", "T"),
-               lambda a: theory.kernel_g_norm(theory.KernelSpec(a["theta"], a["r"], a["T"]))),
-    "eta": (("theta", "r"), lambda a: theory.eta_constant(a["theta"], a["r"])),
-    "edgeworth_tail": (("z", "theta", "r", "T"),
-                       lambda a: theory.edgeworth_tail(a["z"], a["theta"], a["r"], a["T"])),
-    "edgeworth_kol_bound": (("theta", "r", "T"),
-                            lambda a: theory.edgeworth_kolmogorov_bound(a["theta"], a["r"],
-                                                                        a["T"])),
-    "major_tail_bound": (("n", "norm", "x", "prefactor"),
-                         lambda a: theory.major_tail_bound(int(a["n"]), a["norm"], a["x"],
-                                                           a["prefactor"])),
-    "wasserstein_scale_bound": (("sigma_scale",),
-                                lambda a: theory.wasserstein_scale_bound(a["sigma_scale"])),
-    "denominator_lp_bound": (("p", "theta"),
-                             lambda a: theory.denominator_lp_bound(a["p"], a["theta"])),
-    "ou_covariance": (("theta", "s", "t"),
-                      lambda a: sde.ou_covariance(a["theta"], a["s"], a["t"])),
-    "mean_functional_variance": (("theta", "T"),
-                                 lambda a: sde.mean_functional_variance(a["theta"], a["T"])),
-    "type2_bound_rho": (("theta", "r", "alpha", "T", "berry"),
-                        lambda a: hyp.type2_bound_rho(a["theta"], a["r"], a["alpha"],
-                                                      a["T"], a["berry"])),
+               lambda *spec: theory.kernel_g_norm(theory.KernelSpec(*spec))),
+    "eta": (("theta", "r"), theory.eta_constant),
+    "edgeworth_tail": (("z", "theta", "r", "T"), theory.edgeworth_tail),
+    "edgeworth_kol_bound": (("theta", "r", "T"), theory.edgeworth_kolmogorov_bound),
+    "major_tail_bound": (("n", "norm", "x", "prefactor"), theory.major_tail_bound),
+    "wasserstein_scale_bound": (("sigma_scale",), theory.wasserstein_scale_bound),
+    "denominator_lp_bound": (("p", "theta"), theory.denominator_lp_bound),
+    "ou_covariance": (("theta", "s", "t"), sde.ou_covariance),
+    "mean_functional_variance": (("theta", "T"), sde.mean_functional_variance),
+    "type2_bound_rho": (("theta", "r", "alpha", "T", "berry"), hyp.type2_bound_rho),
     "type2_bound_numerator": (("theta", "r", "alpha", "T", "berry"),
-                              lambda a: hyp.type2_bound_numerator(a["theta"], a["r"],
-                                                                  a["alpha"], a["T"],
-                                                                  a["berry"])),
+                              hyp.type2_bound_numerator),
 }
 
 
@@ -296,7 +267,7 @@ def _cmd_theory(args):
     needed, fn = _THEORY[name]
     _require(args, *needed)
     params = {key: float(getattr(args, key)) for key in needed}
-    value = fn(params)
+    value = fn(*params.values())
     payload = {"quantity": name, "params": params, "value": value}
     out, close = _open_out(args.out)
     _emit(out, json.dumps(payload, sort_keys=True) + "\n", close)
@@ -384,9 +355,8 @@ _DISPATCH = {"simulate": _cmd_simulate, "stat": _cmd_stat, "test": _cmd_test,
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    dests = set(vars(args))
     try:
-        _merge_config(args, dests)
+        _merge_config(args, parser)
         return _DISPATCH[args.command](args)
     except (ConfigError, YuleOuError) as exc:
         print(f"error: {exc}", file=sys.stderr)

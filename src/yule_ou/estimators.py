@@ -65,15 +65,32 @@ def path_time_average(path):
     return float(np.dot(w, path.values)) / path.horizon
 
 
+def functionals(x1, x2, dt):
+    """Centered functionals (Y11, Y22, Y12) of paths of shape (..., n_nodes).
+
+    Rows are reduced one by one with pairwise sums, so a row's bits do not
+    depend on the block it sits in; a single pair is a batch of one.
+    """
+    w = trapezoid_weights(x1.shape[-1], dt)
+    T = (x1.shape[-1] - 1) * dt
+    s1 = (x1 * w).sum(axis=-1)
+    s2 = (x2 * w).sum(axis=-1)
+    q11 = (x1 * x1 * w).sum(axis=-1)
+    q22 = (x2 * x2 * w).sum(axis=-1)
+    q12 = (x1 * x2 * w).sum(axis=-1)
+    return q11 - s1 * s1 / T, q22 - s2 * s2 / T, q12 - s1 * s2 / T
+
+
+def correlation_and_rate(y11, y22, y12, horizon_T):
+    """rho = Y12/sqrt(Y11 Y22) and theta_hat = T/(2 Y11), for scalars or arrays."""
+    rho = y12 / (np.sqrt(y11) * np.sqrt(y22))
+    return rho, horizon_T / (2.0 * y11)
+
+
 def empirical_cov_functional(path_a, path_b):
     """The centered product functional Y_ab; symmetric and bilinear."""
     _require_same_grid(path_a, path_b)
-    w = trapezoid_weights(path_a.values.size, path_a.dt)
-    T = path_a.horizon
-    prod = float(np.dot(w, path_a.values * path_b.values))
-    abar = float(np.dot(w, path_a.values)) / T
-    bbar = float(np.dot(w, path_b.values)) / T
-    return prod - T * abar * bbar
+    return float(functionals(path_a.values, path_b.values, path_a.dt)[2])
 
 
 def _check_not_constant(path):
@@ -98,17 +115,14 @@ def yule_rho(pair, pooled_theta=False):
     """
     _check_not_constant(pair.x1)
     _check_not_constant(pair.x2)
-    y11 = empirical_cov_functional(pair.x1, pair.x1)
-    y22 = empirical_cov_functional(pair.x2, pair.x2)
-    y12 = empirical_cov_functional(pair.x1, pair.x2)
+    y11, y22, y12 = map(float, functionals(pair.x1.values, pair.x2.values, pair.x1.dt))
     if y11 <= 0.0 or y22 <= 0.0:
         raise DegenerateStatisticError("degenerate variance functional")
     T = pair.x1.horizon
-    rho = y12 / (math.sqrt(y11) * math.sqrt(y22))
-    theta_hat = T / (2.0 * y11)
+    rho, theta_hat = correlation_and_rate(y11, y22, y12, T)
     if pooled_theta:
         theta_hat = 0.5 * (theta_hat + T / (2.0 * y22))
-    return YuleStatistics(y11=y11, y22=y22, y12=y12, rho=rho,
+    return YuleStatistics(y11=y11, y22=y22, y12=y12, rho=float(rho),
                           theta_hat=theta_hat, horizon_T=T)
 
 

@@ -1,28 +1,15 @@
-"""Standard-normal CDF, density and quantile.
-
-The quantile is implemented in-package (Acklam's rational approximation
-refined by one Halley step against the erfc-based CDF) so that rejection
-thresholds do not depend on an external statistics library.  Absolute
-error of the refined quantile is below 1e-13 on (1e-300, 1-1e-16), far
-inside the 1e-9 budget; tests validate it against tabulated values.
+"""Standard-normal CDF, density and quantile: the package's one source of
+normal quantiles.  The quantile is scipy's `ndtri`; the upper quantile is
+`-ndtri(alpha)`, which keeps full precision at small tail levels where
+`1 - alpha` would round them away.  The CDF keeps its erfc form, since
+scipy's `ndtr` differs from it in the last bit on part of the line.
 """
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 SQRT2 = np.sqrt(2.0)
 SQRT2PI = np.sqrt(2.0 * np.pi)
-
-# Acklam's inverse-normal coefficients (central / tail rational fits).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
 
 
 def norm_cdf(x):
@@ -39,46 +26,12 @@ def norm_pdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _acklam(p):
-    """Initial rational approximation to Phi^{-1}(p), p in (0, 1)."""
-    p = np.asarray(p, dtype=float)
-    x = np.empty_like(p)
-
-    lo = p < _P_LOW
-    hi = p > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x[mid] = num * q / den
-
-    for mask, tail_p, sign in ((lo, p[lo], 1.0), (hi, 1.0 - p[hi], -1.0)):
-        if np.any(mask):
-            q = np.sqrt(-2.0 * np.log(tail_p))
-            num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-            den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-            x[mask] = sign * num / den
-
-    return x
-
-
 def norm_quantile(p):
-    """Inverse standard normal CDF on (0, 1).
-
-    One Halley refinement of the rational approximation; the residual is
-    evaluated with the erfc-based CDF, so the result is accurate to a few
-    ulp except in the extreme tails.
-    """
+    """Inverse standard normal CDF on (0, 1)."""
     arr = np.asarray(p, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ValueError("quantile argument must lie strictly in (0, 1)")
-    x = _acklam(arr)
-    err = 0.5 * erfc(-x / SQRT2) - arr
-    u = err * SQRT2PI * np.exp(0.5 * x * x)
-    x = x - u / (1.0 + 0.5 * x * u)
+    x = ndtri(arr)
     return float(x) if x.ndim == 0 else x
 
 
@@ -86,4 +39,4 @@ def upper_quantile(alpha):
     """Upper quantile of order alpha: the z with P(N > z) = alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly in (0, 1)")
-    return norm_quantile(1.0 - alpha)
+    return -float(ndtri(alpha))

@@ -1,19 +1,23 @@
 """Independence tests for the pair, confidence intervals for r, the
 multi-mode field test, and explicit type-II error bounds.
 
-All rejection regions are two-sided with the upper normal quantile
+Each test variant has one two-sided rejection rule, with
 q = upper_quantile(alpha/2):
 
     rho, known theta:      |sqrt(T) rho|     > q / sqrt(theta)
     rho, estimated theta:  |sqrt(T that) rho| > q
     numerator:             |Y12 / sqrt(T)|   > q / (2 theta^{3/2})
 
-Ties never reject (a measure-zero event, resolved deterministically).
+`variant_statistic`, `critical_value` and `decide` hold it for one pair's
+YuleStatistics and a Monte Carlo PairSample's arrays alike.  Ties never
+reject (a measure-zero event, resolved deterministically).
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import DegenerateStatisticError, ParameterError
 from .gaussian import upper_quantile
@@ -24,6 +28,10 @@ class TestVariant(str, Enum):
     RHO_KNOWN_THETA = "rho_known_theta"
     RHO_ESTIMATED_THETA = "rho_estimated_theta"
     NUMERATOR_KNOWN_THETA = "numerator_known_theta"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ParameterError(f"unknown test variant {value!r}")
 
 
 class ThetaMode(str, Enum):
@@ -76,43 +84,66 @@ def _check_alpha(alpha):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _outcome(statistic, threshold, alpha, variant):
+def variant_statistic(stats, variant):
+    """The variant's statistic from an object with horizon_T, rho, theta_hat, y12."""
+    variant = TestVariant(variant)
+    if variant is TestVariant.RHO_KNOWN_THETA:
+        return math.sqrt(stats.horizon_T) * stats.rho
+    if variant is TestVariant.RHO_ESTIMATED_THETA:
+        if not np.all((stats.theta_hat > 0) & np.isfinite(stats.theta_hat)):
+            raise DegenerateStatisticError("degenerate theta estimate")
+        return np.sqrt(stats.horizon_T * stats.theta_hat) * stats.rho
+    return stats.y12 / math.sqrt(stats.horizon_T)
+
+
+def critical_value(variant, alpha, theta=None):
+    """The variant's threshold at level alpha; theta is the known rate."""
+    _check_alpha(alpha)
+    variant = TestVariant(variant)
+    q = upper_quantile(alpha / 2.0)
+    if variant is TestVariant.RHO_ESTIMATED_THETA:
+        return q
+    if theta is None or not theta > 0:
+        raise ParameterError("theta must be positive")
+    if variant is TestVariant.RHO_KNOWN_THETA:
+        return q / math.sqrt(theta)
+    return q / (2.0 * theta ** 1.5)
+
+
+def decide(statistic, variant, alpha, theta=None):
+    """(threshold, rejection flags) of the variant for a statistic or an array of them."""
+    threshold = critical_value(variant, alpha, theta)
+    return threshold, np.abs(statistic) > threshold
+
+
+def _outcome(statistic, variant, alpha, theta):
+    threshold, reject = decide(statistic, variant, alpha, theta)
     return TestOutcome(statistic=float(statistic), threshold=float(threshold),
-                       alpha=alpha, reject=bool(abs(statistic) > threshold),
-                       variant=variant)
+                       alpha=alpha, reject=bool(reject), variant=TestVariant(variant))
 
 
 # ---------------------------------------------------------------------------
 # Single-pair tests
 # ---------------------------------------------------------------------------
 
+def apply_test(stats, variant, alpha, theta=None):
+    """TestOutcome of the variant on one pair's YuleStatistics."""
+    return _outcome(variant_statistic(stats, variant), variant, alpha, theta)
+
+
 def rho_test(stats, theta, alpha):
     """Known-rate test on sqrt(T)*rho against q_{alpha/2}/sqrt(theta)."""
-    _check_alpha(alpha)
-    if theta <= 0:
-        raise ParameterError("theta must be positive")
-    statistic = math.sqrt(stats.horizon_T) * stats.rho
-    threshold = upper_quantile(alpha / 2.0) / math.sqrt(theta)
-    return _outcome(statistic, threshold, alpha, TestVariant.RHO_KNOWN_THETA)
+    return apply_test(stats, TestVariant.RHO_KNOWN_THETA, alpha, theta)
 
 
 def rho_test_estimated_theta(stats, alpha):
     """Plug-in test on sqrt(T*theta_hat)*rho against q_{alpha/2}."""
-    _check_alpha(alpha)
-    if not stats.theta_hat > 0 or not math.isfinite(stats.theta_hat):
-        raise DegenerateStatisticError("degenerate theta estimate")
-    statistic = math.sqrt(stats.horizon_T * stats.theta_hat) * stats.rho
-    threshold = upper_quantile(alpha / 2.0)
-    return _outcome(statistic, threshold, alpha, TestVariant.RHO_ESTIMATED_THETA)
+    return apply_test(stats, TestVariant.RHO_ESTIMATED_THETA, alpha)
 
 
 def numerator_test(num_stat, theta, alpha):
     """Test on the scaled cross functional Y12/sqrt(T) itself."""
-    _check_alpha(alpha)
-    if theta <= 0:
-        raise ParameterError("theta must be positive")
-    threshold = upper_quantile(alpha / 2.0) / (2.0 * theta ** 1.5)
-    return _outcome(num_stat, threshold, alpha, TestVariant.NUMERATOR_KNOWN_THETA)
+    return _outcome(num_stat, TestVariant.NUMERATOR_KNOWN_THETA, alpha, theta)
 
 
 def confidence_interval_r(stats, alpha, theta_mode=ThetaMode.ESTIMATED, theta=None):
@@ -150,23 +181,12 @@ def spde_multimode_test(ensemble_stats, alpha, variant=TestVariant.RHO_KNOWN_THE
     The default tests each mode at level alpha (family rate 1-(1-alpha)^N);
     sidak=True corrects the per-mode level so the family rate is alpha.
     """
-    _check_alpha(alpha)
     ensemble_stats = tuple(ensemble_stats)
     if not ensemble_stats:
         raise ParameterError("empty ensemble")
-    variant = TestVariant(variant)
     level = sidak_level(alpha, len(ensemble_stats)) if sidak else alpha
-
-    outcomes = []
-    for k, stats in enumerate(ensemble_stats, start=1):
-        theta_k = float(k * k)
-        if variant is TestVariant.RHO_KNOWN_THETA:
-            out = rho_test(stats, theta_k, level)
-        elif variant is TestVariant.RHO_ESTIMATED_THETA:
-            out = rho_test_estimated_theta(stats, level)
-        else:
-            out = numerator_test(stats.y12 / math.sqrt(stats.horizon_T), theta_k, level)
-        outcomes.append(out)
+    outcomes = [apply_test(stats, variant, level, float(k * k))
+                for k, stats in enumerate(ensemble_stats, start=1)]
     return MultiModeOutcome(per_mode=tuple(outcomes),
                             reject_any=any(o.reject for o in outcomes),
                             n_modes=len(outcomes))
@@ -186,7 +206,6 @@ def type2_bound_rho(theta, r, alpha, horizon_T, berry_constant):
 
     and the caller-calibrated normal-approximation term berry_constant * T^{-1/4}.
     """
-    _check_alpha(alpha)
     if r == 0.0:
         raise ParameterError("bound is defined under the alternative (r != 0)")
     if horizon_T <= 0:
@@ -194,7 +213,7 @@ def type2_bound_rho(theta, r, alpha, horizon_T, berry_constant):
     if berry_constant < 0:
         raise ParameterError("berry_constant must be nonnegative")
     sigma = chaos_constants(theta, r).sigma
-    c = upper_quantile(alpha / 2.0) / math.sqrt(theta)
+    c = critical_value(TestVariant.RHO_KNOWN_THETA, alpha, theta)
     z = (c - abs(r) * math.sqrt(horizon_T)) / sigma
     tail = 2.0 * c / (sigma * math.sqrt(2.0 * math.pi)) * math.exp(-0.5 * z * z)
     return tail + berry_constant * horizon_T ** -0.25
@@ -207,7 +226,6 @@ def type2_bound_numerator(theta, r, alpha, horizon_T, berry_constant):
     with c = q_{alpha/2}/(2 theta^{3/2}), plus berry_constant * ln(T)/sqrt(T).
     Requires T > e so the log factor exceeds one.
     """
-    _check_alpha(alpha)
     if r == 0.0:
         raise ParameterError("bound is defined under the alternative (r != 0)")
     if horizon_T <= math.e:
@@ -215,7 +233,7 @@ def type2_bound_numerator(theta, r, alpha, horizon_T, berry_constant):
     if berry_constant < 0:
         raise ParameterError("berry_constant must be nonnegative")
     sigma = chaos_constants(theta, r).sigma
-    c = upper_quantile(alpha / 2.0) / (2.0 * theta ** 1.5)
+    c = critical_value(TestVariant.NUMERATOR_KNOWN_THETA, alpha, theta)
     z = (c - abs(r) * math.sqrt(horizon_T) / (2.0 * theta)) / sigma
     tail = math.sqrt(2.0 / math.pi) * (c / sigma) * math.exp(-0.5 * z * z)
     return tail + berry_constant * math.log(horizon_T) / math.sqrt(horizon_T)
@@ -223,10 +241,9 @@ def type2_bound_numerator(theta, r, alpha, horizon_T, berry_constant):
 
 def numerator_bound_valid_from(theta, r, alpha):
     """Horizon 4 theta^2 c_alpha^2 / r^2 past which the numerator tail term applies."""
-    _check_alpha(alpha)
     if r == 0.0:
         raise ParameterError("undefined at r = 0")
-    c = upper_quantile(alpha / 2.0) / (2.0 * theta ** 1.5)
+    c = critical_value(TestVariant.NUMERATOR_KNOWN_THETA, alpha, theta)
     return 4.0 * theta * theta * c * c / (r * r)
 
 

@@ -9,6 +9,7 @@ which order blocks complete; blocks are fixed-size slices of the
 replication index, never functions of the worker pool.
 """
 
+import itertools
 import math
 import os
 import sys
@@ -17,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hypothesis as hyp
 from . import sde, theory
 from .errors import InsufficientDataError, ParameterError
+from .estimators import correlation_and_rate, functionals
 from .gaussian import norm_cdf, upper_quantile
 
 _BLOCK_ELEMS = 4_000_000  # target innovations per simulated block
@@ -74,7 +77,10 @@ def wilson_interval(successes, n, level=0.95):
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # an all-or-nothing sample's outer bound is exactly 0 or 1, not an ulp off
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == n else min(1.0, center + half)
+    return lo, hi
 
 
 def error_rates(outcomes, truth="H0"):
@@ -141,37 +147,15 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
         z1[i] = sde.stream(base_seed, cell_index, rep, process_offset).standard_normal(n_steps)
         z0[i] = sde.stream(base_seed, cell_index, rep, process_offset + 1).standard_normal(n_steps)
 
-    sd = math.sqrt(sde.innovation_variance(theta, dt))
-    xi1 = sd * z1
-    xi2 = r * xi1 + math.sqrt(1.0 - r * r) * (sd * z0)
-    factor = sde.transition_factor(theta, dt)
-    x1 = sde.ar1_paths(factor, xi1)
-    x2 = sde.ar1_paths(factor, xi2)
-
-    w = np.full(n_steps + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
-    T = n_steps * dt
-    # row-wise pairwise sums: each replication's reduction depends only on
-    # its own row, so results are independent of block shape
-    s1 = (x1 * w).sum(axis=1)
-    s2 = (x2 * w).sum(axis=1)
-    q11 = (x1 * x1 * w).sum(axis=1)
-    q22 = (x2 * x2 * w).sum(axis=1)
-    q12 = (x1 * x2 * w).sum(axis=1)
-    y11 = q11 - s1 * s1 / T
-    y22 = q22 - s2 * s2 / T
-    y12 = q12 - s1 * s2 / T
-    return y11, y22, y12, T
+    x1, x2 = sde.correlated_paths(theta, r, dt, z1, z0)
+    del z1, z0  # not live beside the reductions' m x n temporaries
+    return functionals(x1, x2, dt)
 
 
 def _cell_blocks(replications, n_steps):
     """Fixed-size replication blocks (independent of the worker pool)."""
     block = max(1, min(replications, _BLOCK_ELEMS // max(1, n_steps)))
     return [(a, min(a + block, replications)) for a in range(0, replications, block)]
-
-
-def _block_task(args):
-    return _simulate_block(*args)
 
 
 def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
@@ -187,27 +171,23 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
     if dt is None:
         dt = sde.default_dt(theta, horizon_T, step_cap)
     # validates every cell parameter, including the step cap
-    sde.CorrelatedPairConfig(theta=theta, r=r, horizon_T=horizon_T, dt=dt,
-                             seed=base_seed, step_cap=step_cap)
-    n_steps = sde.grid_size(horizon_T, dt)
+    n_steps = sde.CorrelatedPairConfig(theta=theta, r=r, horizon_T=horizon_T, dt=dt,
+                                       seed=base_seed, step_cap=step_cap).n_steps
     blocks = _cell_blocks(replications, n_steps)
     tasks = [(theta, r, horizon_T, dt, base_seed, cell_index, a, b, process_offset)
              for a, b in blocks]
 
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_block_task, tasks))
+            results = list(pool.map(_simulate_block, *zip(*tasks)))
     else:
-        results = [_block_task(t) for t in tasks]
+        results = [_simulate_block(*task) for task in tasks]
 
-    y11 = np.concatenate([res[0] for res in results])
-    y22 = np.concatenate([res[1] for res in results])
-    y12 = np.concatenate([res[2] for res in results])
-    T = results[0][3]
+    y11, y22, y12 = (np.concatenate(parts) for parts in zip(*results))
+    T = n_steps * dt
 
-    rho = y12 / (np.sqrt(y11) * np.sqrt(y22))
+    rho, theta_hat = correlation_and_rate(y11, y22, y12, T)
     numerator = y12 / math.sqrt(T)
-    theta_hat = T / (2.0 * y11)
     ybar11 = 2.0 * theta * y11 / T
     return PairSample(theta=theta, r=r, horizon_T=T, dt=dt, n=replications,
                       rho=rho, numerator=numerator, theta_hat=theta_hat,
@@ -216,15 +196,7 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
 
 def rejections(sample, variant, alpha):
     """Boolean rejection array of the chosen test applied to every replication."""
-    q = upper_quantile(alpha / 2.0)
-    root_T = math.sqrt(sample.horizon_T)
-    if variant == "rho_known_theta":
-        return np.abs(root_T * sample.rho) > q / math.sqrt(sample.theta)
-    if variant == "rho_estimated_theta":
-        return np.abs(np.sqrt(sample.horizon_T * sample.theta_hat) * sample.rho) > q
-    if variant == "numerator_known_theta":
-        return np.abs(sample.numerator) > q / (2.0 * sample.theta ** 1.5)
-    raise ParameterError(f"unknown test variant {variant!r}")
+    return hyp.decide(hyp.variant_statistic(sample, variant), variant, alpha, sample.theta)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +231,19 @@ class ExperimentGrid:
             object.__setattr__(self, name, seq)
         if self.replications < 1:
             raise ParameterError("replications must be >= 1")
+        # grid-wide inputs fail here; run_grid skips only cell-specific failures
+        for name in ("thetas", "horizons"):
+            if not all(0.0 < v < math.inf for v in getattr(self, name)):
+                raise ParameterError(f"{name} must be positive and finite")
+        for r in self.rs:
+            sde.check_pair_inputs(r, self.base_seed)
         if self.statistic not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.statistic!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError("alpha must lie in (0, 1)")
 
     def cells(self):
-        out = []
-        for theta in self.thetas:
-            for r in self.rs:
-                for T in self.horizons:
-                    out.append((theta, r, T))
-        return out
+        return list(itertools.product(self.thetas, self.rs, self.horizons))
 
 
 @dataclass(frozen=True)
@@ -400,8 +373,7 @@ def spde_mode_samples(n_modes, r, horizon_T, replications, base_seed,
 
 def spde_family_rejections(mode_samples, alpha, variant="rho_known_theta", sidak=False):
     """Per-mode and family rejection flags for the field test."""
-    n_modes = len(mode_samples)
-    level = 1.0 - (1.0 - alpha) ** (1.0 / n_modes) if sidak else alpha
+    level = hyp.sidak_level(alpha, len(mode_samples)) if sidak else alpha
     per_mode = np.stack([rejections(s, variant, level) for s in mode_samples])
     return per_mode, per_mode.any(axis=0)
 

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ParameterError
+from .estimators import PathPair
 
 #: Default cap on theta*dt; keeps quadrature error of the path functionals
 #: below Monte Carlo noise at the validation-suite sample sizes.
@@ -142,16 +143,13 @@ class CorrelatedPairConfig:
 
     def __post_init__(self):
         _check_positive(theta=self.theta)
-        if abs(self.r) > 1.0:
-            raise ParameterError(f"|r| must be <= 1, got {self.r}")
+        check_pair_inputs(self.r, self.seed)
         if not self.horizon_T >= self.dt > 0:
             raise ParameterError("need horizon_T >= dt > 0")
         if self.dt > self.step_cap / self.theta * (1.0 + 1e-12):
             raise ParameterError(
                 f"dt={self.dt} exceeds step cap {self.step_cap}/theta={self.step_cap / self.theta:g}"
             )
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ParameterError("seed must fit in 64 unsigned bits")
         grid_size(self.horizon_T, self.dt)  # validates divisibility
 
     @property
@@ -160,17 +158,13 @@ class CorrelatedPairConfig:
 
 
 @dataclass(frozen=True)
-class OuPair:
+class OuPair(PathPair):
     """Two paths on an identical grid driven by correlated noise."""
 
-    x1: SamplePath
-    x2: SamplePath
     config: CorrelatedPairConfig
 
     def __post_init__(self):
-        if (self.x1.dt != self.x2.dt or self.x1.t0 != self.x2.t0
-                or self.x1.values.size != self.x2.values.size):
-            raise ParameterError("pair members must share an identical grid")
+        super().__post_init__()
         if self.x1.values[0] != 0.0 or self.x2.values[0] != 0.0:
             raise ParameterError("pair paths must start at zero")
 
@@ -237,42 +231,48 @@ def simulate_ou(theta, horizon_T, dt, rng_stream):
     return SamplePath(t0=0.0, dt=dt, values=values)
 
 
-def correlated_innovations(config, z_driver, z_aux):
-    """Turn two standard-normal step arrays into exact pair innovations.
+def correlated_paths(theta, r, dt, z1, z0):
+    """Exact pair paths from two standard-normal step arrays of shape (..., n).
 
     The second path's driving noise is r*W1 + sqrt(1-r^2)*W0, so its exact
     innovation is the same combination of the per-process innovations.
+    Each leading index is one independent pair; a single pair is a batch
+    of one, and every row gets the same bits as it would alone.
     """
-    sd = math.sqrt(innovation_variance(config.theta, config.dt))
-    xi1 = sd * np.asarray(z_driver, dtype=float)
-    xi2 = config.r * xi1 + math.sqrt(1.0 - config.r ** 2) * (sd * np.asarray(z_aux, dtype=float))
-    return xi1, xi2
+    sd = math.sqrt(innovation_variance(theta, dt))
+    xi1 = sd * z1
+    xi2 = r * xi1 + math.sqrt(1.0 - r * r) * (sd * z0)
+    factor = transition_factor(theta, dt)
+    return ar1_paths(factor, xi1), ar1_paths(factor, xi2)
 
 
-def pair_process_streams(config, rng_stream=None):
-    """Generators for the pair's two noise processes.
+def _stream_node(rng_stream, seed):
+    """The SeedSequence node a pair's processes hang under; None means SeedSequence(seed)."""
+    if rng_stream is None:
+        return np.random.SeedSequence(entropy=int(seed))
+    if not isinstance(rng_stream, np.random.SeedSequence):
+        raise ParameterError("rng_stream must be a SeedSequence (or None)")
+    return rng_stream
+
+
+def _simulate_pair(config, node, process):
+    """The pair driven by processes `process` (x1) and `process + 1` of the node."""
+    entropy, key, n = node.entropy, tuple(node.spawn_key), config.n_steps
+    x1, x2 = correlated_paths(config.theta, config.r, config.dt,
+                              stream(entropy, *key, process).standard_normal(n),
+                              stream(entropy, *key, process + 1).standard_normal(n))
+    return OuPair(x1=SamplePath(0.0, config.dt, x1), x2=SamplePath(0.0, config.dt, x2),
+                  config=config)
+
+
+def simulate_correlated_pair(config, rng_stream=None):
+    """Simulate a pair of paths with driving-noise correlation config.r.
 
     The stream node defaults to SeedSequence(config.seed); process indices
     0 (driver of x1) and 1 (auxiliary noise) are appended to its spawn key.
     Grid runs pass a node keyed by (seed, cell, replication) instead.
     """
-    if rng_stream is None:
-        rng_stream = np.random.SeedSequence(entropy=int(config.seed))
-    elif not isinstance(rng_stream, np.random.SeedSequence):
-        raise ParameterError("rng_stream must be a SeedSequence (or None)")
-    entropy, base = rng_stream.entropy, tuple(rng_stream.spawn_key)
-    return stream(entropy, *base, 0), stream(entropy, *base, 1)
-
-
-def simulate_correlated_pair(config, rng_stream=None):
-    """Simulate a pair of paths with driving-noise correlation config.r."""
-    n = config.n_steps
-    g1, g0 = pair_process_streams(config, rng_stream)
-    xi1, xi2 = correlated_innovations(config, g1.standard_normal(n), g0.standard_normal(n))
-    factor = transition_factor(config.theta, config.dt)
-    x1 = SamplePath(0.0, config.dt, ar1_paths(factor, xi1))
-    x2 = SamplePath(0.0, config.dt, ar1_paths(factor, xi2))
-    return OuPair(x1=x1, x2=x2, config=config)
+    return _simulate_pair(config, _stream_node(rng_stream, config.seed), 0)
 
 
 def simulate_spde_ensemble(n_modes, r, horizon_T, dt_policy=None, rng_stream=None,
@@ -288,32 +288,17 @@ def simulate_spde_ensemble(n_modes, r, horizon_T, dt_policy=None, rng_stream=Non
     """
     if n_modes < 1:
         raise ParameterError("n_modes must be >= 1")
-    if rng_stream is None:
-        rng_stream = np.random.SeedSequence(entropy=int(seed))
-    elif not isinstance(rng_stream, np.random.SeedSequence):
-        raise ParameterError("rng_stream must be a SeedSequence (or None)")
-    entropy, base = rng_stream.entropy, tuple(rng_stream.spawn_key)
+    node = _stream_node(rng_stream, seed)
 
     modes = []
     for k in range(1, n_modes + 1):
         theta_k = float(k * k)
-        if dt_policy is None:
+        dt_k = dt_policy(k) if callable(dt_policy) else dt_policy
+        if dt_k is None:
             dt_k = default_dt(theta_k, horizon_T, step_cap)
-        elif callable(dt_policy):
-            dt_k = dt_policy(k)
-        else:
-            dt_k = float(dt_policy)
         config = CorrelatedPairConfig(theta=theta_k, r=r, horizon_T=horizon_T,
-                                      dt=dt_k, seed=int(entropy), step_cap=step_cap)
-        g1 = stream(entropy, *base, 2 * (k - 1))
-        g0 = stream(entropy, *base, 2 * (k - 1) + 1)
-        n = config.n_steps
-        xi1, xi2 = correlated_innovations(config, g1.standard_normal(n), g0.standard_normal(n))
-        factor = transition_factor(theta_k, dt_k)
-        pair = OuPair(x1=SamplePath(0.0, dt_k, ar1_paths(factor, xi1)),
-                      x2=SamplePath(0.0, dt_k, ar1_paths(factor, xi2)),
-                      config=config)
-        modes.append(pair)
+                                      dt=dt_k, seed=int(node.entropy), step_cap=step_cap)
+        modes.append(_simulate_pair(config, node, 2 * (k - 1)))
     return SpdeModeEnsemble(modes=tuple(modes))
 
 
@@ -352,6 +337,14 @@ def read_pair_csv(fileobj):
         raise ValueError("no path data found")
     data = np.asarray(rows, dtype=float)
     return data[:, 0], data[:, 1], data[:, 2]
+
+
+def check_pair_inputs(r, seed):
+    """Reject |r| > 1 (NaN included) and a seed outside 64 unsigned bits."""
+    if not abs(r) <= 1.0:
+        raise ParameterError(f"|r| must be <= 1, got {r}")
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ParameterError(f"seed must fit in 64 unsigned bits, got {seed}")
 
 
 def _check_positive(**named):

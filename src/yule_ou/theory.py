@@ -108,7 +108,7 @@ def delta_convolution_inner(p, theta):
     (1/pi) * int_0^inf (theta^2 + w^2)^{-p} dw, since the Fourier transform
     of delta is 1/(theta^2 + w^2).
     """
-    if int(p) != p or p < 2:
+    if not float(p).is_integer() or p < 2:
         raise ParameterError(f"p must be an integer >= 2, got {p}")
     _check_positive(theta=theta)
     p = int(p)
@@ -123,7 +123,7 @@ def asymptotic_cumulant(p, theta, r, horizon_T):
     <delta^{*(p-1)}, delta> * 2^{2p-1} * (p-1)! * (c1^p + c2^p) * theta^{3p/2}
         / (T^{p/2-1} * (1+r^2)^{p/2}).
     """
-    if int(p) != p or p < 3:
+    if not float(p).is_integer() or p < 3:
         raise ParameterError(f"p must be an integer >= 3, got {p}")
     _check_positive(theta=theta, horizon_T=horizon_T)
     p = int(p)
@@ -260,7 +260,7 @@ def edgeworth_kolmogorov_bound(theta, r, horizon_T):
 def major_tail_bound(n, kernel_norm, x, prefactor_C):
     """Deviation bound C * exp(-0.5 * (x / (sqrt(n!) * norm))^{2/n}) for an
     n-th order integral with the given kernel norm."""
-    if int(n) != n or n < 1:
+    if not float(n).is_integer() or n < 1:
         raise ParameterError(f"n must be an integer >= 1, got {n}")
     _check_positive(kernel_norm=kernel_norm, x=x)
     ratio = x / (math.sqrt(math.factorial(int(n))) * kernel_norm)

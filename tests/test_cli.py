@@ -53,6 +53,10 @@ def test_simulate_bad_domain_exits_2(capsys):
     assert code == 2
 
 
+def _one_error_line(err):
+    return err.count("\n") == 1 and err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # stat / test
 # ---------------------------------------------------------------------------
@@ -168,6 +172,38 @@ def test_theory_sigma(capsys):
     assert payload["params"] == {"theta": 1.0, "r": 0.0}
 
 
+def test_spde_alpha_out_of_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, "spde", "--N", "2", "--alpha", "1.5", "--r", "0",
+                             "--T", "5", "--reps", "10", "--seed", "1")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "alpha" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--rs", "nan"), ("--rs", "0,1.5"),
+                                        ("--seed", "-1")])
+def test_mc_grid_wide_input_exits_2(tmp_path, capsys, flag, value):
+    argv = {"--thetas": "1", "--rs": "0", "--Ts": "5", "--reps": "10", "--seed": "1",
+            "--statistic": "rho_centered", "--out": str(tmp_path / "mc.csv")}
+    argv[flag] = value
+    code, _, err = run_cli(capsys, "mc", *[tok for pair in argv.items() for tok in pair])
+    assert code == 2
+    assert _one_error_line(err)
+    assert not (tmp_path / "mc.csv").exists()
+
+
+def test_theory_non_integer_order_exits_2(capsys):
+    code, out, err = run_cli(capsys, "theory", "--quantity", "delta_inner",
+                             "--p", "2.5", "--theta", "1")
+    assert code == 2 and out == ""
+    assert _one_error_line(err)
+    code, _, err = run_cli(capsys, "theory", "--quantity", "major_tail_bound", "--n", "1.5",
+                           "--norm", "1", "--x", "1", "--prefactor", "1")
+    assert code == 2
+    code, out, _ = run_cli(capsys, "theory", "--quantity", "delta_inner",
+                           "--p", "2", "--theta", "1")
+    assert code == 0 and json.loads(out)["value"] == pytest.approx(0.25, rel=1e-10)
+
+
 def test_theory_unknown_quantity(capsys):
     code, _, err = run_cli(capsys, "theory", "--quantity", "nonsense")
     assert code == 2
@@ -200,6 +236,35 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
     assert code == 2
     assert "bogus_key" in err
+
+
+@pytest.mark.parametrize("payload", [{"theta": "abc"}, {"seed": 2.5}, {"theta": True},
+                                     {"seed": "7x"}])
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": 1.0, "r": 0.5, "T": 5.0, "dt": 0.05, "seed": 21,
+                               **payload}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and repr(list(payload)[0]) in err
+
+
+def test_config_value_outside_choices_exits_2(tmp_path, capsys, pair_csv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variant": "bogus", "input": str(pair_csv)}))
+    code, _, err = run_cli(capsys, "test", "--config", str(cfg))
+    assert code == 2
+    assert _one_error_line(err) and "bogus" in err
+
+
+def test_config_on_off_flag_takes_booleans(tmp_path, capsys, pair_csv):
+    cfg = tmp_path / "cfg.json"
+    for value, code_want in (("false", 2), (False, 0), (True, 0)):
+        cfg.write_text(json.dumps({"input": str(pair_csv), "pooled_theta": value}))
+        code, out, err = run_cli(capsys, "stat", "--config", str(cfg))
+        assert code == code_want, value
+        if code == 0:
+            assert json.loads(out)["config"]["pooled_theta"] is value
 
 
 def test_env_var_jobs_default(tmp_path, capsys, monkeypatch):

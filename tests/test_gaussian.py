@@ -21,6 +21,9 @@ def test_quantile_tabulated_values():
     assert upper_quantile(0.025) == pytest.approx(Q975, abs=1e-9)
     assert norm_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
     assert upper_quantile(0.05) == pytest.approx(1.6448536269514722, abs=1e-9)
+    # deep upper tail: 1 - alpha would round these levels away
+    assert upper_quantile(1e-9) == pytest.approx(5.997807015007687, abs=1e-12)
+    assert upper_quantile(1e-12) == pytest.approx(7.034483825301131, abs=1e-12)
 
 
 def test_quantile_cdf_round_trip():

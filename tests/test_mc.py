@@ -13,7 +13,8 @@ from yule_ou.mc import (ExperimentGrid, error_rates, k_statistics,
                         kolmogorov_distance, pair_sample, rate_fit, rejections,
                         run_grid, spde_family_rejections, spde_mode_samples,
                         summarize_cell, wilson_interval, write_reports_csv)
-from yule_ou.sde import CorrelatedPairConfig, simulate_correlated_pair, stream
+from yule_ou.sde import (CorrelatedPairConfig, simulate_correlated_pair,
+                         simulate_spde_ensemble, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,13 @@ def test_rate_fit_domain():
 # Engine
 # ---------------------------------------------------------------------------
 
+def _assert_same_bits(sample, rep, stats):
+    for name in ("y11", "y22", "y12", "rho", "theta_hat"):
+        assert getattr(sample, name)[rep] == getattr(stats, name), name
+
+
 def test_engine_matches_single_path_route():
+    # a single pair is a batch of one: same simulation core, same reduction
     theta, r, T, dt, seed, cell = 1.5, 0.4, 10.0, 0.025, 91, 3
     sample = pair_sample(theta, r, T, dt=dt, replications=5, base_seed=seed,
                          cell_index=cell)
@@ -142,11 +149,17 @@ def test_engine_matches_single_path_route():
         node = np.random.SeedSequence(entropy=seed, spawn_key=(cell, rep))
         cfg = CorrelatedPairConfig(theta=theta, r=r, horizon_T=T, dt=dt, seed=seed)
         pair = simulate_correlated_pair(cfg, rng_stream=node)
-        stats = yule_rho(pair)
-        assert sample.y11[rep] == pytest.approx(stats.y11, rel=1e-12)
-        assert sample.y12[rep] == pytest.approx(stats.y12, rel=1e-12)
-        assert sample.rho[rep] == pytest.approx(stats.rho, rel=1e-12)
-        assert sample.theta_hat[rep] == pytest.approx(stats.theta_hat, rel=1e-12)
+        _assert_same_bits(sample, rep, yule_rho(pair))
+
+
+def test_field_engine_matches_ensemble_route():
+    seed, reps = 17, 4
+    samples = spde_mode_samples(3, 0.3, 2.0, replications=reps, base_seed=seed)
+    for rep in range(reps):
+        node = np.random.SeedSequence(entropy=seed, spawn_key=(0, rep))
+        ensemble = simulate_spde_ensemble(3, 0.3, 2.0, rng_stream=node)
+        for sample, mode in zip(samples, ensemble.modes):
+            _assert_same_bits(sample, rep, yule_rho(mode))
 
 
 def test_engine_block_size_invariance(monkeypatch):
@@ -172,6 +185,9 @@ def test_rejections_variants():
         assert 0.0 <= flags.mean() <= 0.2
     with pytest.raises(ParameterError):
         rejections(s, "bogus", 0.05)
+    for alpha in (0.0, 1.5, math.nan):
+        with pytest.raises(ParameterError):
+            rejections(s, "rho_known_theta", alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +201,12 @@ def test_grid_validation():
     with pytest.raises(ParameterError):
         ExperimentGrid(thetas=(1.0,), rs=(0.0,), horizons=(10.0,), replications=10,
                        base_seed=0, statistic="nope")
+    # grid-wide inputs fail up front instead of skipping every cell
+    good = dict(thetas=(1.0,), rs=(0.0,), horizons=(10.0,), replications=10, base_seed=0)
+    for bad in ({"rs": (0.0, math.nan)}, {"rs": (1.5,)}, {"base_seed": -1},
+                {"base_seed": 2 ** 64}, {"thetas": (-1.0,)}, {"horizons": (math.inf,)}):
+        with pytest.raises(ParameterError):
+            ExperimentGrid(**{**good, **bad})
 
 
 def test_run_grid_basic_and_deterministic():

@@ -177,6 +177,8 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         CorrelatedPairConfig(theta=1.0, r=1.5, horizon_T=1.0, dt=0.05, seed=0)
     with pytest.raises(ParameterError):
+        CorrelatedPairConfig(theta=1.0, r=math.nan, horizon_T=1.0, dt=0.05, seed=0)
+    with pytest.raises(ParameterError):
         CorrelatedPairConfig(theta=1.0, r=0.0, horizon_T=1.0, dt=0.2, seed=0)  # cap
     with pytest.raises(ParameterError):
         CorrelatedPairConfig(theta=-1.0, r=0.0, horizon_T=1.0, dt=0.05, seed=0)
