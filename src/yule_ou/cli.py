@@ -4,19 +4,22 @@ Every subcommand accepts --config FILE (a flat JSON document whose keys
 are flag names); explicit flags override file values, unknown keys are
 rejected, and the effective configuration is echoed into each output
 artifact (a `# config:` header line in CSV files, a "config" key in JSON
-output).  Exit codes: 0 success, 2 configuration error, 1 runtime error.
+output).  Exit codes: 0 success, 1 runtime error, and 2 for a configuration
+or domain error: an invalid or non-finite input, a non-finite result, an
+arithmetic overflow or an allocation the machine cannot make.
 """
 
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import hypothesis as hyp
 from . import mc, sde, theory
-from .errors import YuleOuError
+from .errors import ParameterError, YuleOuError, check_level
 from .estimators import PathPair, yule_rho
 from .sde import CorrelatedPairConfig, SamplePath
 
@@ -114,7 +117,7 @@ def _cmd_simulate(args):
     return 0
 
 
-def _load_pair(path, theta_hint=None):
+def _load_pair(path):
     """Load a `t,x1,x2` CSV as two SamplePaths on the shared grid."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -167,7 +170,7 @@ def _cmd_test(args):
 
 def _cmd_mc(args):
     _require(args, "thetas", "rs", "Ts", "reps", "seed", "statistic")
-    _apply_defaults(args, alpha=0.05, jobs=mc.default_jobs())
+    _apply_defaults(args, alpha=0.05, jobs=1)
     grid = mc.ExperimentGrid(thetas=_parse_float_list(args.thetas),
                              rs=_parse_float_list(args.rs),
                              horizons=_parse_float_list(args.Ts),
@@ -193,13 +196,14 @@ def _cmd_mc(args):
 
 def _cmd_spde(args):
     _require(args, "N", "r", "T", "reps", "seed")
-    _apply_defaults(args, alpha=0.05, variant="rho", jobs=mc.default_jobs())
+    _apply_defaults(args, alpha=0.05, variant="rho", jobs=1)
     n_modes, alpha, sidak = args.N, args.alpha, bool(args.sidak)
     variant = _VARIANT_ALIASES[args.variant]
+    check_level(alpha)  # before simulating any mode
     samples = mc.spde_mode_samples(n_modes, args.r, args.T, replications=args.reps,
                                    base_seed=args.seed, jobs=args.jobs)
     per_mode, family = mc.spde_family_rejections(samples, alpha, variant, sidak=sidak)
-    rate, lo, hi = mc.error_rates(family.tolist())
+    rate, lo, hi = mc.error_rates(family)
     echo = {"command": "spde", "N": n_modes, "r": args.r, "T": args.T,
             "reps": args.reps, "seed": args.seed, "alpha": alpha,
             "variant": variant, "sidak": sidak}
@@ -267,7 +271,11 @@ def _cmd_theory(args):
     needed, fn = _THEORY[name]
     _require(args, *needed)
     params = {key: float(getattr(args, key)) for key in needed}
+    if not all(map(math.isfinite, params.values())):
+        raise ParameterError(f"every parameter must be finite, got {params}")
     value = fn(*params.values())
+    if not np.all(np.isfinite(value)):
+        raise ParameterError(f"{name} is not a finite number here: {value}")
     payload = {"quantity": name, "params": params, "value": value}
     out, close = _open_out(args.out)
     _emit(out, json.dumps(payload, sort_keys=True) + "\n", close)
@@ -321,7 +329,7 @@ def build_parser():
     p.add_argument("--statistic", choices=mc.STATISTICS)
     p.add_argument("--alpha", type=float, help="test level for reject_rate (default 0.05)")
     p.add_argument("--dt", type=float, help="fixed step (default: step-cap rule)")
-    p.add_argument("--jobs", type=int, help="worker processes (default YULE_OU_JOBS or 1)")
+    p.add_argument("--jobs", type=int, help="worker processes (default 1)")
     p.add_argument("--jsonl", help="also mirror reports to this JSON-lines file")
 
     p = subs.add_parser("spde", help="multi-mode field independence experiment")
@@ -358,8 +366,8 @@ def main(argv=None):
     try:
         _merge_config(args, parser)
         return _DISPATCH[args.command](args)
-    except (ConfigError, YuleOuError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, YuleOuError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

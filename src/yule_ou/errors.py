@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package and the domain checks raising them."""
+
+import math
 
 
 class YuleOuError(Exception):
@@ -19,3 +21,22 @@ class GridMismatchError(YuleOuError, ValueError):
 
 class DegenerateStatisticError(YuleOuError, ValueError):
     """A denominator of the statistic is degenerate (constant path)."""
+
+
+def check_positive(**named):
+    """Reject each value that is not a finite positive number (NaN included)."""
+    for name, value in named.items():
+        if not 0.0 < value < math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def check_correlation(r):
+    """Reject |r| > 1, NaN included."""
+    if not abs(r) <= 1.0:
+        raise ParameterError(f"|r| must be <= 1, got {r}")
+
+
+def check_level(alpha):
+    """Reject a significance level outside (0, 1), NaN included."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")

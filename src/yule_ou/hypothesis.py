@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateStatisticError, ParameterError
+from .errors import DegenerateStatisticError, ParameterError, check_level, check_positive
 from .gaussian import upper_quantile
 from .theory import chaos_constants
 
@@ -72,16 +72,14 @@ class ConfidenceInterval:
 class MultiModeOutcome:
     per_mode: tuple
     reject_any: bool
-    n_modes: int
+
+    @property
+    def n_modes(self):
+        return len(self.per_mode)
 
     def to_dict(self):
         return {"n_modes": self.n_modes, "reject_any": self.reject_any,
                 "per_mode": [o.to_dict() for o in self.per_mode]}
-
-
-def _check_alpha(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def variant_statistic(stats, variant):
@@ -98,7 +96,7 @@ def variant_statistic(stats, variant):
 
 def critical_value(variant, alpha, theta=None):
     """The variant's threshold at level alpha; theta is the known rate."""
-    _check_alpha(alpha)
+    check_level(alpha)
     variant = TestVariant(variant)
     q = upper_quantile(alpha / 2.0)
     if variant is TestVariant.RHO_ESTIMATED_THETA:
@@ -148,7 +146,7 @@ def numerator_test(num_stat, theta, alpha):
 
 def confidence_interval_r(stats, alpha, theta_mode=ThetaMode.ESTIMATED, theta=None):
     """Asymptotic level-(1-alpha) interval rho +- q sqrt(1+rho^2)/sqrt(theta T)."""
-    _check_alpha(alpha)
+    check_level(alpha)
     mode = ThetaMode(theta_mode)
     if mode is ThetaMode.KNOWN:
         if theta is None or theta <= 0:
@@ -170,7 +168,7 @@ def confidence_interval_r(stats, alpha, theta_mode=ThetaMode.ESTIMATED, theta=No
 
 def sidak_level(alpha, n_modes):
     """Per-mode level 1 - (1-alpha)^(1/N) equalizing the family rate to alpha."""
-    _check_alpha(alpha)
+    check_level(alpha)
     return 1.0 - (1.0 - alpha) ** (1.0 / n_modes)
 
 
@@ -188,8 +186,7 @@ def spde_multimode_test(ensemble_stats, alpha, variant=TestVariant.RHO_KNOWN_THE
     outcomes = [apply_test(stats, variant, level, float(k * k))
                 for k, stats in enumerate(ensemble_stats, start=1)]
     return MultiModeOutcome(per_mode=tuple(outcomes),
-                            reject_any=any(o.reject for o in outcomes),
-                            n_modes=len(outcomes))
+                            reject_any=any(o.reject for o in outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +205,9 @@ def type2_bound_rho(theta, r, alpha, horizon_T, berry_constant):
     """
     if r == 0.0:
         raise ParameterError("bound is defined under the alternative (r != 0)")
-    if horizon_T <= 0:
-        raise ParameterError("horizon_T must be positive")
-    if berry_constant < 0:
-        raise ParameterError("berry_constant must be nonnegative")
+    check_positive(horizon_T=horizon_T)
+    if not 0.0 <= berry_constant < math.inf:
+        raise ParameterError("berry_constant must be nonnegative and finite")
     sigma = chaos_constants(theta, r).sigma
     c = critical_value(TestVariant.RHO_KNOWN_THETA, alpha, theta)
     z = (c - abs(r) * math.sqrt(horizon_T)) / sigma
@@ -228,10 +224,10 @@ def type2_bound_numerator(theta, r, alpha, horizon_T, berry_constant):
     """
     if r == 0.0:
         raise ParameterError("bound is defined under the alternative (r != 0)")
-    if horizon_T <= math.e:
-        raise ParameterError("horizon_T must exceed e")
-    if berry_constant < 0:
-        raise ParameterError("berry_constant must be nonnegative")
+    if not math.e < horizon_T < math.inf:
+        raise ParameterError("horizon_T must exceed e and be finite")
+    if not 0.0 <= berry_constant < math.inf:
+        raise ParameterError("berry_constant must be nonnegative and finite")
     sigma = chaos_constants(theta, r).sigma
     c = critical_value(TestVariant.NUMERATOR_KNOWN_THETA, alpha, theta)
     z = (c - abs(r) * math.sqrt(horizon_T) / (2.0 * theta)) / sigma

@@ -11,7 +11,6 @@ replication index, never functions of the worker pool.
 
 import itertools
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import hypothesis as hyp
 from . import sde, theory
-from .errors import InsufficientDataError, ParameterError
+from .errors import InsufficientDataError, ParameterError, check_level, check_positive
 from .estimators import correlation_and_rate, functionals
 from .gaussian import norm_cdf, upper_quantile
 
@@ -68,11 +67,11 @@ def kolmogorov_distance(samples):
     return float(np.max(np.maximum(upper, lower)))
 
 
-def wilson_interval(successes, n, level=0.95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes, n):
+    """95% Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ParameterError("need at least one trial")
-    z = upper_quantile((1.0 - level) / 2.0)
+    z = upper_quantile((1.0 - 0.95) / 2.0)  # not 0.025: the reports keep this value's bits
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
@@ -83,22 +82,15 @@ def wilson_interval(successes, n, level=0.95):
     return lo, hi
 
 
-def error_rates(outcomes, truth="H0"):
-    """Rejection frequency with a 95% Wilson interval.
-
-    Under truth="H0" the rate is the empirical type-I error; under "Ha"
-    it is the empirical power.  Accepts TestOutcome sequences or raw
-    booleans.
-    """
-    if truth not in ("H0", "Ha"):
-        raise ParameterError(f"truth must be 'H0' or 'Ha', got {truth!r}")
-    flags = [bool(getattr(o, "reject", o)) for o in outcomes]
-    if not flags:
+def error_rates(flags):
+    """Rejection frequency of a boolean array (the type-I error under the
+    null, the power under an alternative) with its 95% Wilson interval."""
+    flags = np.asarray(flags, dtype=bool)
+    if flags.size == 0:
         raise ParameterError("empty outcome sequence")
-    n = len(flags)
-    rate = sum(flags) / n
-    lo, hi = wilson_interval(sum(flags), n)
-    return rate, lo, hi
+    rejected = int(flags.sum())
+    lo, hi = wilson_interval(rejected, flags.size)
+    return rejected / flags.size, lo, hi
 
 
 def rate_fit(points):
@@ -159,20 +151,20 @@ def _cell_blocks(replications, n_steps):
 
 
 def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
-                cell_index=0, jobs=1, step_cap=sde.STEP_CAP, process_offset=0):
+                cell_index=0, jobs=1, process_offset=0):
     """Simulate a cell and return all per-replication functionals.
 
     dt=None resolves to the largest exact divisor of T with theta*dt <=
-    step_cap.  The result is invariant to `jobs`; workers only change who
-    computes each fixed block.
+    sde.STEP_CAP.  The result is invariant to `jobs`; workers only change
+    who computes each fixed block.
     """
     if replications < 1:
         raise ParameterError("replications must be >= 1")
     if dt is None:
-        dt = sde.default_dt(theta, horizon_T, step_cap)
+        dt = sde.default_dt(theta, horizon_T)
     # validates every cell parameter, including the step cap
     n_steps = sde.CorrelatedPairConfig(theta=theta, r=r, horizon_T=horizon_T, dt=dt,
-                                       seed=base_seed, step_cap=step_cap).n_steps
+                                       seed=base_seed).n_steps
     blocks = _cell_blocks(replications, n_steps)
     tasks = [(theta, r, horizon_T, dt, base_seed, cell_index, a, b, process_offset)
              for a, b in blocks]
@@ -219,9 +211,8 @@ class ExperimentGrid:
     replications: int
     base_seed: int
     statistic: str = "rho_centered"
-    dt_policy: float | None = None   # None: dt = T/ceil(theta*T/step_cap)
+    dt_policy: float | None = None   # None: dt = T/ceil(theta*T/sde.STEP_CAP)
     alpha: float = 0.05
-    step_cap: float = sde.STEP_CAP
 
     def __post_init__(self):
         for name in ("thetas", "rs", "horizons"):
@@ -232,15 +223,13 @@ class ExperimentGrid:
         if self.replications < 1:
             raise ParameterError("replications must be >= 1")
         # grid-wide inputs fail here; run_grid skips only cell-specific failures
-        for name in ("thetas", "horizons"):
-            if not all(0.0 < v < math.inf for v in getattr(self, name)):
-                raise ParameterError(f"{name} must be positive and finite")
+        for theta, horizon_T in itertools.product(self.thetas, self.horizons):
+            check_positive(theta=theta, horizon_T=horizon_T)
         for r in self.rs:
             sde.check_pair_inputs(r, self.base_seed)
         if self.statistic not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.statistic!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError("alpha must lie in (0, 1)")
+        check_level(self.alpha)
 
     def cells(self):
         return list(itertools.product(self.thetas, self.rs, self.horizons))
@@ -302,7 +291,7 @@ def summarize_cell(sample, statistic, alpha):
         flags = rejections(sample, test, alpha)
     else:
         flags = np.abs(values) > upper_quantile(alpha / 2.0)
-    rate, lo, hi = error_rates(flags.tolist())
+    rate, lo, hi = error_rates(flags)
     if n >= 4:
         k2, k3, k4 = k_statistics(values)
     elif n >= 2:
@@ -328,8 +317,7 @@ def run_grid(grid, jobs=1, progress=None):
         try:
             sample = pair_sample(theta, r, T, dt=grid.dt_policy,
                                  replications=grid.replications,
-                                 base_seed=grid.base_seed, cell_index=index,
-                                 jobs=jobs, step_cap=grid.step_cap)
+                                 base_seed=grid.base_seed, cell_index=index, jobs=jobs)
         except (ParameterError, MemoryError) as exc:
             progress(f"cell {index + 1}/{len(cells)} theta={theta} r={r} T={T}: "
                      f"skipped ({exc})")
@@ -351,9 +339,9 @@ def write_reports_csv(fileobj, reports, header_comment=None):
 # Multi-mode (field) replications
 # ---------------------------------------------------------------------------
 
-def spde_mode_samples(n_modes, r, horizon_T, replications, base_seed,
-                      dt_policy=None, jobs=1, step_cap=sde.STEP_CAP):
-    """Per-mode PairSamples of the field experiment (mode k at theta = k^2).
+def spde_mode_samples(n_modes, r, horizon_T, replications, base_seed, jobs=1):
+    """Per-mode PairSamples of the field experiment (mode k at theta = k^2,
+    dt = sde.default_dt(k^2, T)).
 
     Mode k uses process indices (2(k-1), 2(k-1)+1), mirroring the
     single-shot ensemble simulator.
@@ -362,12 +350,9 @@ def spde_mode_samples(n_modes, r, horizon_T, replications, base_seed,
         raise ParameterError("n_modes must be >= 1")
     samples = []
     for k in range(1, n_modes + 1):
-        theta_k = float(k * k)
-        dt_k = dt_policy(k) if callable(dt_policy) else dt_policy
-        samples.append(pair_sample(theta_k, r, horizon_T, dt=dt_k,
+        samples.append(pair_sample(float(k * k), r, horizon_T,
                                    replications=replications, base_seed=base_seed,
-                                   cell_index=0, jobs=jobs, step_cap=step_cap,
-                                   process_offset=2 * (k - 1)))
+                                   cell_index=0, jobs=jobs, process_offset=2 * (k - 1)))
     return samples
 
 
@@ -376,14 +361,3 @@ def spde_family_rejections(mode_samples, alpha, variant="rho_known_theta", sidak
     level = hyp.sidak_level(alpha, len(mode_samples)) if sidak else alpha
     per_mode = np.stack([rejections(s, variant, level) for s in mode_samples])
     return per_mode, per_mode.any(axis=0)
-
-
-def default_jobs():
-    """Worker count from YULE_OU_JOBS, defaulting to 1."""
-    raw = os.environ.get("YULE_OU_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParameterError(f"YULE_OU_JOBS must be an integer, got {raw!r}")

@@ -15,16 +15,16 @@ every path reproducible and safe to generate from parallel workers.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ParameterError
+from .errors import ParameterError, check_correlation, check_positive
 from .estimators import PathPair
 
-#: Default cap on theta*dt; keeps quadrature error of the path functionals
-#: below Monte Carlo noise at the validation-suite sample sizes.
+#: Cap on theta*dt; keeps quadrature error of the path functionals below
+#: Monte Carlo noise at the validation-suite sample sizes.
 STEP_CAP = 0.05
 
 _GRID_RTOL = 1e-9
@@ -44,23 +44,13 @@ def stream(seed, *key):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _as_generator(rng_stream):
-    if isinstance(rng_stream, np.random.Generator):
-        return rng_stream
-    if isinstance(rng_stream, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(rng_stream))
-    if isinstance(rng_stream, (int, np.integer)):
-        return stream(rng_stream)
-    raise ParameterError(f"cannot interpret rng stream of type {type(rng_stream)!r}")
-
-
 # ---------------------------------------------------------------------------
 # Closed-form transition and moments
 # ---------------------------------------------------------------------------
 
 def transition_factor(theta, dt):
     """Autoregressive factor exp(-theta*dt) of the exact transition."""
-    _check_positive(theta=theta)
+    check_positive(theta=theta)
     if dt < 0:
         raise ParameterError("dt must be nonnegative")
     return math.exp(-theta * dt)
@@ -68,7 +58,7 @@ def transition_factor(theta, dt):
 
 def innovation_variance(theta, dt):
     """Variance (1 - exp(-2*theta*dt)) / (2*theta) of the exact innovation."""
-    _check_positive(theta=theta)
+    check_positive(theta=theta)
     if dt < 0:
         raise ParameterError("dt must be nonnegative")
     return -math.expm1(-2.0 * theta * dt) / (2.0 * theta)
@@ -80,9 +70,9 @@ def ou_covariance(theta, s, t):
     Equals (exp(-theta*|t-s|) - exp(-theta*(t+s))) / (2*theta), which is the
     overflow-safe form of exp(-theta(s+t)) * (exp(2*theta*min(s,t)) - 1) / (2*theta).
     """
-    _check_positive(theta=theta)
-    if s < 0 or t < 0:
-        raise ParameterError("times must be nonnegative")
+    check_positive(theta=theta)
+    if not (0.0 <= s < math.inf and 0.0 <= t < math.inf):
+        raise ParameterError("times must be nonnegative and finite")
     return (math.exp(-theta * abs(t - s)) - math.exp(-theta * (t + s))) / (2.0 * theta)
 
 
@@ -91,7 +81,7 @@ def mean_functional_variance(theta, horizon_T):
 
     Closed form of (1/(T*theta)^2) * int_0^T (1 - exp(-theta*(T-u)))^2 du.
     """
-    _check_positive(theta=theta, horizon_T=horizon_T)
+    check_positive(theta=theta, horizon_T=horizon_T)
     th, T = theta, horizon_T
     integral = T + 2.0 * math.expm1(-th * T) / th - math.expm1(-2.0 * th * T) / (2.0 * th)
     return integral / (th * T) ** 2
@@ -112,8 +102,7 @@ class SamplePath:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive")
+        check_positive(dt=self.dt)
         if self.t0 < 0:
             raise ParameterError("t0 must be nonnegative")
         if values.ndim != 1 or values.size == 0:
@@ -139,16 +128,15 @@ class CorrelatedPairConfig:
     horizon_T: float
     dt: float
     seed: int
-    step_cap: float = STEP_CAP
 
     def __post_init__(self):
-        _check_positive(theta=self.theta)
+        check_positive(theta=self.theta)
         check_pair_inputs(self.r, self.seed)
         if not self.horizon_T >= self.dt > 0:
             raise ParameterError("need horizon_T >= dt > 0")
-        if self.dt > self.step_cap / self.theta * (1.0 + 1e-12):
+        if self.dt > STEP_CAP / self.theta * (1.0 + 1e-12):
             raise ParameterError(
-                f"dt={self.dt} exceeds step cap {self.step_cap}/theta={self.step_cap / self.theta:g}"
+                f"dt={self.dt} exceeds step cap {STEP_CAP}/theta={STEP_CAP / self.theta:g}"
             )
         grid_size(self.horizon_T, self.dt)  # validates divisibility
 
@@ -174,16 +162,18 @@ class SpdeModeEnsemble:
     """Fourier modes of the heat-equation pair; mode k reverts at rate k^2."""
 
     modes: tuple
-    n_modes: int = field(default=0)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "n_modes", len(self.modes))
-        if self.n_modes < 1:
+        if not self.modes:
             raise ParameterError("ensemble needs at least one mode")
         for k, pair in enumerate(self.modes, start=1):
             if pair.config.theta != float(k * k):
                 raise ParameterError(f"mode {k} must have theta={k * k}")
+
+    @property
+    def n_modes(self):
+        return len(self.modes)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +192,10 @@ def grid_size(horizon_T, dt):
     return n
 
 
-def default_dt(theta, horizon_T, step_cap=STEP_CAP):
-    """Largest dt that divides horizon_T exactly and satisfies theta*dt <= step_cap."""
-    _check_positive(theta=theta, horizon_T=horizon_T, step_cap=step_cap)
-    n = max(1, math.ceil(theta * horizon_T / step_cap - 1e-12))
+def default_dt(theta, horizon_T):
+    """Largest dt that divides horizon_T exactly and satisfies theta*dt <= STEP_CAP."""
+    check_positive(theta=theta, horizon_T=horizon_T)
+    n = max(1, math.ceil(theta * horizon_T / STEP_CAP - 1e-12))
     return horizon_T / n
 
 def ar1_paths(factor, innovations):
@@ -221,12 +211,12 @@ def ar1_paths(factor, innovations):
 
 
 def simulate_ou(theta, horizon_T, dt, rng_stream):
-    """Simulate one path by the exact transition on the grid covering [0, T]."""
-    _check_positive(theta=theta, dt=dt)
+    """Simulate one path by the exact transition on the grid covering [0, T],
+    drawing its steps from the Generator rng_stream."""
+    check_positive(theta=theta, dt=dt)
     n = grid_size(horizon_T, dt)
-    gen = _as_generator(rng_stream)
     sd = math.sqrt(innovation_variance(theta, dt))
-    xi = sd * gen.standard_normal(n)
+    xi = sd * rng_stream.standard_normal(n)
     values = ar1_paths(transition_factor(theta, dt), xi)
     return SamplePath(t0=0.0, dt=dt, values=values)
 
@@ -275,16 +265,13 @@ def simulate_correlated_pair(config, rng_stream=None):
     return _simulate_pair(config, _stream_node(rng_stream, config.seed), 0)
 
 
-def simulate_spde_ensemble(n_modes, r, horizon_T, dt_policy=None, rng_stream=None,
-                           seed=0, step_cap=STEP_CAP):
+def simulate_spde_ensemble(n_modes, r, horizon_T, rng_stream=None, seed=0):
     """Simulate the first N Fourier-mode pairs of the heat-equation field.
 
-    Mode k is a pair with theta = k^2 and the shared correlation r; its
-    noises come from processes (2(k-1), 2(k-1)+1) of the stream node, so
-    modes are independent and insensitive to simulation order.
-
-    dt_policy may be None (dt = T/ceil(k^2 T/step_cap) per mode), a fixed
-    float, or a callable k -> dt.
+    Mode k is a pair with theta = k^2, the shared correlation r and
+    dt = default_dt(k^2, T); its noises come from processes
+    (2(k-1), 2(k-1)+1) of the stream node, so modes are independent and
+    insensitive to simulation order.
     """
     if n_modes < 1:
         raise ParameterError("n_modes must be >= 1")
@@ -293,11 +280,8 @@ def simulate_spde_ensemble(n_modes, r, horizon_T, dt_policy=None, rng_stream=Non
     modes = []
     for k in range(1, n_modes + 1):
         theta_k = float(k * k)
-        dt_k = dt_policy(k) if callable(dt_policy) else dt_policy
-        if dt_k is None:
-            dt_k = default_dt(theta_k, horizon_T, step_cap)
         config = CorrelatedPairConfig(theta=theta_k, r=r, horizon_T=horizon_T,
-                                      dt=dt_k, seed=int(node.entropy), step_cap=step_cap)
+                                      dt=default_dt(theta_k, horizon_T), seed=int(node.entropy))
         modes.append(_simulate_pair(config, node, 2 * (k - 1)))
     return SpdeModeEnsemble(modes=tuple(modes))
 
@@ -341,13 +325,6 @@ def read_pair_csv(fileobj):
 
 def check_pair_inputs(r, seed):
     """Reject |r| > 1 (NaN included) and a seed outside 64 unsigned bits."""
-    if not abs(r) <= 1.0:
-        raise ParameterError(f"|r| must be <= 1, got {r}")
+    check_correlation(r)
     if not 0 <= int(seed) < 2 ** 64:
         raise ParameterError(f"seed must fit in 64 unsigned bits, got {seed}")
-
-
-def _check_positive(**named):
-    for name, value in named.items():
-        if not value > 0:
-            raise ParameterError(f"{name} must be positive, got {value}")

@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import beta
 
-from .errors import ParameterError
-from .sde import _check_positive
+from .errors import ParameterError, check_correlation, check_positive
 
 
 @dataclass(frozen=True)
@@ -41,15 +40,13 @@ class KernelSpec:
     horizon_T: float
 
     def __post_init__(self):
-        _check_positive(theta=self.theta, horizon_T=self.horizon_T)
-        if abs(self.r) > 1.0:
-            raise ParameterError(f"|r| must be <= 1, got {self.r}")
+        check_positive(theta=self.theta, horizon_T=self.horizon_T)
+        check_correlation(self.r)
 
 
 def chaos_constants(theta, r):
-    _check_positive(theta=theta)
-    if abs(r) > 1.0:
-        raise ParameterError(f"|r| must be <= 1, got {r}")
+    check_positive(theta=theta)
+    check_correlation(r)
     root = math.sqrt(1.0 - r * r)
     c1 = 0.5 * (r * math.sqrt(2.0) + root)
     c2 = 0.5 * (r * math.sqrt(2.0) - root)
@@ -64,7 +61,8 @@ def clt_variance_rho(theta, r):
     rho. It is the variance of sqrt(T)*(rho(T) - r) only at r = 0; for
     r != 0 see clt_variance_rho_delta.
     """
-    _check_positive(theta=theta)
+    check_positive(theta=theta)
+    check_correlation(r)
     return (1.0 + r * r) / theta
 
 
@@ -76,9 +74,8 @@ def clt_variance_rho_delta(theta, r):
     the correlation matrix [[1, r], [r, 1]]. Agrees with clt_variance_rho
     at r = 0.
     """
-    _check_positive(theta=theta)
-    if abs(r) > 1.0:
-        raise ParameterError(f"|r| must be <= 1, got {r}")
+    check_positive(theta=theta)
+    check_correlation(r)
     return (1.0 - r * r) ** 2 / theta
 
 
@@ -104,17 +101,16 @@ def cumulant_bound_constants(theta, r):
 def delta_convolution_inner(p, theta):
     """Inner product <delta^{*(p-1)}, delta> for delta(x) = exp(-theta|x|)/(2*theta).
 
-    Evaluated by adaptive quadrature of the spectral representation
-    (1/pi) * int_0^inf (theta^2 + w^2)^{-p} dw, since the Fourier transform
-    of delta is 1/(theta^2 + w^2).
+    The spectral representation (1/pi) * int_0^inf (theta^2 + w^2)^{-p} dw,
+    since the Fourier transform of delta is 1/(theta^2 + w^2), integrates
+    in closed form to B(1/2, p - 1/2) / (2 pi) * theta^{1-2p}.
     """
     if not float(p).is_integer() or p < 2:
         raise ParameterError(f"p must be an integer >= 2, got {p}")
-    _check_positive(theta=theta)
+    check_positive(theta=theta)
     p = int(p)
-    value, _ = quad(lambda w: (theta * theta + w * w) ** (-p), 0.0, np.inf,
-                    epsabs=1e-14, epsrel=1e-12, limit=200)
-    return value / math.pi
+    # float powers raise OverflowError where numpy would warn and return inf
+    return float(beta(0.5, p - 0.5)) / (2.0 * math.pi) * theta ** (1 - 2 * p)
 
 
 def asymptotic_cumulant(p, theta, r, horizon_T):
@@ -125,7 +121,7 @@ def asymptotic_cumulant(p, theta, r, horizon_T):
     """
     if not float(p).is_integer() or p < 3:
         raise ParameterError(f"p must be an integer >= 3, got {p}")
-    _check_positive(theta=theta, horizon_T=horizon_T)
+    check_positive(theta=theta, horizon_T=horizon_T)
     p = int(p)
     cc = chaos_constants(theta, r)
     inner = delta_convolution_inner(p, theta)
@@ -147,7 +143,7 @@ def chaos_base_variance(theta, horizon_T):
             - (1 - e^{-2 theta T})/(2 theta^4 T)
             - (1 - e^{-4 theta T})/(8 theta^4 T).
     """
-    _check_positive(theta=theta, horizon_T=horizon_T)
+    check_positive(theta=theta, horizon_T=horizon_T)
     th, T = theta, horizon_T
     e2 = math.exp(-2.0 * th * T)
     return (0.5 / th ** 3 + e2 / th ** 3
@@ -155,17 +151,11 @@ def chaos_base_variance(theta, horizon_T):
             + math.expm1(-4.0 * th * T) / (8.0 * th ** 4 * T))
 
 
-def exact_second_moment_Ar(theta, r, horizon_T, standardized=False):
-    """Exact second moment (c1^2 + c2^2) * V(theta, T) of the chaos term.
-
-    With standardized=True the value is divided by sigma^2, so it tends
-    to 1 as T grows.
-    """
+def exact_second_moment_Ar(theta, r, horizon_T):
+    """Exact second moment (c1^2 + c2^2) * V(theta, T) of the chaos term;
+    divided by sigma^2 it tends to 1 as T grows."""
     cc = chaos_constants(theta, r)
-    value = (cc.c1 ** 2 + cc.c2 ** 2) * chaos_base_variance(theta, horizon_T)
-    if standardized:
-        value /= cc.sigma ** 2
-    return value
+    return (cc.c1 ** 2 + cc.c2 ** 2) * chaos_base_variance(theta, horizon_T)
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +198,18 @@ def kernel_h_norm(spec):
     """L2 norm of h_T; increases to kernel_h_norm_limit as T grows."""
     th, T = spec.theta, spec.horizon_T
     csq = (1.0 + spec.r ** 2) / 2.0
-    integral = 1.0 / th + math.expm1(-2.0 * th * T) / (2.0 * th * th * T)
+    x = 2.0 * th * T
+    if x < 3e-4:  # the closed form cancels to noise; its series is T (1 - x/3 + x^2/12)
+        integral = T * (1.0 - x / 3.0 + x * x / 12.0)
+    else:
+        integral = 1.0 / th + math.expm1(-2.0 * th * T) / (2.0 * th * th * T)
     return math.sqrt(csq / (4.0 * th * th) * integral)
 
 
 def kernel_h_norm_limit(theta, r):
     """Limit sqrt(1+r^2) / (2 sqrt(2) theta^{3/2}) = sigma / sqrt(2)."""
-    _check_positive(theta=theta)
+    check_positive(theta=theta)
+    check_correlation(r)
     return math.sqrt(1.0 + r * r) / (2.0 * math.sqrt(2.0) * theta ** 1.5)
 
 
@@ -234,7 +229,8 @@ def eta_constant(theta, r):
 
     eta = (<delta^{*2}, delta> / sqrt(pi)) * 4 * theta^{9/2} * r(3 - r^2) / (1+r^2)^{3/2}.
     """
-    _check_positive(theta=theta)
+    check_positive(theta=theta)
+    check_correlation(r)
     inner = delta_convolution_inner(3, theta)
     return (inner / math.sqrt(math.pi)) * 4.0 * theta ** 4.5 \
         * r * (3.0 - r * r) / (1.0 + r * r) ** 1.5
@@ -242,7 +238,7 @@ def eta_constant(theta, r):
 
 def edgeworth_tail(z, theta, r, horizon_T):
     """Leading CDF correction eta * (1 - z^2) * e^{-z^2/2} / sqrt(T) at fixed z."""
-    _check_positive(horizon_T=horizon_T)
+    check_positive(horizon_T=horizon_T)
     return eta_constant(theta, r) * (1.0 - z * z) * math.exp(-0.5 * z * z) \
         / math.sqrt(horizon_T)
 
@@ -253,23 +249,24 @@ def edgeworth_kolmogorov_bound(theta, r, horizon_T):
     This is the supremum of |eta| (1+z^2) e^{-z^2/2} / sqrt(T), the majorant
     form of the tail correction (attained at z = +-1).
     """
-    _check_positive(horizon_T=horizon_T)
+    check_positive(horizon_T=horizon_T)
     return 2.0 * abs(eta_constant(theta, r)) / math.sqrt(math.e * horizon_T)
 
 
 def major_tail_bound(n, kernel_norm, x, prefactor_C):
     """Deviation bound C * exp(-0.5 * (x / (sqrt(n!) * norm))^{2/n}) for an
     n-th order integral with the given kernel norm."""
-    if not float(n).is_integer() or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n}")
-    _check_positive(kernel_norm=kernel_norm, x=x)
+    # sqrt(n!) is not a finite float past n = 170
+    if not float(n).is_integer() or not 1 <= n <= 170:
+        raise ParameterError(f"n must be an integer in [1, 170], got {n}")
+    check_positive(kernel_norm=kernel_norm, x=x)
     ratio = x / (math.sqrt(math.factorial(int(n))) * kernel_norm)
     return prefactor_C * math.exp(-0.5 * ratio ** (2.0 / n))
 
 
 def wasserstein_scale_bound(sigma):
     """Bound sqrt(2/pi) * |1 - sigma^2| on the distance of sigma*N to N."""
-    _check_positive(sigma=sigma)
+    check_positive(sigma=sigma)
     return math.sqrt(2.0 / math.pi) * abs(1.0 - sigma * sigma)
 
 
@@ -278,9 +275,9 @@ def denominator_lp_bound(p, theta):
 
     3 * max(2(2p-1)/theta, (p-1) sqrt(2/theta) sqrt(3 + 7/(4 theta)), 1/(2 theta)).
     """
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
-    _check_positive(theta=theta)
+    if not 1.0 <= p < math.inf:
+        raise ParameterError(f"p must be finite and >= 1, got {p}")
+    check_positive(theta=theta)
     return 3.0 * max(2.0 * (2.0 * p - 1.0) / theta,
                      (p - 1.0) * math.sqrt(2.0 / theta) * math.sqrt(3.0 + 7.0 / (4.0 * theta)),
                      0.5 / theta)

@@ -1,12 +1,19 @@
 """CLI contract: subcommands, exit codes, config merging, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from yule_ou.cli import main
+from yule_ou import mc, sde
+from yule_ou.cli import _THEORY, main
 
 
 def run_cli(capsys, *argv):
@@ -172,11 +179,20 @@ def test_theory_sigma(capsys):
     assert payload["params"] == {"theta": 1.0, "r": 0.0}
 
 
-def test_spde_alpha_out_of_range_exits_2(capsys):
-    code, out, err = run_cli(capsys, "spde", "--N", "2", "--alpha", "1.5", "--r", "0",
+def test_spde_alpha_out_of_range_exits_2(capsys, monkeypatch):
+    def simulate(*args, **kwargs):
+        raise AssertionError("modes simulated before the level was checked")
+    monkeypatch.setattr(mc, "spde_mode_samples", simulate)
+    for sidak in ((), ("--sidak",)):
+        code, out, err = run_cli(capsys, "spde", "--N", "2", "--alpha", "1.5", "--r", "0",
+                                 "--T", "5", "--reps", "10", "--seed", "1", *sidak)
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and "alpha" in err
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "spde", "--N", "0", "--sidak", "--r", "0",
                              "--T", "5", "--reps", "10", "--seed", "1")
     assert code == 2 and out == ""
-    assert _one_error_line(err) and "alpha" in err
+    assert _one_error_line(err) and "n_modes" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--rs", "nan"), ("--rs", "0,1.5"),
@@ -202,6 +218,58 @@ def test_theory_non_integer_order_exits_2(capsys):
     code, out, _ = run_cli(capsys, "theory", "--quantity", "delta_inner",
                            "--p", "2", "--theta", "1")
     assert code == 0 and json.loads(out)["value"] == pytest.approx(0.25, rel=1e-10)
+
+
+@pytest.mark.parametrize("argv", [
+    "c1 --theta 1 --r nan",
+    "clt_var_rho --theta 1 --r 3",
+    "eta --theta 1 --r 3",
+    "h_norm_limit --theta 1 --r 3",
+    "ou_covariance --theta 1 --s nan --t 1",
+    "wasserstein_scale_bound --sigma-scale 1e200",
+    "denominator_lp_bound --p inf --theta 1",
+    "edgeworth_tail --z 1e300 --theta 1 --r 0.5 --T 10",
+    "asymptotic_cumulant --p 2000 --theta 1 --r 0.5 --T 10",
+    "c1 --theta 1e-300 --r 0.5",
+    "major_tail_bound --n 1e6 --norm 1 --x 1 --prefactor 1",
+])
+def test_theory_refuses_non_finite_inputs_and_results(capsys, argv):
+    code, out, err = run_cli(capsys, "theory", "--quantity", *argv.split())
+    assert code == 2 and out == ""
+    assert _one_error_line(err)
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
+                0.0, 0.5, 1.0, -1.0, 2.0, 3.0, 9.0, 170.0, 171.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(name=st.sampled_from(sorted(_THEORY)), data=st.data())
+def test_theory_exits_0_finite_or_2_with_one_error_line(name, data):
+    values = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+    argv = ["theory", f"--quantity={name}"]
+    for key in _THEORY[name][0]:
+        argv.append(f"--{key.replace('_', '-')}={data.draw(values, label=key)!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        value = json.loads(out.getvalue())["value"]
+        assert all(math.isfinite(v) for v in np.ravel(value)), argv
+        assert err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == "", argv
+        assert _one_error_line(err.getvalue()), (argv, err.getvalue())
+
+
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    def simulate(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(sde, "simulate_correlated_pair", simulate)
+    code, out, err = run_cli(capsys, "simulate", "--theta", "1", "--r", "0.5", "--T", "5",
+                             "--dt", "0.05", "--seed", "1", "--out", str(tmp_path / "p.csv"))
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "MemoryError" in err
 
 
 def test_theory_unknown_quantity(capsys):
@@ -265,14 +333,6 @@ def test_config_on_off_flag_takes_booleans(tmp_path, capsys, pair_csv):
         assert code == code_want, value
         if code == 0:
             assert json.loads(out)["config"]["pooled_theta"] is value
-
-
-def test_env_var_jobs_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("YULE_OU_JOBS", "2")
-    from yule_ou.mc import default_jobs
-    assert default_jobs() == 2
-    monkeypatch.delenv("YULE_OU_JOBS")
-    assert default_jobs() == 1
 
 
 def test_console_entry_point_runs():

@@ -96,8 +96,6 @@ def test_error_rates_edge_cases():
     assert rate == 0.0 and lo == 0.0
     with pytest.raises(ParameterError):
         error_rates([])
-    with pytest.raises(ParameterError):
-        error_rates([True], truth="H2")
 
 
 def test_error_rates_ci_shrinks():

@@ -145,6 +145,9 @@ def test_delta_inner_against_grid_convolution_oracle():
             want = conv_inner_oracle(p, theta)
             assert abs(got - want) <= 1e-8 * abs(want)
             assert got == pytest.approx(closed_form_inner(p, theta), rel=1e-10)
+    for p, theta in ((8, 9.0), (11, 9.0)):  # the field's mode-3 rate; values ~1e-16
+        assert delta_convolution_inner(p, theta) == pytest.approx(
+            closed_form_inner(p, theta), rel=1e-10, abs=0.0)
 
 
 def test_delta_inner_young_bounds():
@@ -169,6 +172,20 @@ def test_delta_inner_decreasing_in_p():
 def test_delta_inner_domain():
     with pytest.raises(ParameterError):
         delta_convolution_inner(1, 1.0)
+    assert 0.0 < delta_convolution_inner(1e9, 1.0) < 1e-4  # constant time in p
+    with pytest.raises(OverflowError):
+        delta_convolution_inner(200, 1e-3)
+
+
+@pytest.mark.parametrize("fn", [chaos_constants, clt_variance_rho, clt_variance_rho_delta,
+                                eta_constant, kernel_h_norm_limit])
+def test_rate_and_correlation_checked_at_entry(fn):
+    for theta, r in ((1.0, math.nan), (1.0, 1.5), (1.0, -3.0), (math.nan, 0.5),
+                     (math.inf, 0.5), (0.0, 0.5)):
+        with pytest.raises(ParameterError):
+            fn(theta, r)
+    with pytest.raises(ParameterError):
+        KernelSpec(1.0, math.nan, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +249,10 @@ def test_second_moment_limit_and_rate():
 
 def test_second_moment_standardized_tends_to_one():
     # deviation is the exact 1/T term: (5/4)/(theta*T) in sigma units
-    assert exact_second_moment_Ar(2.0, 0.3, 500.0, standardized=True) == pytest.approx(
+    sigma_sq = chaos_constants(2.0, 0.3).sigma ** 2
+    assert exact_second_moment_Ar(2.0, 0.3, 500.0) / sigma_sq == pytest.approx(
         1.0 - 1.25 / 1000.0, rel=1e-9)
-    assert exact_second_moment_Ar(2.0, 0.3, 2e5, standardized=True) == pytest.approx(
+    assert exact_second_moment_Ar(2.0, 0.3, 2e5) / sigma_sq == pytest.approx(
         1.0, abs=1e-5)
 
 
@@ -279,6 +297,17 @@ def test_kernel_h_norm_against_quadrature():
     for spec in (KernelSpec(1.0, 0.0, 2.0), KernelSpec(0.5, 0.6, 4.0)):
         want = _kernel_norm_quadrature(kernel_h_value, spec)
         assert kernel_h_norm(spec) == pytest.approx(want, rel=1e-8)
+
+
+def test_kernel_h_norm_small_theta_T():
+    # ||h_T||^2 -> (1+r^2)/2 * T / (4 theta^2) as theta*T -> 0, where the
+    # closed form cancels and can turn negative
+    for theta in (1e-12, 3.9e-54):
+        want = math.sqrt((1.0 + 0.3 ** 2) / 2.0 * 9.0 / (4.0 * theta * theta))
+        assert kernel_h_norm(KernelSpec(theta, 0.3, 9.0)) == pytest.approx(want, rel=1e-10)
+    # continuous across the switch to the series at 2 theta T = 3e-4
+    below, above = (kernel_h_norm(KernelSpec(1.5e-4 * f, 0.3, 1.0)) for f in (1 - 1e-9, 1 + 1e-9))
+    assert below == pytest.approx(above, rel=1e-8)
 
 
 def test_kernel_g_norm_value_and_quadrature():
@@ -349,6 +378,14 @@ def test_major_tail_bound_values():
     # n=1: Gaussian-type exponent x^2/(2 norm^2)
     assert major_tail_bound(1, 0.5, 1.0, 1.0) == pytest.approx(
         math.exp(-0.5 * (1.0 / 0.5) ** 2), rel=1e-12)
+
+
+def test_major_tail_bound_order_range():
+    # sqrt(n!) is a finite float up to n = 170 only
+    assert 0.0 < major_tail_bound(170, 1e-100, 1.0, 1.0) <= 1.0
+    for n in (0, 171, 1e6, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            major_tail_bound(n, 1.0, 1.0, 1.0)
 
 
 def test_major_tail_bound_monotone_in_x():
