@@ -68,16 +68,19 @@ def path_time_average(path):
 def functionals(x1, x2, dt):
     """Centered functionals (Y11, Y22, Y12) of paths of shape (..., n_nodes).
 
-    Rows are reduced one by one with pairwise sums, so a row's bits do not
-    depend on the block it sits in; a single pair is a batch of one.
+    Rows are reduced one by one, so a row's bits do not depend on the
+    block it sits in; a single pair is a batch of one.  The quadratic terms
+    use the three-operand einsum, which sums each row in its own loop
+    without temporaries.  A two-operand einsum or `@` would go to BLAS,
+    whose dot kernels sum a row differently depending on the batch shape.
     """
     w = trapezoid_weights(x1.shape[-1], dt)
     T = (x1.shape[-1] - 1) * dt
     s1 = (x1 * w).sum(axis=-1)
     s2 = (x2 * w).sum(axis=-1)
-    q11 = (x1 * x1 * w).sum(axis=-1)
-    q22 = (x2 * x2 * w).sum(axis=-1)
-    q12 = (x1 * x2 * w).sum(axis=-1)
+    q11 = np.einsum("...j,...j,j->...", x1, x1, w)
+    q22 = np.einsum("...j,...j,j->...", x2, x2, w)
+    q12 = np.einsum("...j,...j,j->...", x1, x2, w)
     return q11 - s1 * s1 / T, q22 - s2 * s2 / T, q12 - s1 * s2 / T
 
 

@@ -101,8 +101,9 @@ def critical_value(variant, alpha, theta=None):
     q = upper_quantile(alpha / 2.0)
     if variant is TestVariant.RHO_ESTIMATED_THETA:
         return q
-    if theta is None or not theta > 0:
-        raise ParameterError("theta must be positive")
+    if theta is None:
+        raise ParameterError("theta must be given for this variant")
+    check_positive(theta=theta)
     if variant is TestVariant.RHO_KNOWN_THETA:
         return q / math.sqrt(theta)
     return q / (2.0 * theta ** 1.5)

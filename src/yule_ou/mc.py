@@ -24,6 +24,7 @@ from .estimators import correlation_and_rate, functionals
 from .gaussian import norm_cdf, upper_quantile
 
 _BLOCK_ELEMS = 4_000_000  # target innovations per simulated block
+_TILE_ELEMS = 125_000     # target innovations per row tile inside a block
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +131,30 @@ class PairSample:
 
 def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
                     process_offset=0):
-    """Functionals for replications [start, stop) of one cell."""
+    """Functionals (Y11, Y22, Y12) as a (3, m) array for replications
+    [start, stop) of one cell.
+
+    The block is computed in row tiles of about _TILE_ELEMS innovations,
+    drawn into one pair of buffers reused for every tile, so the working
+    set stays near the cache instead of streaming block-sized temporaries
+    through memory.  Rows never interact, so tiles do not change any bit.
+    """
     n_steps = sde.grid_size(horizon_T, dt)
     m = stop - start
-    z1 = np.empty((m, n_steps))
-    z0 = np.empty((m, n_steps))
-    for i, rep in enumerate(range(start, stop)):
-        z1[i] = sde.stream(base_seed, cell_index, rep, process_offset).standard_normal(n_steps)
-        z0[i] = sde.stream(base_seed, cell_index, rep, process_offset + 1).standard_normal(n_steps)
-
-    x1, x2 = sde.correlated_paths(theta, r, dt, z1, z0)
-    del z1, z0  # not live beside the reductions' m x n temporaries
-    return functionals(x1, x2, dt)
+    tile = max(1, min(m, _TILE_ELEMS // n_steps))
+    z1 = np.empty((tile, n_steps))
+    z0 = np.empty((tile, n_steps))
+    out = np.empty((3, m))
+    for a in range(0, m, tile):
+        b = min(a + tile, m)
+        for i, rep in enumerate(range(start + a, start + b)):
+            sde.stream(base_seed, cell_index, rep, process_offset).standard_normal(
+                n_steps, out=z1[i])
+            sde.stream(base_seed, cell_index, rep, process_offset + 1).standard_normal(
+                n_steps, out=z0[i])
+        x1, x2 = sde.correlated_paths(theta, r, dt, z1[:b - a], z0[:b - a])
+        out[:, a:b] = functionals(x1, x2, dt)
+    return out
 
 
 def _cell_blocks(replications, n_steps):

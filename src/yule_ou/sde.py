@@ -80,9 +80,16 @@ def mean_functional_variance(theta, horizon_T):
     """Exact variance of the time-averaged path, E[(1/T int X)^2].
 
     Closed form of (1/(T*theta)^2) * int_0^T (1 - exp(-theta*(T-u)))^2 du.
+    Its terms cancel to order theta*T, so below theta*T = 1 it is the series
+    T sum_{k>=3} (-1)^k (2 - 2^(k-1)) / k! x^(k-3), x = theta*T (leading
+    terms T (1/3 - x/4 + 7x^2/60)).
     """
     check_positive(theta=theta, horizon_T=horizon_T)
     th, T = theta, horizon_T
+    x = th * T
+    if x < 1.0:
+        return T * sum((-1.0) ** k * (2.0 - 2.0 ** (k - 1)) / math.factorial(k)
+                       * x ** (k - 3) for k in range(3, 40))
     integral = T + 2.0 * math.expm1(-th * T) / th - math.expm1(-2.0 * th * T) / (2.0 * th)
     return integral / (th * T) ** 2
 
@@ -228,12 +235,19 @@ def correlated_paths(theta, r, dt, z1, z0):
     innovation is the same combination of the per-process innovations.
     Each leading index is one independent pair; a single pair is a batch
     of one, and every row gets the same bits as it would alone.
+
+    The innovations are formed in place: z1 and z0 (float64 arrays) are
+    overwritten with the two paths' innovations.  Products and sums only
+    trade operands, so the bits are those of sd*z1 and
+    r*(sd*z1) + sqrt(1-r^2)*(sd*z0).
     """
     sd = math.sqrt(innovation_variance(theta, dt))
-    xi1 = sd * z1
-    xi2 = r * xi1 + math.sqrt(1.0 - r * r) * (sd * z0)
+    z1 *= sd
+    z0 *= sd
+    z0 *= math.sqrt(1.0 - r * r)
+    z0 += r * z1
     factor = transition_factor(theta, dt)
-    return ar1_paths(factor, xi1), ar1_paths(factor, xi2)
+    return ar1_paths(factor, z1), ar1_paths(factor, z0)
 
 
 def _stream_node(rng_stream, seed):

@@ -142,9 +142,17 @@ def chaos_base_variance(theta, horizon_T):
         V = 1/(2 theta^3) + e^{-2 theta T}/theta^3
             - (1 - e^{-2 theta T})/(2 theta^4 T)
             - (1 - e^{-4 theta T})/(8 theta^4 T).
+
+    Its terms cancel to order (theta T)^3 / theta^3, so below theta T = 1
+    V is the series T^3 sum_{j>=3} (-2)^j (j - 2^(j-1)) / (j+1)! x^(j-3),
+    x = theta T (leading terms T^3 (1/3 - 8x/15 + 22x^2/45)).
     """
     check_positive(theta=theta, horizon_T=horizon_T)
     th, T = theta, horizon_T
+    x = th * T
+    if x < 1.0:
+        return T ** 3 * sum((-2.0) ** j * (j - 2.0 ** (j - 1)) / math.factorial(j + 1)
+                            * x ** (j - 3) for j in range(3, 40))
     e2 = math.exp(-2.0 * th * T)
     return (0.5 / th ** 3 + e2 / th ** 3
             + math.expm1(-2.0 * th * T) / (2.0 * th ** 4 * T)

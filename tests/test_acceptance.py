@@ -429,6 +429,24 @@ def test_criterion_13_determinism(tmp_path):
                arrays_ok and csv_ok and path_ok)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_determinism_across_blocks_and_tiles(monkeypatch, jobs):
+    # criterion 13 for the engine's inner schedule: a cell's functionals do
+    # not depend on how its replications are cut into blocks and row tiles
+    import yule_ou.mc as mc_mod
+    n_steps, reps = 100, 23  # theta=1, T=5 at the default dt 0.05
+    cell = dict(theta=1.0, r=0.3, horizon_T=5.0, replications=reps, base_seed=1315)
+    ref = pair_sample(**cell)  # default shapes: one block, one tile
+    # (block, tile) in replications: one-replication blocks, one-row tiles,
+    # ragged last blocks and tiles, and tiles larger than their block
+    for block, tile in ((1, 1), (reps, 1), (7, 3), (10, 4), (7, reps)):
+        monkeypatch.setattr(mc_mod, "_BLOCK_ELEMS", block * n_steps)
+        monkeypatch.setattr(mc_mod, "_TILE_ELEMS", tile * n_steps)
+        got = pair_sample(**cell, jobs=jobs)
+        for name in ("y11", "y22", "y12"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), (block, tile, name)
+
+
 # ---------------------------------------------------------------------------
 # Supplementary (non-criterion) distribution checks, reusing the fixtures
 # ---------------------------------------------------------------------------

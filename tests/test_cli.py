@@ -111,6 +111,16 @@ def test_test_num_variant_requires_theta(pair_csv, capsys):
     assert "--theta" in err
 
 
+@pytest.mark.parametrize("theta", ["inf", "nan", "0"])
+def test_test_known_theta_must_be_finite_positive(pair_csv, capsys, theta):
+    # theta=inf used to give threshold 0.0, reject true and "theta": Infinity
+    for variant in ("rho", "num"):
+        code, out, err = run_cli(capsys, "test", "--variant", variant, "--theta", theta,
+                                 "--input", str(pair_csv))
+        assert (code, out) == (2, "")
+        assert _one_error_line(err)
+
+
 def test_malformed_csv_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,x1,x2\n0.0,1.0\n")

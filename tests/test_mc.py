@@ -139,15 +139,17 @@ def _assert_same_bits(sample, rep, stats):
 
 
 def test_engine_matches_single_path_route():
-    # a single pair is a batch of one: same simulation core, same reduction
-    theta, r, T, dt, seed, cell = 1.5, 0.4, 10.0, 0.025, 91, 3
-    sample = pair_sample(theta, r, T, dt=dt, replications=5, base_seed=seed,
-                         cell_index=cell)
-    for rep in range(5):
-        node = np.random.SeedSequence(entropy=seed, spawn_key=(cell, rep))
-        cfg = CorrelatedPairConfig(theta=theta, r=r, horizon_T=T, dt=dt, seed=seed)
-        pair = simulate_correlated_pair(cfg, rng_stream=node)
-        _assert_same_bits(sample, rep, yule_rho(pair))
+    # a single pair is a batch of one: same simulation core, same reduction;
+    # the second cell has 10 001 nodes, where BLAS dot sums differ by batch
+    for theta, r, T, dt, seed, cell in ((1.5, 0.4, 10.0, 0.025, 91, 3),
+                                        (1.0, -0.6, 500.0, 0.05, 92, 1)):
+        sample = pair_sample(theta, r, T, dt=dt, replications=5, base_seed=seed,
+                             cell_index=cell)
+        for rep in range(5):
+            node = np.random.SeedSequence(entropy=seed, spawn_key=(cell, rep))
+            cfg = CorrelatedPairConfig(theta=theta, r=r, horizon_T=T, dt=dt, seed=seed)
+            pair = simulate_correlated_pair(cfg, rng_stream=node)
+            _assert_same_bits(sample, rep, yule_rho(pair))
 
 
 def test_field_engine_matches_ensemble_route():

@@ -1,6 +1,7 @@
 """Exact-transition simulation: closed-form checks, determinism, and
 small Monte Carlo validations against the covariance formulas."""
 
+import decimal
 import io
 import math
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from yule_ou.errors import ParameterError
-from yule_ou.sde import (CorrelatedPairConfig, SamplePath, ar1_paths, default_dt,
-                         grid_size, innovation_variance, mean_functional_variance,
+from yule_ou.sde import (CorrelatedPairConfig, SamplePath, ar1_paths, correlated_paths,
+                         default_dt, grid_size, innovation_variance, mean_functional_variance,
                          ou_covariance, read_pair_csv, simulate_correlated_pair,
                          simulate_ou, simulate_spde_ensemble, stream,
                          transition_factor, write_pair_csv)
@@ -59,6 +60,22 @@ def test_ou_covariance_values():
     assert ou_covariance(1.0, 1.0, 2.0) == pytest.approx(0.159046, abs=1e-6)
 
 
+def test_correlated_paths_mixes_in_place_with_the_formula_bits():
+    # z1 and z0 become the innovations sd*z1 and r*(sd*z1) + sqrt(1-r^2)*(sd*z0)
+    # bit for bit, so the in-place mixing leaves every path unchanged
+    theta, r, dt = 1.3, -0.7, 0.02
+    gen = stream(5, 0)
+    z1, z0 = gen.standard_normal((3, 400)), gen.standard_normal((3, 400))
+    sd = math.sqrt(innovation_variance(theta, dt))
+    xi1 = sd * z1
+    xi2 = r * xi1 + math.sqrt(1.0 - r * r) * (sd * z0)
+    x1, x2 = correlated_paths(theta, r, dt, z1, z0)
+    assert np.array_equal(z1, xi1) and np.array_equal(z0, xi2)
+    factor = transition_factor(theta, dt)
+    assert np.array_equal(x1, ar1_paths(factor, xi1))
+    assert np.array_equal(x2, ar1_paths(factor, xi2))
+
+
 def test_mean_functional_variance_against_quadrature():
     from scipy.integrate import quad
     for theta, T in ((1.0, 10.0), (0.5, 4.0), (2.0, 30.0)):
@@ -66,6 +83,24 @@ def test_mean_functional_variance_against_quadrature():
         assert mean_functional_variance(theta, T) == pytest.approx(
             num / (theta * T) ** 2, rel=1e-10)
     assert mean_functional_variance(1.0, 10.0) == pytest.approx(0.0850009, abs=1e-7)
+
+
+def _mean_functional_variance_decimal(theta, T):
+    """The closed form of mean_functional_variance in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        th, T = decimal.Decimal(theta), decimal.Decimal(T)
+        e1, e2 = (-th * T).exp(), (-2 * th * T).exp()
+        return float((T - 2 * (1 - e1) / th + (1 - e2) / (2 * th)) / (th * T) ** 2)
+
+
+def test_mean_functional_variance_small_theta_T():
+    # the closed form cancels as theta*T -> 0, where the value tends to T/3
+    assert mean_functional_variance(1e-7, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-6)
+    for theta in (1e-7, 1e-3, 0.5, 3.0):
+        for x in np.logspace(-7, 1.5, 60):
+            want = _mean_functional_variance_decimal(theta, x / theta)
+            assert mean_functional_variance(theta, x / theta) == pytest.approx(want, rel=1e-13)
 
 
 def test_mean_functional_variance_bound_and_limit():

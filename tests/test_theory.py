@@ -1,6 +1,7 @@
 """Closed-form constants against independent oracles: brute-force grid
 convolution, 2-d quadrature of kernels, and algebraic identities."""
 
+import decimal
 import math
 
 import numpy as np
@@ -231,6 +232,26 @@ def test_second_moment_matches_quadrature():
             got = chaos_base_variance(theta, T)
             want = _base_variance_quadrature(theta, T)
             assert abs(got - want) <= 1e-8 * abs(want)
+
+
+def _base_variance_decimal(theta, T):
+    """The closed form of chaos_base_variance in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        th, T = decimal.Decimal(theta), decimal.Decimal(T)
+        e2, e4 = (-2 * th * T).exp(), (-4 * th * T).exp()
+        return float(1 / (2 * th ** 3) + e2 / th ** 3 - (1 - e2) / (2 * th ** 4 * T)
+                     - (1 - e4) / (8 * th ** 4 * T))
+
+
+def test_second_moment_small_theta_T():
+    # the closed form cancels as theta*T -> 0 (it gave 131072.0 at theta=1e-7,
+    # T=1); 50 digits resolve it down to theta*T = 1e-7
+    assert chaos_base_variance(1e-7, 1.0) == pytest.approx(0.33333328, rel=1e-12)
+    for theta in (1e-7, 1e-3, 0.5, 3.0):
+        for x in np.logspace(-7, 1.5, 60):
+            want = _base_variance_decimal(theta, x / theta)
+            assert chaos_base_variance(theta, x / theta) == pytest.approx(want, rel=1e-13)
 
 
 def test_second_moment_limit_and_rate():
