@@ -134,6 +134,9 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
     """Functionals (Y11, Y22, Y12) as a (3, m) array for replications
     [start, stop) of one cell.
 
+    The keys of the block's streams are derived once per process, for all
+    its replications together; each row's draw re-keys one Philox, so row
+    j still gets the numbers of stream (base_seed, cell_index, j, process).
     The block is computed in row tiles of about _TILE_ELEMS innovations,
     drawn into one pair of buffers reused for every tile, so the working
     set stays near the cache instead of streaming block-sized temporaries
@@ -142,19 +145,26 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
     n_steps = sde.grid_size(horizon_T, dt)
     m = stop - start
     tile = max(1, min(m, _TILE_ELEMS // n_steps))
+    reps = np.arange(start, stop)
+    s1 = sde.stream(base_seed, cell_index, reps, process_offset)
+    s0 = sde.stream(base_seed, cell_index, reps, process_offset + 1)
     z1 = np.empty((tile, n_steps))
     z0 = np.empty((tile, n_steps))
     out = np.empty((3, m))
     for a in range(0, m, tile):
         b = min(a + tile, m)
-        for i, rep in enumerate(range(start + a, start + b)):
-            sde.stream(base_seed, cell_index, rep, process_offset).standard_normal(
-                n_steps, out=z1[i])
-            sde.stream(base_seed, cell_index, rep, process_offset + 1).standard_normal(
-                n_steps, out=z0[i])
-        x1, x2 = sde.correlated_paths(theta, r, dt, z1[:b - a], z0[:b - a])
+        x1, x2 = sde.correlated_paths(theta, r, dt,
+                                      s1.standard_normal((b - a, n_steps), out=z1[:b - a]),
+                                      s0.standard_normal((b - a, n_steps), out=z0[:b - a]))
         out[:, a:b] = functionals(x1, x2, dt)
     return out
+
+
+def _check_replications(replications):
+    """Reject a replication count outside [1, 2**32]: each replication index
+    keys its streams as one 32-bit word (see sde.stream)."""
+    if not 1 <= replications <= 2 ** 32:
+        raise ParameterError(f"replications must lie in [1, 2**32], got {replications}")
 
 
 def _cell_blocks(replications, n_steps):
@@ -171,8 +181,7 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
     sde.STEP_CAP.  The result is invariant to `jobs`; workers only change
     who computes each fixed block.
     """
-    if replications < 1:
-        raise ParameterError("replications must be >= 1")
+    _check_replications(replications)
     if dt is None:
         dt = sde.default_dt(theta, horizon_T)
     # validates every cell parameter, including the step cap
@@ -233,8 +242,7 @@ class ExperimentGrid:
             if not seq:
                 raise ParameterError(f"{name} must be nonempty")
             object.__setattr__(self, name, seq)
-        if self.replications < 1:
-            raise ParameterError("replications must be >= 1")
+        _check_replications(self.replications)
         # grid-wide inputs fail here; run_grid skips only cell-specific failures
         for theta, horizon_T in itertools.product(self.thetas, self.horizons):
             check_positive(theta=theta, horizon_T=horizon_T)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ParameterError, check_correlation, check_positive
 from .estimators import PathPair
@@ -27,6 +26,12 @@ from .estimators import PathPair
 #: Monte Carlo noise at the validation-suite sample sizes.
 STEP_CAP = 0.05
 
+#: Largest grid, in steps, that is simulated.  One path of this many steps
+#: is 128 MiB of float64, and a simulated pair holds up to about eight such
+#: arrays at once (draws, paths, filter and reduction temporaries), so a
+#: larger grid is refused before anything is allocated.
+MAX_STEPS = 2 ** 24
+
 _GRID_RTOL = 1e-9
 
 
@@ -34,14 +39,126 @@ _GRID_RTOL = 1e-9
 # RNG streams
 # ---------------------------------------------------------------------------
 
-def stream(seed, *key):
-    """Return a Philox generator for stream (seed, *key).
+# SeedSequence's hash constants, from NumPy's numpy/random/bit_generator.pyx
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
 
-    Stream identity is purely the integer tuple, so any worker can
-    recreate any stream without shared state.
+
+def _words(n):
+    """Little-endian 32-bit words of a nonnegative integer (one word for 0)."""
+    n = int(n)
+    if n < 0:
+        raise ParameterError(f"stream key parts must be nonnegative, got {n}")
+    words = [n & _M32]
+    while n >> 32 * len(words):
+        words.append(n >> 32 * len(words) & _M32)
+    return words
+
+
+def _index_word(part):
+    """An index array as one uint32 word per entry, as SeedSequence packs it."""
+    part = np.asarray(part)
+    if part.size and not (part.min() >= 0 and part.max() <= _M32):
+        raise ParameterError("stream index arrays must lie in [0, 2**32)")
+    return part.astype(np.uint32)
+
+
+def _hashmix(const, mult):
+    """SeedSequence's hashmix step; its multiplier advances with every call."""
+    def step(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return step
+
+
+def _mix(x, y):
+    value = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
+    return value ^ value >> 16
+
+
+def _philox_key(seed, *key):
+    """The Philox key SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+    returns, as a uint64 array of shape (..., 2).
+
+    This is NumPy's SeedSequence hash (pool of four 32-bit words) in 32-bit
+    arithmetic: Python ints masked to 32 bits, or uint32 arrays.  One key
+    part may be an integer array with entries below 2**32, one word each;
+    the hash then runs once for all its entries.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    words = _words(seed)
+    if key:
+        words += [0] * (4 - len(words))  # SeedSequence pads a spawned seed
+    for part in key:
+        words += [_index_word(part)] if np.ndim(part) else _words(part)
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    state = _hashmix(_INIT_B, _MULT_B)
+    w = [np.asarray(state(value), dtype=np.uint64) for value in pool]
+    return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=-1)
+
+
+def stream(seed, *key):
+    """Return the Philox generator of stream (seed, *key).
+
+    Its numbers are those of Philox(SeedSequence(seed, spawn_key=key)):
+    the key is that SeedSequence's hash, computed by `_philox_key`.  Stream
+    identity is purely the integer tuple, so any worker can recreate any
+    stream without shared state.
+
+    If one key part is an index array, the result is a RowStreams over the
+    streams of its entries, one per row.
+    """
+    keys = _philox_key(seed, *key)
+    if keys.ndim > 1:
+        return RowStreams(keys)
+    return np.random.Generator(np.random.Philox(key=keys))
+
+
+class RowStreams:
+    """The streams of a block's rows, each row drawn from its own stream.
+
+    One Philox, owned by the block, is re-keyed before each row: its state
+    becomes that of a fresh Philox(key=k), counter 0 and empty buffer, so a
+    row gets exactly the numbers of its own stream's generator.  Rows are
+    handed out in order; each call continues where the last one stopped.
+    """
+
+    def __init__(self, keys):
+        self._keys = keys
+        self._next = 0
+        self._bitgen = np.random.Philox(key=0)  # re-keyed before each row
+        self._gen = np.random.Generator(self._bitgen)
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": [0, 0, 0, 0], "key": None},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+
+    def standard_normal(self, size, out):
+        """Write the first n standard normals of each of the next `rows`
+        streams to `out`, of shape size = (rows, n), and return it."""
+        rows = len(out)
+        if out.shape != tuple(size) or self._next + rows > len(self._keys):
+            raise ParameterError(f"cannot draw {size} from {len(self._keys) - self._next} "
+                                 f"remaining row streams into shape {out.shape}")
+        state, keys = self._state, self._keys[self._next:self._next + rows].tolist()
+        for key, row in zip(keys, out):
+            state["state"]["key"] = key
+            self._bitgen.state = state
+            self._gen.standard_normal(out=row)
+        self._next += rows
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +305,8 @@ class SpdeModeEnsemble:
 # ---------------------------------------------------------------------------
 
 def grid_size(horizon_T, dt):
-    """Number of steps n with n*dt == horizon_T (within 1e-9 relative)."""
+    """Number of steps n with n*dt == horizon_T (within 1e-9 relative),
+    at most MAX_STEPS."""
     if dt <= 0 or horizon_T < dt:
         raise ParameterError("need horizon_T >= dt > 0")
     n = int(round(horizon_T / dt))
@@ -196,6 +314,8 @@ def grid_size(horizon_T, dt):
         raise ParameterError(
             f"horizon_T={horizon_T} is not an integer multiple of dt={dt}"
         )
+    if n > MAX_STEPS:
+        raise ParameterError(f"the grid has {n} steps, more than MAX_STEPS={MAX_STEPS}")
     return n
 
 
@@ -211,6 +331,10 @@ def ar1_paths(factor, innovations):
     `innovations` has the steps on the last axis; the returned array gains
     one leading grid node holding the zero initial condition.
     """
+    # imported on first use: scipy.signal pulls in scipy.stats, about a
+    # second of start-up that stat, test and theory never need
+    from scipy.signal import lfilter
+
     innovations = np.asarray(innovations, dtype=float)
     tail = lfilter([1.0], [1.0, -factor], innovations, axis=-1)
     shape = innovations.shape[:-1] + (1,)

@@ -217,6 +217,34 @@ def test_mc_grid_wide_input_exits_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "mc.csv").exists()
 
 
+def _refuse_streams(monkeypatch):
+    def stream(*args):
+        raise AssertionError("drew random numbers before refusing the input")
+    monkeypatch.setattr(sde, "stream", stream)
+
+
+def test_mc_replications_beyond_32_bits_exit_2_before_simulating(tmp_path, capsys,
+                                                                 monkeypatch):
+    _refuse_streams(monkeypatch)
+    code, out, err = run_cli(capsys, "mc", "--thetas", "1", "--rs", "0", "--Ts", "5",
+                             "--reps", "4294967297", "--seed", "1",
+                             "--statistic", "rho_centered", "--out", str(tmp_path / "mc.csv"))
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "replications" in err
+    assert not (tmp_path / "mc.csv").exists()
+
+
+def test_simulate_beyond_the_step_budget_exits_2_before_allocating(tmp_path, capsys,
+                                                                   monkeypatch):
+    _refuse_streams(monkeypatch)
+    code, out, err = run_cli(capsys, "simulate", "--theta", "1", "--r", "0.5",
+                             "--T", "1e9", "--dt", "0.01", "--seed", "1",
+                             "--out", str(tmp_path / "p.csv"))
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "MAX_STEPS" in err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_theory_non_integer_order_exits_2(capsys):
     code, out, err = run_cli(capsys, "theory", "--quantity", "delta_inner",
                              "--p", "2.5", "--theta", "1")

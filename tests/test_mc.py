@@ -209,6 +209,21 @@ def test_grid_validation():
             ExperimentGrid(**{**good, **bad})
 
 
+def test_replications_beyond_32_bits_are_refused_before_simulating(monkeypatch):
+    import yule_ou.sde as sde_mod
+
+    def stream(*args):
+        raise AssertionError("drew random numbers before refusing the input")
+    monkeypatch.setattr(sde_mod, "stream", stream)
+    good = dict(thetas=(1.0,), rs=(0.0,), horizons=(10.0,), base_seed=0)
+    assert ExperimentGrid(replications=2 ** 32, **good).replications == 2 ** 32
+    for reps in (2 ** 32 + 1, 0):
+        with pytest.raises(ParameterError, match="replications"):
+            ExperimentGrid(replications=reps, **good)
+        with pytest.raises(ParameterError, match="replications"):
+            pair_sample(1.0, 0.0, 10.0, replications=reps)
+
+
 def test_run_grid_basic_and_deterministic():
     grid = ExperimentGrid(thetas=(1.0,), rs=(0.0,), horizons=(20.0,),
                           replications=400, base_seed=3,

@@ -4,16 +4,21 @@ small Monte Carlo validations against the covariance formulas."""
 import decimal
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from yule_ou import sde
 from yule_ou.errors import ParameterError
-from yule_ou.sde import (CorrelatedPairConfig, SamplePath, ar1_paths, correlated_paths,
-                         default_dt, grid_size, innovation_variance, mean_functional_variance,
-                         ou_covariance, read_pair_csv, simulate_correlated_pair,
-                         simulate_ou, simulate_spde_ensemble, stream,
-                         transition_factor, write_pair_csv)
+from yule_ou.sde import (MAX_STEPS, CorrelatedPairConfig, SamplePath, _philox_key,
+                         ar1_paths, correlated_paths, default_dt, grid_size,
+                         innovation_variance, mean_functional_variance, ou_covariance,
+                         read_pair_csv, simulate_correlated_pair, simulate_ou,
+                         simulate_spde_ensemble, stream, transition_factor, write_pair_csv)
 
 
 def _endpoint_matrix(theta, horizon_T, dt, reps, seed):
@@ -22,6 +27,72 @@ def _endpoint_matrix(theta, horizon_T, dt, reps, seed):
     z = stream(seed).standard_normal((reps, n))
     sd = math.sqrt(innovation_variance(theta, dt))
     return ar1_paths(transition_factor(theta, dt), sd * z)
+
+
+# ---------------------------------------------------------------------------
+# Streams
+# ---------------------------------------------------------------------------
+
+def _seed_sequence_stream(seed, *key):
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=key)))
+
+
+_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 64 - 1)
+_REPS = (0, 1, 17, 2 ** 32 - 1)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_philox_key_is_the_seed_sequence_state(seed):
+    def state(*key):
+        return np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+
+    assert np.array_equal(_philox_key(seed), state())
+    for cell in (0, 7, 2 ** 32 + 5):
+        for process in (0, 1, 5):
+            keys = _philox_key(seed, cell, np.array(_REPS), process)
+            assert keys.shape == (len(_REPS), 2) and keys.dtype == np.uint64
+            for rep, key in zip(_REPS, keys):
+                expected = state(cell, rep, process)
+                assert np.array_equal(key, expected)
+                assert np.array_equal(_philox_key(seed, cell, rep, process), expected)
+
+
+def test_stream_draws_the_seed_sequence_numbers():
+    for seed, key in ((5, ()), (2 ** 64 - 1, (3,)), (91, (3, 4, 1))):
+        assert np.array_equal(stream(seed, *key).standard_normal(300),
+                              _seed_sequence_stream(seed, *key).standard_normal(300))
+
+
+def test_row_streams_draw_each_row_from_its_own_stream_over_ragged_tiles():
+    seed, cell, process, n = 2 ** 40 + 3, 7, 1, 37
+    reps = np.arange(15, 26)
+    rows = stream(seed, cell, reps, process)
+    buf = np.empty((4, n))
+    drawn = [rows.standard_normal((k, n), out=buf[:k]).copy() for k in (4, 4, 3)]
+    assert [d.shape for d in drawn] == [(4, n), (4, n), (3, n)]
+    expected = np.stack([_seed_sequence_stream(seed, cell, int(rep), process)
+                         .standard_normal(n) for rep in reps])
+    assert np.array_equal(np.concatenate(drawn), expected)
+    with pytest.raises(ParameterError):  # every row stream is used up
+        rows.standard_normal((1, n), out=buf[:1])
+
+
+def test_stream_refuses_index_arrays_beyond_32_bits():
+    for bad in ([0, 2 ** 32], [-1, 0]):
+        with pytest.raises(ParameterError):
+            stream(1, 0, np.array(bad), 0)
+    with pytest.raises(ParameterError):
+        stream(1, -1)
+
+
+def test_import_leaves_scipy_signal_and_stats_unloaded():
+    src = Path(sde.__file__).resolve().parents[1]
+    code = ("import sys; import yule_ou; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +331,14 @@ def test_spde_cross_mode_independence():
 def test_spde_errors():
     with pytest.raises(ParameterError):
         simulate_spde_ensemble(0, 0.1, 1.0, seed=0)
+
+
+def test_grid_size_refuses_grids_beyond_max_steps():
+    assert grid_size(MAX_STEPS * 0.5, 0.5) == MAX_STEPS
+    with pytest.raises(ParameterError, match="MAX_STEPS"):
+        grid_size((MAX_STEPS + 1) * 0.5, 0.5)
+    with pytest.raises(ParameterError, match="MAX_STEPS"):
+        CorrelatedPairConfig(theta=1.0, r=0.0, horizon_T=1e9, dt=0.01, seed=0)
 
 
 def test_default_dt_policy():
