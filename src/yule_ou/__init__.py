@@ -15,20 +15,18 @@ from .errors import (DegenerateStatisticError, GridMismatchError,
 from .estimators import (PathPair, YuleStatistics, empirical_cov_functional,
                          numerator_statistic, path_time_average, theta_estimator,
                          yule_rho)
-from .hypothesis import (ConfidenceInterval, MultiModeOutcome, TestOutcome,
-                         TestVariant, ThetaMode, calibrate_berry_constant,
-                         confidence_interval_r, numerator_bound_valid_from,
-                         numerator_test, rho_test, rho_test_estimated_theta,
-                         sidak_level, spde_multimode_test, spde_type2_bound,
+from .hypothesis import (ConfidenceInterval, TestOutcome, TestVariant, ThetaMode,
+                         calibrate_berry_constant, confidence_interval_r,
+                         numerator_bound_valid_from, numerator_test, rho_test,
+                         rho_test_estimated_theta, sidak_level, spde_type2_bound,
                          type2_bound_numerator, type2_bound_rho)
 from .mc import (ExperimentGrid, McReport, PairSample, error_rates, k_statistics,
                  kolmogorov_distance, pair_sample, rate_fit, rejections, run_grid,
                  spde_family_rejections, spde_mode_samples, summarize_cell,
                  wilson_interval, write_reports_csv)
-from .sde import (STEP_CAP, CorrelatedPairConfig, OuPair, SamplePath,
-                  SpdeModeEnsemble, default_dt, mean_functional_variance,
-                  ou_covariance, simulate_correlated_pair, simulate_ou,
-                  simulate_spde_ensemble, stream, write_pair_csv)
+from .sde import (STEP_CAP, CorrelatedPairConfig, OuPair, SamplePath, default_dt,
+                  mean_functional_variance, ou_covariance, simulate_correlated_pair,
+                  simulate_ou, stream, write_pair_csv)
 from .theory import (ChaosConstants, KernelSpec, asymptotic_cumulant,
                      chaos_constants, clt_variance_rho, clt_variance_rho_delta,
                      cumulant_bound_constants, delta_convolution_inner,

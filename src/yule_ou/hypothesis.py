@@ -1,5 +1,5 @@
-"""Independence tests for the pair, confidence intervals for r, the
-multi-mode field test, and explicit type-II error bounds.
+"""Independence tests for the pair, confidence intervals for r, the field
+test's per-mode level and product bound, and explicit type-II error bounds.
 
 Each test variant has one two-sided rejection rule, with
 q = upper_quantile(alpha/2):
@@ -10,7 +10,10 @@ q = upper_quantile(alpha/2):
 
 `variant_statistic`, `critical_value` and `decide` hold it for one pair's
 YuleStatistics and a Monte Carlo PairSample's arrays alike.  Ties never
-reject (a measure-zero event, resolved deterministically).
+reject (a measure-zero event, resolved deterministically).  The field test
+applies the rule to each Fourier mode k at theta = k^2 and rejects on any
+mode; it lives in `mc.spde_family_rejections`, beside the engine that
+simulates the modes.
 """
 
 import math
@@ -66,20 +69,6 @@ class ConfidenceInterval:
     def to_dict(self):
         return {"lower": self.lower, "upper": self.upper,
                 "alpha": self.alpha, "theta_mode": self.theta_mode.value}
-
-
-@dataclass(frozen=True)
-class MultiModeOutcome:
-    per_mode: tuple
-    reject_any: bool
-
-    @property
-    def n_modes(self):
-        return len(self.per_mode)
-
-    def to_dict(self):
-        return {"n_modes": self.n_modes, "reject_any": self.reject_any,
-                "per_mode": [o.to_dict() for o in self.per_mode]}
 
 
 def variant_statistic(stats, variant):
@@ -150,8 +139,9 @@ def confidence_interval_r(stats, alpha, theta_mode=ThetaMode.ESTIMATED, theta=No
     check_level(alpha)
     mode = ThetaMode(theta_mode)
     if mode is ThetaMode.KNOWN:
-        if theta is None or theta <= 0:
+        if theta is None:
             raise ParameterError("known mode requires a positive theta")
+        check_positive(theta=theta)
         scale = theta
     else:
         scale = stats.theta_hat
@@ -164,30 +154,13 @@ def confidence_interval_r(stats, alpha, theta_mode=ThetaMode.ESTIMATED, theta=No
 
 
 # ---------------------------------------------------------------------------
-# Multi-mode field test
+# Field test level
 # ---------------------------------------------------------------------------
 
 def sidak_level(alpha, n_modes):
     """Per-mode level 1 - (1-alpha)^(1/N) equalizing the family rate to alpha."""
     check_level(alpha)
     return 1.0 - (1.0 - alpha) ** (1.0 / n_modes)
-
-
-def spde_multimode_test(ensemble_stats, alpha, variant=TestVariant.RHO_KNOWN_THETA,
-                        sidak=False):
-    """Apply the chosen per-mode test (mode k at theta = k^2); reject on any mode.
-
-    The default tests each mode at level alpha (family rate 1-(1-alpha)^N);
-    sidak=True corrects the per-mode level so the family rate is alpha.
-    """
-    ensemble_stats = tuple(ensemble_stats)
-    if not ensemble_stats:
-        raise ParameterError("empty ensemble")
-    level = sidak_level(alpha, len(ensemble_stats)) if sidak else alpha
-    outcomes = [apply_test(stats, variant, level, float(k * k))
-                for k, stats in enumerate(ensemble_stats, start=1)]
-    return MultiModeOutcome(per_mode=tuple(outcomes),
-                            reject_any=any(o.reject for o in outcomes))
 
 
 # ---------------------------------------------------------------------------

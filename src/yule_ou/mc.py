@@ -167,6 +167,12 @@ def _check_replications(replications):
         raise ParameterError(f"replications must lie in [1, 2**32], got {replications}")
 
 
+def _check_jobs(jobs):
+    """Reject a worker count below one."""
+    if not jobs >= 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+
+
 def _cell_blocks(replications, n_steps):
     """Fixed-size replication blocks (independent of the worker pool)."""
     block = max(1, min(replications, _BLOCK_ELEMS // max(1, n_steps)))
@@ -179,9 +185,11 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
 
     dt=None resolves to the largest exact divisor of T with theta*dt <=
     sde.STEP_CAP.  The result is invariant to `jobs`; workers only change
-    who computes each fixed block.
+    who computes each fixed block, and the pool has at most one worker per
+    block.
     """
     _check_replications(replications)
+    _check_jobs(jobs)
     if dt is None:
         dt = sde.default_dt(theta, horizon_T)
     # validates every cell parameter, including the step cap
@@ -192,7 +200,7 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
              for a, b in blocks]
 
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_simulate_block, *zip(*tasks)))
     else:
         results = [_simulate_block(*task) for task in tasks]
@@ -331,6 +339,7 @@ def run_grid(grid, jobs=1, progress=None):
     Cells failing validation (e.g. a fixed dt violating the step cap for a
     large theta) are reported on stderr and skipped; other cells proceed.
     """
+    _check_jobs(jobs)  # grid-wide: a bad count must not skip every cell
     progress = (lambda msg: print(msg, file=sys.stderr)) if progress is None else progress
     reports = []
     cells = grid.cells()
@@ -364,11 +373,14 @@ def spde_mode_samples(n_modes, r, horizon_T, replications, base_seed, jobs=1):
     """Per-mode PairSamples of the field experiment (mode k at theta = k^2,
     dt = sde.default_dt(k^2, T)).
 
-    Mode k uses process indices (2(k-1), 2(k-1)+1), mirroring the
-    single-shot ensemble simulator.
+    Mode k of replication j is the pair on streams (base_seed, 0, j, 2(k-1))
+    and (base_seed, 0, j, 2k-1), so modes are independent and adding modes
+    leaves the earlier ones unchanged.  The step count grows with k, so the
+    top mode's grid is checked before any mode is simulated.
     """
     if n_modes < 1:
         raise ParameterError("n_modes must be >= 1")
+    sde.grid_size(horizon_T, sde.default_dt(float(n_modes * n_modes), horizon_T))
     samples = []
     for k in range(1, n_modes + 1):
         samples.append(pair_sample(float(k * k), r, horizon_T,
@@ -378,7 +390,14 @@ def spde_mode_samples(n_modes, r, horizon_T, replications, base_seed, jobs=1):
 
 
 def spde_family_rejections(mode_samples, alpha, variant="rho_known_theta", sidak=False):
-    """Per-mode and family rejection flags for the field test."""
+    """Per-mode and family rejection flags for the field test.
+
+    Each mode is tested at its own rate; the family rejects on any mode.
+    The default tests each mode at level alpha (family rate 1-(1-alpha)^N);
+    sidak=True corrects the per-mode level so the family rate is alpha.
+    """
+    if not mode_samples:
+        raise ParameterError("the field test needs at least one mode")
     level = hyp.sidak_level(alpha, len(mode_samples)) if sidak else alpha
     per_mode = np.stack([rejections(s, variant, level) for s in mode_samples])
     return per_mode, per_mode.any(axis=0)

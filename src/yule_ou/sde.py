@@ -281,25 +281,6 @@ class OuPair(PathPair):
             raise ParameterError("pair paths must start at zero")
 
 
-@dataclass(frozen=True)
-class SpdeModeEnsemble:
-    """Fourier modes of the heat-equation pair; mode k reverts at rate k^2."""
-
-    modes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if not self.modes:
-            raise ParameterError("ensemble needs at least one mode")
-        for k, pair in enumerate(self.modes, start=1):
-            if pair.config.theta != float(k * k):
-                raise ParameterError(f"mode {k} must have theta={k * k}")
-
-    @property
-    def n_modes(self):
-        return len(self.modes)
-
-
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
@@ -374,25 +355,6 @@ def correlated_paths(theta, r, dt, z1, z0):
     return ar1_paths(factor, z1), ar1_paths(factor, z0)
 
 
-def _stream_node(rng_stream, seed):
-    """The SeedSequence node a pair's processes hang under; None means SeedSequence(seed)."""
-    if rng_stream is None:
-        return np.random.SeedSequence(entropy=int(seed))
-    if not isinstance(rng_stream, np.random.SeedSequence):
-        raise ParameterError("rng_stream must be a SeedSequence (or None)")
-    return rng_stream
-
-
-def _simulate_pair(config, node, process):
-    """The pair driven by processes `process` (x1) and `process + 1` of the node."""
-    entropy, key, n = node.entropy, tuple(node.spawn_key), config.n_steps
-    x1, x2 = correlated_paths(config.theta, config.r, config.dt,
-                              stream(entropy, *key, process).standard_normal(n),
-                              stream(entropy, *key, process + 1).standard_normal(n))
-    return OuPair(x1=SamplePath(0.0, config.dt, x1), x2=SamplePath(0.0, config.dt, x2),
-                  config=config)
-
-
 def simulate_correlated_pair(config, rng_stream=None):
     """Simulate a pair of paths with driving-noise correlation config.r.
 
@@ -400,28 +362,17 @@ def simulate_correlated_pair(config, rng_stream=None):
     0 (driver of x1) and 1 (auxiliary noise) are appended to its spawn key.
     Grid runs pass a node keyed by (seed, cell, replication) instead.
     """
-    return _simulate_pair(config, _stream_node(rng_stream, config.seed), 0)
-
-
-def simulate_spde_ensemble(n_modes, r, horizon_T, rng_stream=None, seed=0):
-    """Simulate the first N Fourier-mode pairs of the heat-equation field.
-
-    Mode k is a pair with theta = k^2, the shared correlation r and
-    dt = default_dt(k^2, T); its noises come from processes
-    (2(k-1), 2(k-1)+1) of the stream node, so modes are independent and
-    insensitive to simulation order.
-    """
-    if n_modes < 1:
-        raise ParameterError("n_modes must be >= 1")
-    node = _stream_node(rng_stream, seed)
-
-    modes = []
-    for k in range(1, n_modes + 1):
-        theta_k = float(k * k)
-        config = CorrelatedPairConfig(theta=theta_k, r=r, horizon_T=horizon_T,
-                                      dt=default_dt(theta_k, horizon_T), seed=int(node.entropy))
-        modes.append(_simulate_pair(config, node, 2 * (k - 1)))
-    return SpdeModeEnsemble(modes=tuple(modes))
+    node = rng_stream
+    if node is None:
+        node = np.random.SeedSequence(entropy=int(config.seed))
+    elif not isinstance(node, np.random.SeedSequence):
+        raise ParameterError("rng_stream must be a SeedSequence (or None)")
+    entropy, key, n = node.entropy, tuple(node.spawn_key), config.n_steps
+    x1, x2 = correlated_paths(config.theta, config.r, config.dt,
+                              stream(entropy, *key, 0).standard_normal(n),
+                              stream(entropy, *key, 1).standard_normal(n))
+    return OuPair(x1=SamplePath(0.0, config.dt, x1), x2=SamplePath(0.0, config.dt, x2),
+                  config=config)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,29 @@ def test_spde_alpha_out_of_range_exits_2(capsys, monkeypatch):
     assert _one_error_line(err) and "n_modes" in err
 
 
+def test_spde_refuses_the_top_mode_grid_before_simulating(capsys, monkeypatch):
+    def draw(*args):
+        raise AssertionError("simulated a mode before checking the top mode's grid")
+    monkeypatch.setattr(sde, "stream", draw)
+    code, out, err = run_cli(capsys, "spde", "--N", "100", "--r", "0", "--T", "100",
+                             "--reps", "1", "--seed", "1")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "MAX_STEPS" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    code, out, err = run_cli(capsys, "mc", "--thetas", "1", "--rs", "0", "--Ts", "5",
+                             "--reps", "10", "--seed", "1", "--statistic", "rho_centered",
+                             "--jobs", jobs, "--out", str(tmp_path / "mc.csv"))
+    assert code == 2 and not (tmp_path / "mc.csv").exists()
+    assert _one_error_line(err) and "jobs" in err
+    code, out, err = run_cli(capsys, "spde", "--N", "2", "--r", "0", "--T", "5",
+                             "--reps", "10", "--seed", "1", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "jobs" in err
+
+
 @pytest.mark.parametrize("flag,value", [("--rs", "nan"), ("--rs", "0,1.5"),
                                         ("--seed", "-1")])
 def test_mc_grid_wide_input_exits_2(tmp_path, capsys, flag, value):

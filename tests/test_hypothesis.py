@@ -1,5 +1,6 @@
-"""Independence tests: thresholds, decision logic, intervals, multi-mode
-family behavior, and the explicit type-II bounds."""
+"""Independence tests: thresholds, decision logic, intervals, the
+multi-mode field test (mc.spde_family_rejections on engine samples), and
+the explicit type-II bounds."""
 
 import io
 import math
@@ -10,11 +11,12 @@ import pytest
 from yule_ou.errors import ParameterError
 from yule_ou.estimators import PathPair, YuleStatistics, yule_rho
 from yule_ou.hypothesis import (TestVariant, ThetaMode, calibrate_berry_constant,
-                                confidence_interval_r, numerator_bound_valid_from,
-                                numerator_test, rho_test, rho_test_estimated_theta,
-                                sidak_level, spde_multimode_test, spde_type2_bound,
-                                type2_bound_numerator, type2_bound_rho,
+                                confidence_interval_r, critical_value,
+                                numerator_bound_valid_from, numerator_test, rho_test,
+                                rho_test_estimated_theta, sidak_level, spde_type2_bound,
+                                type2_bound_numerator, type2_bound_rho, variant_statistic,
                                 write_outcomes_csv)
+from yule_ou.mc import rejections, spde_family_rejections, spde_mode_samples
 from yule_ou.sde import CorrelatedPairConfig, SamplePath, simulate_correlated_pair
 
 Q975 = 1.959963984540054
@@ -125,8 +127,14 @@ def test_ci_estimated_theta_uses_theta_hat():
 
 
 def test_ci_requires_theta_in_known_mode():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="known mode requires a positive theta"):
         confidence_interval_r(_stats(), 0.05, ThetaMode.KNOWN)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
+def test_ci_refuses_a_known_theta_outside_its_domain(theta):
+    with pytest.raises(ParameterError, match="theta must be positive and finite"):
+        confidence_interval_r(_stats(), 0.05, ThetaMode.KNOWN, theta=theta)
 
 
 def test_ci_coverage_mc():
@@ -154,60 +162,70 @@ def test_ci_coverage_mc():
 # Multi-mode test
 # ---------------------------------------------------------------------------
 
-def _mode_stats(rhos, T=100.0):
-    out = []
-    for k, rho in enumerate(rhos, start=1):
-        theta_k = float(k * k)
-        scale = T / (2.0 * theta_k)
-        out.append(YuleStatistics(y11=scale, y22=scale, y12=rho * scale,
-                                  rho=rho, theta_hat=theta_k, horizon_T=T))
-    return out
+@pytest.fixture(scope="module")
+def field():
+    """Three engine modes (theta = 1, 4, 9) under a weak alternative, r = 0.1,
+    so every mode has both outcomes."""
+    return spde_mode_samples(3, 0.1, 10.0, replications=100, base_seed=6)
 
 
-def test_multimode_single_mode_reduction():
-    stats = _mode_stats([0.3])
-    multi = spde_multimode_test(stats, alpha=0.05)
-    single = rho_test(stats[0], theta=1.0, alpha=0.05)
-    assert multi.n_modes == 1
-    assert multi.reject_any == single.reject
-    assert multi.per_mode[0].statistic == pytest.approx(single.statistic, rel=1e-14)
+def test_multimode_single_mode_reduction(field):
+    per_mode, family = spde_family_rejections(field[:1], 0.05)
+    flags = rejections(field[0], "rho_known_theta", 0.05)
+    assert per_mode.shape == (1, 100)
+    np.testing.assert_array_equal(per_mode[0], flags)
+    np.testing.assert_array_equal(family, flags)
+    # each replication's flag is the single-pair test on its statistics
+    for j in range(100):
+        stats = YuleStatistics(y11=float(field[0].y11[j]), y22=float(field[0].y22[j]),
+                               y12=float(field[0].y12[j]), rho=float(field[0].rho[j]),
+                               theta_hat=float(field[0].theta_hat[j]),
+                               horizon_T=field[0].horizon_T)
+        assert rho_test(stats, theta=1.0, alpha=0.05).reject == flags[j]
 
 
-def test_multimode_thresholds_scale_as_inverse_k():
-    multi = spde_multimode_test(_mode_stats([0.0, 0.0, 0.0]), alpha=0.05)
-    got = [o.threshold for o in multi.per_mode]
+def test_multimode_thresholds_scale_as_inverse_k(field):
+    got = [critical_value("rho_known_theta", 0.05, s.theta) for s in field]
     np.testing.assert_allclose(got, [Q975, Q975 / 2, Q975 / 3], rtol=1e-9)
     np.testing.assert_allclose(got, [1.959964, 0.979982, 0.653321], atol=1e-6)
+    per_mode, _ = spde_family_rejections(field, 0.05)
+    for sample, threshold, flags in zip(field, got, per_mode):
+        stat = variant_statistic(sample, "rho_known_theta")
+        np.testing.assert_array_equal(flags, np.abs(stat) > threshold)
 
 
-def test_multimode_reject_any_logic():
-    multi = spde_multimode_test(_mode_stats([0.0, 0.0, 0.9]), alpha=0.05)
-    assert [o.reject for o in multi.per_mode] == [False, False, True]
-    assert multi.reject_any
-    multi0 = spde_multimode_test(_mode_stats([0.0, 0.0, 0.0]), alpha=0.05)
-    assert not multi0.reject_any
+def test_multimode_reject_any_logic(field):
+    per_mode, family = spde_family_rejections(field, 0.05)
+    np.testing.assert_array_equal(family, per_mode.any(axis=0))
+    # both outcomes occur, and some family rejection rests on one higher mode
+    assert family.any() and not family.all()
+    assert (per_mode[1:].any(axis=0) & ~per_mode[0]).any()
 
 
-def test_multimode_sidak_level():
+def test_multimode_sidak_level(field):
     assert sidak_level(0.05, 3) == pytest.approx(1 - 0.95 ** (1 / 3), rel=1e-12)
-    plain = spde_multimode_test(_mode_stats([0.0] * 3), alpha=0.05)
-    strict = spde_multimode_test(_mode_stats([0.0] * 3), alpha=0.05, sidak=True)
-    assert all(s.threshold > p.threshold
-               for s, p in zip(strict.per_mode, plain.per_mode))
+    plain, plain_any = spde_family_rejections(field, 0.05)
+    strict, strict_any = spde_family_rejections(field, 0.05, sidak=True)
+    level = sidak_level(0.05, 3)
+    assert all(critical_value("rho_known_theta", level, s.theta)
+               > critical_value("rho_known_theta", 0.05, s.theta) for s in field)
+    assert np.all(plain[strict]) and np.all(plain_any[strict_any])
+    assert strict.sum() < plain.sum()
 
 
 def test_multimode_empty_errors():
-    with pytest.raises(ParameterError):
-        spde_multimode_test([], alpha=0.05)
+    for sidak in (False, True):
+        with pytest.raises(ParameterError):
+            spde_family_rejections([], alpha=0.05, sidak=sidak)
 
 
-def test_multimode_numerator_variant():
-    stats = _mode_stats([0.0, 0.0])
-    multi = spde_multimode_test(stats, alpha=0.05,
-                                variant=TestVariant.NUMERATOR_KNOWN_THETA)
+def test_multimode_numerator_variant(field):
     # mode-k threshold q/(2 k^3)
-    np.testing.assert_allclose([o.threshold for o in multi.per_mode],
-                               [Q975 / 2.0, Q975 / 16.0], rtol=1e-9)
+    got = [critical_value("numerator_known_theta", 0.05, s.theta) for s in field[:2]]
+    np.testing.assert_allclose(got, [Q975 / 2.0, Q975 / 16.0], rtol=1e-9)
+    per_mode, _ = spde_family_rejections(field[:2], 0.05, "numerator_known_theta")
+    for sample, threshold, flags in zip(field, got, per_mode):
+        np.testing.assert_array_equal(flags, np.abs(sample.numerator) > threshold)
 
 
 # ---------------------------------------------------------------------------

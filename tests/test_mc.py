@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from yule_ou.errors import InsufficientDataError, ParameterError
-from yule_ou.estimators import yule_rho
-from yule_ou.gaussian import norm_quantile
+from yule_ou import mc
+from yule_ou.estimators import functionals, yule_rho
+from yule_ou.gaussian import upper_quantile
 from yule_ou.mc import (ExperimentGrid, error_rates, k_statistics,
                         kolmogorov_distance, pair_sample, rate_fit, rejections,
                         run_grid, spde_family_rejections, spde_mode_samples,
                         summarize_cell, wilson_interval, write_reports_csv)
-from yule_ou.sde import (CorrelatedPairConfig, simulate_correlated_pair,
-                         simulate_spde_ensemble, stream)
+from yule_ou.sde import (CorrelatedPairConfig, correlated_paths, grid_size,
+                         simulate_correlated_pair, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +62,7 @@ def test_kolmogorov_single_point():
 
 def test_kolmogorov_quantile_midpoints():
     n = 1000
-    samples = norm_quantile((np.arange(1, n + 1) - 0.5) / n)
+    samples = np.array([-upper_quantile((i - 0.5) / n) for i in range(1, n + 1)])
     d = kolmogorov_distance(samples)
     assert 1.0 / (2 * n) - 1e-12 <= d <= 1.0 / (2 * n) + 6e-4
 
@@ -152,14 +153,18 @@ def test_engine_matches_single_path_route():
             _assert_same_bits(sample, rep, yule_rho(pair))
 
 
-def test_field_engine_matches_ensemble_route():
-    seed, reps = 17, 4
-    samples = spde_mode_samples(3, 0.3, 2.0, replications=reps, base_seed=seed)
-    for rep in range(reps):
-        node = np.random.SeedSequence(entropy=seed, spawn_key=(0, rep))
-        ensemble = simulate_spde_ensemble(3, 0.3, 2.0, rng_stream=node)
-        for sample, mode in zip(samples, ensemble.modes):
-            _assert_same_bits(sample, rep, yule_rho(mode))
+def test_field_mode_rows_are_addressed_streams():
+    # row j of mode k is the pair on streams (seed, 0, j, 2(k-1)), (seed, 0, j, 2k-1)
+    seed, reps, r, T = 17, 4, 0.3, 2.0
+    samples = spde_mode_samples(3, r, T, replications=reps, base_seed=seed)
+    for k, sample in enumerate(samples, start=1):
+        n = grid_size(T, sample.dt)
+        for j in range(reps):
+            x1, x2 = correlated_paths(sample.theta, r, sample.dt,
+                                      stream(seed, 0, j, 2 * (k - 1)).standard_normal(n),
+                                      stream(seed, 0, j, 2 * k - 1).standard_normal(n))
+            y11, y22, y12 = functionals(x1, x2, sample.dt)
+            assert (sample.y11[j], sample.y22[j], sample.y12[j]) == (y11, y22, y12)
 
 
 def test_engine_block_size_invariance(monkeypatch):
@@ -168,6 +173,48 @@ def test_engine_block_size_invariance(monkeypatch):
     monkeypatch.setattr(mc_mod, "_BLOCK_ELEMS", 1000)  # force many blocks
     b = pair_sample(1.0, 0.2, 5.0, replications=64, base_seed=4, cell_index=0)
     np.testing.assert_array_equal(a.rho, b.rho)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_pool_never_exceeds_the_block_count(monkeypatch):
+    serial = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=4)
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 1000)  # 100 steps: 4 blocks of 10 rows
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    for jobs in (64, 4, 2):
+        pooled = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=4, jobs=jobs)
+        np.testing.assert_array_equal(pooled.rho, serial.rho)
+    assert _SerialPool.sizes == [4, 4, 2]
+
+
+def test_jobs_below_one_are_refused(monkeypatch):
+    def draw(*args):
+        raise AssertionError("drew random numbers before refusing the input")
+    monkeypatch.setattr(mc.sde, "stream", draw)
+    grid = ExperimentGrid(thetas=(1.0,), rs=(0.0,), horizons=(5.0,), replications=10,
+                          base_seed=0)
+    for jobs in (0, -3):
+        with pytest.raises(ParameterError, match="jobs"):
+            pair_sample(1.0, 0.0, 5.0, replications=10, jobs=jobs)
+        with pytest.raises(ParameterError, match="jobs"):
+            run_grid(grid, jobs=jobs, progress=lambda m: None)
 
 
 def test_engine_parallel_identical():
@@ -290,19 +337,3 @@ def test_spde_mode_samples_rates_and_family():
     per_mode, family = spde_family_rejections(samples, 0.05)
     assert per_mode.shape == (2, 150)
     np.testing.assert_array_equal(family, per_mode.any(axis=0))
-
-
-def test_vectorized_rejections_match_multimode_test():
-    from yule_ou.estimators import YuleStatistics
-    from yule_ou.hypothesis import spde_multimode_test
-    samples = spde_mode_samples(3, 0.4, 10.0, replications=100, base_seed=6)
-    per_mode, family = spde_family_rejections(samples, 0.05)
-    for j in range(100):
-        stats = [YuleStatistics(y11=float(s.y11[j]), y22=float(s.y22[j]),
-                                y12=float(s.y12[j]), rho=float(s.rho[j]),
-                                theta_hat=float(s.theta_hat[j]),
-                                horizon_T=s.horizon_T)
-                 for s in samples]
-        multi = spde_multimode_test(stats, 0.05)
-        assert [o.reject for o in multi.per_mode] == per_mode[:, j].tolist()
-        assert multi.reject_any == bool(family[j])

@@ -14,11 +14,12 @@ import pytest
 
 from yule_ou import sde
 from yule_ou.errors import ParameterError
+from yule_ou.mc import pair_sample, spde_mode_samples
 from yule_ou.sde import (MAX_STEPS, CorrelatedPairConfig, SamplePath, _philox_key,
                          ar1_paths, correlated_paths, default_dt, grid_size,
                          innovation_variance, mean_functional_variance, ou_covariance,
                          read_pair_csv, simulate_correlated_pair, simulate_ou,
-                         simulate_spde_ensemble, stream, transition_factor, write_pair_csv)
+                         stream, transition_factor, write_pair_csv)
 
 
 def _endpoint_matrix(theta, horizon_T, dt, reps, seed):
@@ -291,46 +292,46 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# Mode ensemble
+# Field modes (the engine's spde_mode_samples)
 # ---------------------------------------------------------------------------
 
 def test_spde_mode_rates():
-    ens = simulate_spde_ensemble(3, 0.2, 2.0, seed=21)
-    assert ens.n_modes == 3
-    assert [m.config.theta for m in ens.modes] == [1.0, 4.0, 9.0]
-    for k, mode in enumerate(ens.modes, start=1):
-        assert mode.config.dt <= 0.05 / k ** 2 + 1e-15
+    samples = spde_mode_samples(3, 0.2, 2.0, replications=4, base_seed=21)
+    assert [s.theta for s in samples] == [1.0, 4.0, 9.0]
+    for k, sample in enumerate(samples, start=1):
+        assert sample.dt <= 0.05 / k ** 2 + 1e-15
+        assert sample.n == 4 and sample.horizon_T == 2.0
 
 
 def test_spde_single_mode_matches_pair_law():
-    ens = simulate_spde_ensemble(1, 0.5, 2.0, seed=33)
-    assert ens.modes[0].config.theta == 1.0
-    assert ens.modes[0].x1.values[0] == 0.0
+    # mode 1 is the plain theta = 1 cell: same streams, same bits
+    mode = spde_mode_samples(1, 0.5, 2.0, replications=4, base_seed=33)[0]
+    cell = pair_sample(1.0, 0.5, 2.0, replications=4, base_seed=33)
+    assert mode.theta == 1.0
+    for name in ("y11", "y22", "y12", "rho", "theta_hat"):
+        np.testing.assert_array_equal(getattr(mode, name), getattr(cell, name))
 
 
 def test_spde_mode_stability_under_extension():
     # adding modes must not perturb earlier ones (per-mode streams)
-    small = simulate_spde_ensemble(1, 0.2, 2.0, seed=44)
-    large = simulate_spde_ensemble(3, 0.2, 2.0, seed=44)
-    np.testing.assert_array_equal(small.modes[0].x1.values, large.modes[0].x1.values)
-    np.testing.assert_array_equal(small.modes[0].x2.values, large.modes[0].x2.values)
+    small = spde_mode_samples(1, 0.2, 2.0, replications=4, base_seed=44)[0]
+    large = spde_mode_samples(3, 0.2, 2.0, replications=4, base_seed=44)[0]
+    for name in ("y11", "y22", "y12"):
+        assert np.array_equal(getattr(small, name), getattr(large, name)), name
 
 
 def test_spde_cross_mode_independence():
-    ens = simulate_spde_ensemble(2, 0.0, 40.0, seed=55)
-    u1, u2 = ens.modes[0].x1, ens.modes[1].x1
-    a1 = transition_factor(1.0, u1.dt)
-    inc1 = u1.values[1:] - a1 * u1.values[:-1]
-    a2 = transition_factor(4.0, u2.dt)
-    inc2 = u2.values[1:] - a2 * u2.values[:-1]
-    m = min(inc1.size, inc2.size)
-    corr = np.corrcoef(inc1[:m], inc2[:m])[0, 1]
-    assert abs(corr) < 4.0 / math.sqrt(m)
+    reps = 400
+    one, two = spde_mode_samples(2, 0.0, 10.0, replications=reps, base_seed=55)
+    for name in ("rho", "y11", "y12"):
+        corr = np.corrcoef(getattr(one, name), getattr(two, name))[0, 1]
+        assert abs(corr) < 4.0 / math.sqrt(reps), name
 
 
 def test_spde_errors():
-    with pytest.raises(ParameterError):
-        simulate_spde_ensemble(0, 0.1, 1.0, seed=0)
+    for n_modes in (0, -2):
+        with pytest.raises(ParameterError, match="n_modes"):
+            spde_mode_samples(n_modes, 0.1, 1.0, replications=4, base_seed=0)
 
 
 def test_grid_size_refuses_grids_beyond_max_steps():
