@@ -24,7 +24,7 @@ from .mc import (ExperimentGrid, McReport, PairSample, error_rates, k_statistics
                  kolmogorov_distance, pair_sample, rate_fit, rejections, run_grid,
                  spde_family_rejections, spde_mode_samples, summarize_cell,
                  wilson_interval, write_reports_csv)
-from .sde import (STEP_CAP, CorrelatedPairConfig, OuPair, SamplePath, default_dt,
+from .sde import (STEP_CAP, CorrelatedPairConfig, SamplePath, default_dt,
                   mean_functional_variance, ou_covariance, simulate_correlated_pair,
                   simulate_ou, stream, write_pair_csv)
 from .theory import (ChaosConstants, KernelSpec, asymptotic_cumulant,

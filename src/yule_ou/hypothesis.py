@@ -160,6 +160,8 @@ def confidence_interval_r(stats, alpha, theta_mode=ThetaMode.ESTIMATED, theta=No
 def sidak_level(alpha, n_modes):
     """Per-mode level 1 - (1-alpha)^(1/N) equalizing the family rate to alpha."""
     check_level(alpha)
+    if not float(n_modes).is_integer() or n_modes < 1:
+        raise ParameterError(f"n_modes must be an integer >= 1, got {n_modes}")
     return 1.0 - (1.0 - alpha) ** (1.0 / n_modes)
 
 

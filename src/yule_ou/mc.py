@@ -2,8 +2,9 @@
 
 The engine simulates many independent pairs per grid cell and reduces
 each replication to its path functionals on the fly.  Replication j of
-cell c draws its two noise processes from streams
-(base_seed, c, j, 0) and (base_seed, c, j, 1), so results are
+cell c draws its two noise processes from the Philox keys of
+SeedSequence(base_seed, spawn_key=(c, 0)) and (c, 1), each with its
+counter started at [0, 0, j, 0] (see sde.stream).  So results are
 bit-identical for a given grid no matter how many workers run or in
 which order blocks complete; blocks are fixed-size slices of the
 replication index, never functions of the worker pool.
@@ -134,9 +135,8 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
     """Functionals (Y11, Y22, Y12) as a (3, m) array for replications
     [start, stop) of one cell.
 
-    The keys of the block's streams are derived once per process, for all
-    its replications together; each row's draw re-keys one Philox, so row
-    j still gets the numbers of stream (base_seed, cell_index, j, process).
+    Each process keys one Philox per block, and row j draws from it with
+    the counter set to [0, 0, j, 0], whatever block or tile holds the row.
     The block is computed in row tiles of about _TILE_ELEMS innovations,
     drawn into one pair of buffers reused for every tile, so the working
     set stays near the cache instead of streaming block-sized temporaries
@@ -161,8 +161,9 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
 
 
 def _check_replications(replications):
-    """Reject a replication count outside [1, 2**32]: each replication index
-    keys its streams as one 32-bit word (see sde.stream)."""
+    """Reject a replication count outside [1, 2**32].  A cell holds seven
+    float64 arrays with one entry per replication, 224 GiB at 2**32, so a
+    larger count could never run."""
     if not 1 <= replications <= 2 ** 32:
         raise ParameterError(f"replications must lie in [1, 2**32], got {replications}")
 
@@ -338,6 +339,7 @@ def run_grid(grid, jobs=1, progress=None):
 
     Cells failing validation (e.g. a fixed dt violating the step cap for a
     large theta) are reported on stderr and skipped; other cells proceed.
+    A grid whose every cell is skipped raises ParameterError.
     """
     _check_jobs(jobs)  # grid-wide: a bad count must not skip every cell
     progress = (lambda msg: print(msg, file=sys.stderr)) if progress is None else progress
@@ -354,6 +356,8 @@ def run_grid(grid, jobs=1, progress=None):
             continue
         reports.append(summarize_cell(sample, grid.statistic, grid.alpha))
         progress(f"cell {index + 1}/{len(cells)} theta={theta} r={r} T={T}: done")
+    if not reports:
+        raise ParameterError("every cell of the grid was skipped")
     return reports
 
 
@@ -373,8 +377,8 @@ def spde_mode_samples(n_modes, r, horizon_T, replications, base_seed, jobs=1):
     """Per-mode PairSamples of the field experiment (mode k at theta = k^2,
     dt = sde.default_dt(k^2, T)).
 
-    Mode k of replication j is the pair on streams (base_seed, 0, j, 2(k-1))
-    and (base_seed, 0, j, 2k-1), so modes are independent and adding modes
+    Mode k of replication j is row j of the streams (base_seed, 0, 2(k-1))
+    and (base_seed, 0, 2k-1), so modes are independent and adding modes
     leaves the earlier ones unchanged.  The step count grows with k, so the
     top mode's grid is checked before any mode is simulated.
     """

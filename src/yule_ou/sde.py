@@ -9,12 +9,16 @@ uniform grid through its exact Gaussian transition
 so the discrete skeleton has zero time-discretization bias; downstream
 statistics are only approximate through the quadrature of path integrals.
 
-Randomness is drawn from counter-based Philox streams addressed by
-SeedSequence spawn keys (seed, cell, replication, process), which makes
-every path reproducible and safe to generate from parallel workers.
+Randomness is drawn from counter-based Philox streams.  A stream is keyed
+by SeedSequence(seed, spawn_key=key); a Monte Carlo replication j is the
+stream of key (cell, process) with its Philox counter started at
+[0, 0, j, 0].  Every path is reproducible from integers alone and safe to
+generate from parallel workers.
 """
 
+import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,125 +43,54 @@ _GRID_RTOL = 1e-9
 # RNG streams
 # ---------------------------------------------------------------------------
 
-# SeedSequence's hash constants, from NumPy's numpy/random/bit_generator.pyx
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_M32 = 0xFFFFFFFF
-
-
-def _words(n):
-    """Little-endian 32-bit words of a nonnegative integer (one word for 0)."""
-    n = int(n)
-    if n < 0:
-        raise ParameterError(f"stream key parts must be nonnegative, got {n}")
-    words = [n & _M32]
-    while n >> 32 * len(words):
-        words.append(n >> 32 * len(words) & _M32)
-    return words
-
-
-def _index_word(part):
-    """An index array as one uint32 word per entry, as SeedSequence packs it."""
-    part = np.asarray(part)
-    if part.size and not (part.min() >= 0 and part.max() <= _M32):
-        raise ParameterError("stream index arrays must lie in [0, 2**32)")
-    return part.astype(np.uint32)
-
-
-def _hashmix(const, mult):
-    """SeedSequence's hashmix step; its multiplier advances with every call."""
-    def step(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-    return step
-
-
-def _mix(x, y):
-    value = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
-    return value ^ value >> 16
-
-
-def _philox_key(seed, *key):
-    """The Philox key SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
-    returns, as a uint64 array of shape (..., 2).
-
-    This is NumPy's SeedSequence hash (pool of four 32-bit words) in 32-bit
-    arithmetic: Python ints masked to 32 bits, or uint32 arrays.  One key
-    part may be an integer array with entries below 2**32, one word each;
-    the hash then runs once for all its entries.
-    """
-    words = _words(seed)
-    if key:
-        words += [0] * (4 - len(words))  # SeedSequence pads a spawned seed
-    for part in key:
-        words += [_index_word(part)] if np.ndim(part) else _words(part)
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    state = _hashmix(_INIT_B, _MULT_B)
-    w = [np.asarray(state(value), dtype=np.uint64) for value in pool]
-    return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=-1)
-
-
 def stream(seed, *key):
-    """Return the Philox generator of stream (seed, *key).
+    """Return the generator of stream (seed, *key),
+    Generator(Philox(SeedSequence(seed, spawn_key=key))).
 
-    Its numbers are those of Philox(SeedSequence(seed, spawn_key=key)):
-    the key is that SeedSequence's hash, computed by `_philox_key`.  Stream
-    identity is purely the integer tuple, so any worker can recreate any
-    stream without shared state.
-
-    If one key part is an index array, the result is a RowStreams over the
-    streams of its entries, one per row.
+    Stream identity is purely the integer tuple, so any worker can recreate
+    any stream without shared state.  If one key part is an array of row
+    indices, it is left out of the key: the result is a RowStreams whose row
+    j draws from that key's Philox with its counter set to [0, 0, j, 0].
     """
-    keys = _philox_key(seed, *key)
-    if keys.ndim > 1:
-        return RowStreams(keys)
-    return np.random.Generator(np.random.Philox(key=keys))
+    ints = [int(part) for part in (seed, *key) if not np.ndim(part)]
+    rows = [np.asarray(part) for part in key if np.ndim(part)]
+    if min(ints) < 0:
+        raise ParameterError("stream key parts must be nonnegative")
+    if rows and rows[0].size and not 0 <= rows[0].min() <= rows[0].max() < 2 ** 32:
+        raise ParameterError("stream index arrays must lie in [0, 2**32)")
+    bitgen = np.random.Philox(np.random.SeedSequence(ints[0], spawn_key=ints[1:]))
+    return RowStreams(bitgen, rows[0]) if rows else np.random.Generator(bitgen)
 
 
 class RowStreams:
     """The streams of a block's rows, each row drawn from its own stream.
 
-    One Philox, owned by the block, is re-keyed before each row: its state
-    becomes that of a fresh Philox(key=k), counter 0 and empty buffer, so a
-    row gets exactly the numbers of its own stream's generator.  Rows are
-    handed out in order; each call continues where the last one stopped.
+    Row j is the block's Philox with its counter set to [0, 0, j, 0] and an
+    empty buffer, which is Philox(...).advance(j << 128): rows are 2^128
+    counter steps apart, and a row draws at most MAX_STEPS normals, so no
+    two rows share a number.  Rows are handed out in order; each call
+    continues where the last one stopped.
     """
 
-    def __init__(self, keys):
-        self._keys = keys
+    def __init__(self, bitgen, rows):
+        self._rows = rows
         self._next = 0
-        self._bitgen = np.random.Philox(key=0)  # re-keyed before each row
-        self._gen = np.random.Generator(self._bitgen)
-        self._state = {"bit_generator": "Philox",
-                       "state": {"counter": [0, 0, 0, 0], "key": None},
-                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                       "has_uint32": 0, "uinteger": 0}
+        self._bitgen = bitgen
+        self._gen = np.random.Generator(bitgen)
+        self._state = bitgen.state  # counter 0, empty buffer
 
     def standard_normal(self, size, out):
         """Write the first n standard normals of each of the next `rows`
         streams to `out`, of shape size = (rows, n), and return it."""
-        rows = len(out)
-        if out.shape != tuple(size) or self._next + rows > len(self._keys):
-            raise ParameterError(f"cannot draw {size} from {len(self._keys) - self._next} "
+        count, state = len(out), self._state
+        if out.shape != tuple(size) or self._next + count > len(self._rows):
+            raise ParameterError(f"cannot draw {size} from {len(self._rows) - self._next} "
                                  f"remaining row streams into shape {out.shape}")
-        state, keys = self._state, self._keys[self._next:self._next + rows].tolist()
-        for key, row in zip(keys, out):
-            state["state"]["key"] = key
+        for j, row in zip(self._rows[self._next:self._next + count].tolist(), out):
+            state["state"]["counter"] = [0, 0, j, 0]
             self._bitgen.state = state
             self._gen.standard_normal(out=row)
-        self._next += rows
+        self._next += count
         return out
 
 
@@ -269,18 +202,6 @@ class CorrelatedPairConfig:
         return grid_size(self.horizon_T, self.dt)
 
 
-@dataclass(frozen=True)
-class OuPair(PathPair):
-    """Two paths on an identical grid driven by correlated noise."""
-
-    config: CorrelatedPairConfig
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.x1.values[0] != 0.0 or self.x2.values[0] != 0.0:
-            raise ParameterError("pair paths must start at zero")
-
-
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
@@ -322,13 +243,13 @@ def ar1_paths(factor, innovations):
     return np.concatenate([np.zeros(shape), tail], axis=-1)
 
 
-def simulate_ou(theta, horizon_T, dt, rng_stream):
+def simulate_ou(theta, horizon_T, dt, generator):
     """Simulate one path by the exact transition on the grid covering [0, T],
-    drawing its steps from the Generator rng_stream."""
+    drawing its steps from `generator`."""
     check_positive(theta=theta, dt=dt)
     n = grid_size(horizon_T, dt)
     sd = math.sqrt(innovation_variance(theta, dt))
-    xi = sd * rng_stream.standard_normal(n)
+    xi = sd * generator.standard_normal(n)
     values = ar1_paths(transition_factor(theta, dt), xi)
     return SamplePath(t0=0.0, dt=dt, values=values)
 
@@ -355,24 +276,17 @@ def correlated_paths(theta, r, dt, z1, z0):
     return ar1_paths(factor, z1), ar1_paths(factor, z0)
 
 
-def simulate_correlated_pair(config, rng_stream=None):
+def simulate_correlated_pair(config):
     """Simulate a pair of paths with driving-noise correlation config.r.
 
-    The stream node defaults to SeedSequence(config.seed); process indices
-    0 (driver of x1) and 1 (auxiliary noise) are appended to its spawn key.
-    Grid runs pass a node keyed by (seed, cell, replication) instead.
+    x1 is driven by stream (config.seed, 0) and the auxiliary noise by
+    stream (config.seed, 1).
     """
-    node = rng_stream
-    if node is None:
-        node = np.random.SeedSequence(entropy=int(config.seed))
-    elif not isinstance(node, np.random.SeedSequence):
-        raise ParameterError("rng_stream must be a SeedSequence (or None)")
-    entropy, key, n = node.entropy, tuple(node.spawn_key), config.n_steps
+    n = config.n_steps
     x1, x2 = correlated_paths(config.theta, config.r, config.dt,
-                              stream(entropy, *key, 0).standard_normal(n),
-                              stream(entropy, *key, 1).standard_normal(n))
-    return OuPair(x1=SamplePath(0.0, config.dt, x1), x2=SamplePath(0.0, config.dt, x2),
-                  config=config)
+                              stream(config.seed, 0).standard_normal(n),
+                              stream(config.seed, 1).standard_normal(n))
+    return PathPair(x1=SamplePath(0.0, config.dt, x1), x2=SamplePath(0.0, config.dt, x2))
 
 
 # ---------------------------------------------------------------------------
@@ -389,26 +303,33 @@ def write_pair_csv(pair, fileobj, header_comment=None):
         fileobj.write(f"{t:.17g},{a:.17g},{b:.17g}\n")
 
 
+# a newline and the blank or comment line after it (the literal start keeps a
+# search over a whole file fast)
+_SKIPPED = re.compile(r"\n[^\S\n]*(#[^\n]*)?(?=\n|\Z)")
+
+
 def read_pair_csv(fileobj):
-    """Read a `t,x1,x2` file back into (times, x1, x2) arrays."""
-    rows = []
-    header_seen = False
-    for line in fileobj:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line.lower().replace(" ", "") != "t,x1,x2":
-                raise ValueError(f"expected header 't,x1,x2', got {line!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"malformed row: {line!r}")
-        rows.append([float(p) for p in parts])
-    if not header_seen or not rows:
+    """Read a `t,x1,x2` file back into (times, x1, x2) arrays.
+
+    Blank and `#` lines are skipped.  The first other line must be the
+    header and every later one three numbers; a trailing `# ...` is
+    refused.  A file breaking a rule raises ValueError.
+    """
+    lines = iter(fileobj)
+    for header in lines:
+        header = header.strip()
+        if header and not header.startswith("#"):
+            break
+    else:
         raise ValueError("no path data found")
-    data = np.asarray(rows, dtype=float)
+    if header.lower().replace(" ", "") != "t,x1,x2":
+        raise ValueError(f"expected header 't,x1,x2', got {header!r}")
+    body = _SKIPPED.sub("", "\n" + "".join(lines))
+    if not body.strip():  # np.loadtxt only warns on an empty file
+        raise ValueError("no path data found")
+    data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] != 3:
+        raise ValueError(f"expected 3 fields per row, got {data.shape[1]}")
     return data[:, 0], data[:, 1], data[:, 2]
 
 

@@ -240,6 +240,22 @@ def test_mc_grid_wide_input_exits_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "mc.csv").exists()
 
 
+def test_mc_exits_2_when_every_cell_is_skipped(tmp_path, capsys):
+    # dt = 0.3 breaks the step cap at theta = 1; adding theta = 0.1 lets one cell run
+    paths = {"--out": tmp_path / "mc.csv", "--jsonl": tmp_path / "mc.jsonl"}
+    argv = ["mc", "--rs", "0", "--Ts", "1.2", "--reps", "10", "--seed", "1",
+            "--statistic", "rho_centered", "--dt", "0.3"]
+    argv += [tok for flag, path in paths.items() for tok in (flag, str(path))]
+    code, out, err = run_cli(capsys, *argv, "--thetas", "1")
+    assert code == 2 and out == ""
+    skip, error = err.splitlines()
+    assert "skipped" in skip and error.startswith("error: ") and "every cell" in error
+    assert not any(path.exists() for path in paths.values())
+    code, _, err = run_cli(capsys, *argv, "--thetas", "1,0.1")
+    assert code == 0 and "skipped" in err
+    assert len(paths["--out"].read_text().splitlines()) == 3  # comment, header, one cell
+
+
 def _refuse_streams(monkeypatch):
     def stream(*args):
         raise AssertionError("drew random numbers before refusing the input")

@@ -202,6 +202,12 @@ def test_multimode_reject_any_logic(field):
     assert (per_mode[1:].any(axis=0) & ~per_mode[0]).any()
 
 
+@pytest.mark.parametrize("n_modes", [0, -1, 2.5, math.nan])
+def test_sidak_level_refuses_a_mode_count_that_is_not_a_positive_integer(n_modes):
+    with pytest.raises(ParameterError, match="n_modes"):
+        sidak_level(0.05, n_modes)
+
+
 def test_multimode_sidak_level(field):
     assert sidak_level(0.05, 3) == pytest.approx(1 - 0.95 ** (1 / 3), rel=1e-12)
     plain, plain_any = spde_family_rejections(field, 0.05)

@@ -1,6 +1,7 @@
 """Replication engine and diagnostics: k-statistics, Kolmogorov distance,
 Wilson intervals, rate fits, grid runs, and reproducibility."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,13 @@ import pytest
 
 from yule_ou.errors import InsufficientDataError, ParameterError
 from yule_ou import mc
-from yule_ou.estimators import functionals, yule_rho
+from yule_ou.estimators import PathPair, functionals, yule_rho
 from yule_ou.gaussian import upper_quantile
 from yule_ou.mc import (ExperimentGrid, error_rates, k_statistics,
                         kolmogorov_distance, pair_sample, rate_fit, rejections,
                         run_grid, spde_family_rejections, spde_mode_samples,
                         summarize_cell, wilson_interval, write_reports_csv)
-from yule_ou.sde import (CorrelatedPairConfig, correlated_paths, grid_size,
-                         simulate_correlated_pair, stream)
+from yule_ou.sde import SamplePath, correlated_paths, grid_size, stream
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,12 @@ def _assert_same_bits(sample, rep, stats):
         assert getattr(sample, name)[rep] == getattr(stats, name), name
 
 
+def _row(seed, cell, rep, process, n):
+    """The n normals of row `rep` of the engine's stream (seed, cell, process)."""
+    rows = stream(seed, cell, np.array([rep]), process)
+    return rows.standard_normal((1, n), out=np.empty((1, n)))[0]
+
+
 def test_engine_matches_single_path_route():
     # a single pair is a batch of one: same simulation core, same reduction;
     # the second cell has 10 001 nodes, where BLAS dot sums differ by batch
@@ -146,23 +152,24 @@ def test_engine_matches_single_path_route():
                                         (1.0, -0.6, 500.0, 0.05, 92, 1)):
         sample = pair_sample(theta, r, T, dt=dt, replications=5, base_seed=seed,
                              cell_index=cell)
+        n = grid_size(T, dt)
         for rep in range(5):
-            node = np.random.SeedSequence(entropy=seed, spawn_key=(cell, rep))
-            cfg = CorrelatedPairConfig(theta=theta, r=r, horizon_T=T, dt=dt, seed=seed)
-            pair = simulate_correlated_pair(cfg, rng_stream=node)
+            x1, x2 = correlated_paths(theta, r, dt, _row(seed, cell, rep, 0, n),
+                                      _row(seed, cell, rep, 1, n))
+            pair = PathPair(x1=SamplePath(0.0, dt, x1), x2=SamplePath(0.0, dt, x2))
             _assert_same_bits(sample, rep, yule_rho(pair))
 
 
 def test_field_mode_rows_are_addressed_streams():
-    # row j of mode k is the pair on streams (seed, 0, j, 2(k-1)), (seed, 0, j, 2k-1)
+    # row j of mode k is row j of the streams (seed, 0, 2(k-1)) and (seed, 0, 2k-1)
     seed, reps, r, T = 17, 4, 0.3, 2.0
     samples = spde_mode_samples(3, r, T, replications=reps, base_seed=seed)
     for k, sample in enumerate(samples, start=1):
         n = grid_size(T, sample.dt)
         for j in range(reps):
             x1, x2 = correlated_paths(sample.theta, r, sample.dt,
-                                      stream(seed, 0, j, 2 * (k - 1)).standard_normal(n),
-                                      stream(seed, 0, j, 2 * k - 1).standard_normal(n))
+                                      _row(seed, 0, j, 2 * (k - 1), n),
+                                      _row(seed, 0, j, 2 * k - 1, n))
             y11, y22, y12 = functionals(x1, x2, sample.dt)
             assert (sample.y11[j], sample.y22[j], sample.y12[j]) == (y11, y22, y12)
 
@@ -305,6 +312,9 @@ def test_run_grid_skips_invalid_cell():
     reports = run_grid(grid, progress=messages.append)
     assert len(reports) == 1
     assert any("skipped" in m for m in messages)
+    # a grid with no cell left to run is refused, not reported empty
+    with pytest.raises(ParameterError, match="every cell"):
+        run_grid(dataclasses.replace(grid, thetas=(9.0,)), progress=lambda m: None)
 
 
 def test_single_replication_flags_variance_undefined():

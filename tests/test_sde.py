@@ -15,7 +15,7 @@ import pytest
 from yule_ou import sde
 from yule_ou.errors import ParameterError
 from yule_ou.mc import pair_sample, spde_mode_samples
-from yule_ou.sde import (MAX_STEPS, CorrelatedPairConfig, SamplePath, _philox_key,
+from yule_ou.sde import (MAX_STEPS, CorrelatedPairConfig, SamplePath,
                          ar1_paths, correlated_paths, default_dt, grid_size,
                          innovation_variance, mean_functional_variance, ou_covariance,
                          read_pair_csv, simulate_correlated_pair, simulate_ou,
@@ -43,20 +43,22 @@ _SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 64 - 1)
 _REPS = (0, 1, 17, 2 ** 32 - 1)
 
 
-@pytest.mark.parametrize("seed", _SEEDS)
-def test_philox_key_is_the_seed_sequence_state(seed):
-    def state(*key):
-        return np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+def _row_stream(seed, cell, rep, process):
+    """Row `rep` of the engine's streams: the key's Philox advanced rep * 2^128."""
+    bitgen = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(cell, process)))
+    return np.random.Generator(bitgen.advance(rep << 128))
 
-    assert np.array_equal(_philox_key(seed), state())
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_row_streams_are_the_key_stream_advanced_by_the_row_index(seed):
+    n = 40
     for cell in (0, 7, 2 ** 32 + 5):
         for process in (0, 1, 5):
-            keys = _philox_key(seed, cell, np.array(_REPS), process)
-            assert keys.shape == (len(_REPS), 2) and keys.dtype == np.uint64
-            for rep, key in zip(_REPS, keys):
-                expected = state(cell, rep, process)
-                assert np.array_equal(key, expected)
-                assert np.array_equal(_philox_key(seed, cell, rep, process), expected)
+            rows = stream(seed, cell, np.array(_REPS), process)
+            drawn = rows.standard_normal((len(_REPS), n), out=np.empty((len(_REPS), n)))
+            for rep, row in zip(_REPS, drawn):
+                assert np.array_equal(row, _row_stream(seed, cell, rep, process)
+                                      .standard_normal(n))
 
 
 def test_stream_draws_the_seed_sequence_numbers():
@@ -72,8 +74,8 @@ def test_row_streams_draw_each_row_from_its_own_stream_over_ragged_tiles():
     buf = np.empty((4, n))
     drawn = [rows.standard_normal((k, n), out=buf[:k]).copy() for k in (4, 4, 3)]
     assert [d.shape for d in drawn] == [(4, n), (4, n), (3, n)]
-    expected = np.stack([_seed_sequence_stream(seed, cell, int(rep), process)
-                         .standard_normal(n) for rep in reps])
+    expected = np.stack([_row_stream(seed, cell, int(rep), process).standard_normal(n)
+                         for rep in reps])
     assert np.array_equal(np.concatenate(drawn), expected)
     with pytest.raises(ParameterError):  # every row stream is used up
         rows.standard_normal((1, n), out=buf[:1])
@@ -362,6 +364,40 @@ def test_pair_csv_round_trip():
     np.testing.assert_array_equal(x1, pair.x1.values)
     np.testing.assert_array_equal(x2, pair.x2.values)
     np.testing.assert_allclose(t, pair.x1.times(), rtol=0, atol=0)
+
+
+def test_pair_csv_reader_skips_blank_and_comment_lines():
+    text = "\n# a\n  # b\n T, X1 ,x2\n\n0,1.5,-2\n   \n\t# c\n0.5, 3e-320 ,nan\n# d"
+    t, x1, x2 = read_pair_csv(io.StringIO(text))
+    np.testing.assert_array_equal(t, [0.0, 0.5])
+    np.testing.assert_array_equal(x1, [1.5, 3e-320])
+    np.testing.assert_array_equal(x2, [-2.0, np.nan])
+
+
+def test_pair_csv_reader_reads_the_bits_float_reads():
+    values = np.random.default_rng(4).standard_normal((200, 3)) * 10.0 ** np.arange(-150, 150, 100)
+    text = "t,x1,x2\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values)
+    t, x1, x2 = read_pair_csv(iter(text.splitlines(keepends=True)))  # lines only, no file API
+    np.testing.assert_array_equal(np.stack([t, x1, x2], axis=1), values)
+
+
+@pytest.mark.parametrize("text", [
+    "",                                # no header
+    "# only a comment\n\n",            # no header
+    "t,x1,x2\n",                       # no row
+    "t,x1,x2\n# a comment\n  \n",      # no row
+    "t,x,y\n0,1,2\n",                  # wrong header
+    "0,1,2\nt,x1,x2\n",                # header not first
+    "t,x1,x2\n0,1\n",                  # two fields
+    "t,x1,x2\n0,1,2,3\n",              # four fields
+    "t,x1,x2\n0,1,2\n1,2\n",           # a short row after a full one
+    "t,x1,x2\n0,1,a\n",                # a field that is not a number
+    "t,x1,x2\n0,1,\n",                 # an empty field
+    "t,x1,x2\n0,1,2 # note\n",         # a trailing comment
+])
+def test_pair_csv_reader_refuses_malformed_files(text):
+    with pytest.raises(ValueError):
+        read_pair_csv(io.StringIO(text))
 
 
 def test_sample_path_validation():
