@@ -59,35 +59,59 @@ def trapezoid_weights(n_nodes, dt):
     return w
 
 
+def _linear(x, w):
+    """Row-wise trapezoidal integral sum_j w_j x_j of paths (..., n_nodes)."""
+    return (x * w).sum(axis=-1)
+
+
+def _quadratic(x, y, w):
+    """Row-wise trapezoidal integral sum_j w_j x_j y_j, each row summed in its
+    own loop by the three-operand einsum.  A two-operand einsum or `@` would
+    go to BLAS, whose dot kernels sum a row differently depending on the
+    batch shape."""
+    return np.einsum("...j,...j,j->...", x, y, w)
+
+
+def _variance_and_linear(x, w, T):
+    """Y_aa of paths x and their linear term, which Y_ab needs too."""
+    s = _linear(x, w)
+    return _quadratic(x, x, w) - s * s / T, s
+
+
 def path_time_average(path):
     """Trapezoidal approximation of (1/T) int_0^T X(u) du."""
     w = trapezoid_weights(path.values.size, path.dt)
-    return float(np.dot(w, path.values)) / path.horizon
+    return float(_linear(path.values, w)) / path.horizon
+
+
+def variance_functional(x, dt):
+    """Centered functional Y_aa of paths of shape (..., n_nodes): the Y11 of
+    `functionals` bit for bit, without a second path."""
+    w = trapezoid_weights(x.shape[-1], dt)
+    return _variance_and_linear(x, w, (x.shape[-1] - 1) * dt)[0]
 
 
 def functionals(x1, x2, dt):
     """Centered functionals (Y11, Y22, Y12) of paths of shape (..., n_nodes).
 
     Rows are reduced one by one, so a row's bits do not depend on the
-    block it sits in; a single pair is a batch of one.  The quadratic terms
-    use the three-operand einsum, which sums each row in its own loop
-    without temporaries.  A two-operand einsum or `@` would go to BLAS,
-    whose dot kernels sum a row differently depending on the batch shape.
+    block it sits in; a single pair is a batch of one.
     """
     w = trapezoid_weights(x1.shape[-1], dt)
     T = (x1.shape[-1] - 1) * dt
-    s1 = (x1 * w).sum(axis=-1)
-    s2 = (x2 * w).sum(axis=-1)
-    q11 = np.einsum("...j,...j,j->...", x1, x1, w)
-    q22 = np.einsum("...j,...j,j->...", x2, x2, w)
-    q12 = np.einsum("...j,...j,j->...", x1, x2, w)
-    return q11 - s1 * s1 / T, q22 - s2 * s2 / T, q12 - s1 * s2 / T
+    y11, s1 = _variance_and_linear(x1, w, T)
+    y22, s2 = _variance_and_linear(x2, w, T)
+    return y11, y22, _quadratic(x1, x2, w) - s1 * s2 / T
 
 
-def correlation_and_rate(y11, y22, y12, horizon_T):
-    """rho = Y12/sqrt(Y11 Y22) and theta_hat = T/(2 Y11), for scalars or arrays."""
-    rho = y12 / (np.sqrt(y11) * np.sqrt(y22))
-    return rho, horizon_T / (2.0 * y11)
+def rate_estimate(y_aa, horizon_T):
+    """Mean-reversion rate T/(2 Y_aa) of a path, for scalars or arrays."""
+    return horizon_T / (2.0 * y_aa)
+
+
+def correlation(y11, y22, y12):
+    """rho = Y12/sqrt(Y11 Y22), for scalars or arrays."""
+    return y12 / (np.sqrt(y11) * np.sqrt(y22))
 
 
 def empirical_cov_functional(path_a, path_b):
@@ -104,10 +128,10 @@ def _check_not_constant(path):
 def theta_estimator(path):
     """Rate estimate theta_tilde = (1/2) * (Y_xx/T)^{-1}."""
     _check_not_constant(path)
-    y = empirical_cov_functional(path, path)
+    y = float(variance_functional(path.values, path.dt))
     if y <= 0.0:
         raise DegenerateStatisticError("degenerate variance functional")
-    return path.horizon / (2.0 * y)
+    return rate_estimate(y, path.horizon)
 
 
 def yule_rho(pair, pooled_theta=False):
@@ -122,9 +146,9 @@ def yule_rho(pair, pooled_theta=False):
     if y11 <= 0.0 or y22 <= 0.0:
         raise DegenerateStatisticError("degenerate variance functional")
     T = pair.x1.horizon
-    rho, theta_hat = correlation_and_rate(y11, y22, y12, T)
+    rho, theta_hat = correlation(y11, y22, y12), rate_estimate(y11, T)
     if pooled_theta:
-        theta_hat = 0.5 * (theta_hat + T / (2.0 * y22))
+        theta_hat = 0.5 * (theta_hat + rate_estimate(y22, T))
     return YuleStatistics(y11=y11, y22=y22, y12=y12, rho=float(rho),
                           theta_hat=theta_hat, horizon_T=T)
 

@@ -7,7 +7,9 @@ SeedSequence(base_seed, spawn_key=(c, 0)) and (c, 1), each with its
 counter started at [0, 0, j, 0] (see sde.stream).  So results are
 bit-identical for a given grid no matter how many workers run or in
 which order blocks complete; blocks are fixed-size slices of the
-replication index, never functions of the worker pool.
+replication index, never functions of the worker pool.  A statistic that
+reads only Y11 draws process 0 alone, and its numbers are those of the
+full pair.
 """
 
 import itertools
@@ -21,7 +23,7 @@ import numpy as np
 from . import hypothesis as hyp
 from . import sde, theory
 from .errors import InsufficientDataError, ParameterError, check_level, check_positive
-from .estimators import correlation_and_rate, functionals
+from .estimators import correlation, functionals, rate_estimate, variance_functional
 from .gaussian import norm_cdf, upper_quantile
 
 _BLOCK_ELEMS = 4_000_000  # target innovations per simulated block
@@ -114,49 +116,61 @@ def rate_fit(points):
 
 @dataclass(frozen=True)
 class PairSample:
-    """Per-replication functionals of one grid cell."""
+    """Per-replication functionals of one grid cell.
+
+    A one-path cell (pair_sample(..., paths=1)) simulates x1 alone: its
+    y11, theta_hat and ybar11 equal the full pair's bit for bit, and the
+    fields that need x2 (rho, numerator, y22, y12) are None.
+    """
 
     theta: float
     r: float
     horizon_T: float
     dt: float
     n: int
-    rho: np.ndarray
-    numerator: np.ndarray       # Y12 / sqrt(T)
+    rho: np.ndarray | None
+    numerator: np.ndarray | None    # Y12 / sqrt(T)
     theta_hat: np.ndarray
-    ybar11: np.ndarray          # 2 theta Y11 / T
+    ybar11: np.ndarray              # 2 theta Y11 / T
     y11: np.ndarray
-    y22: np.ndarray
-    y12: np.ndarray
+    y22: np.ndarray | None
+    y12: np.ndarray | None
 
 
 def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
-                    process_offset=0):
+                    process_offset=0, paths=2):
     """Functionals (Y11, Y22, Y12) as a (3, m) array for replications
-    [start, stop) of one cell.
+    [start, stop) of one cell; with paths=1, Y11 alone as a (1, m) array.
 
     Each process keys one Philox per block, and row j draws from it with
     the counter set to [0, 0, j, 0], whatever block or tile holds the row.
+    A one-path block keys process 0 only; x1 and Y11 come from the same
+    sde.ou_paths and reduction as in the pair, so they keep their bits.
     The block is computed in row tiles of about _TILE_ELEMS innovations,
-    drawn into one pair of buffers reused for every tile, so the working
-    set stays near the cache instead of streaming block-sized temporaries
-    through memory.  Rows never interact, so tiles do not change any bit.
+    drawn into buffers reused for every tile, so the working set stays
+    near the cache instead of streaming block-sized temporaries through
+    memory.  Rows never interact, so tiles do not change any bit.
     """
     n_steps = sde.grid_size(horizon_T, dt)
     m = stop - start
     tile = max(1, min(m, _TILE_ELEMS // n_steps))
     reps = np.arange(start, stop)
-    s1 = sde.stream(base_seed, cell_index, reps, process_offset)
-    s0 = sde.stream(base_seed, cell_index, reps, process_offset + 1)
-    z1 = np.empty((tile, n_steps))
-    z0 = np.empty((tile, n_steps))
-    out = np.empty((3, m))
+    streams = [sde.stream(base_seed, cell_index, reps, process_offset + p)
+               for p in range(paths)]
+    buffers = [np.empty((tile, n_steps)) for _ in streams]
+    out = np.empty((3 if paths == 2 else 1, m))
     for a in range(0, m, tile):
         b = min(a + tile, m)
-        x1, x2 = sde.correlated_paths(theta, r, dt,
-                                      s1.standard_normal((b - a, n_steps), out=z1[:b - a]),
-                                      s0.standard_normal((b - a, n_steps), out=z0[:b - a]))
-        out[:, a:b] = functionals(x1, x2, dt)
+        z = [s.standard_normal((b - a, n_steps), out=buf[:b - a])
+             for s, buf in zip(streams, buffers)]
+        # the paths stay bound until the next tile's exist: freed at once,
+        # they let the heap shrink and fault back in on every tile
+        if paths == 2:
+            x = sde.correlated_paths(theta, r, dt, *z)
+            out[:, a:b] = functionals(*x, dt)
+        else:
+            x = sde.ou_paths(theta, dt, z[0])
+            out[0, a:b] = variance_functional(x, dt)
     return out
 
 
@@ -181,23 +195,27 @@ def _cell_blocks(replications, n_steps):
 
 
 def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
-                cell_index=0, jobs=1, process_offset=0):
+                cell_index=0, jobs=1, process_offset=0, paths=2):
     """Simulate a cell and return all per-replication functionals.
 
     dt=None resolves to the largest exact divisor of T with theta*dt <=
     sde.STEP_CAP.  The result is invariant to `jobs`; workers only change
     who computes each fixed block, and the pool has at most one worker per
-    block.
+    block.  paths=1 draws only process 0 (x1) and returns a one-path
+    PairSample, whose y11, theta_hat and ybar11 equal the pair's bit for
+    bit and whose rho, numerator, y22 and y12 are None.
     """
     _check_replications(replications)
     _check_jobs(jobs)
+    if paths not in (1, 2):
+        raise ParameterError(f"paths must be 1 or 2, got {paths}")
     if dt is None:
         dt = sde.default_dt(theta, horizon_T)
     # validates every cell parameter, including the step cap
     n_steps = sde.CorrelatedPairConfig(theta=theta, r=r, horizon_T=horizon_T, dt=dt,
                                        seed=base_seed).n_steps
     blocks = _cell_blocks(replications, n_steps)
-    tasks = [(theta, r, horizon_T, dt, base_seed, cell_index, a, b, process_offset)
+    tasks = [(theta, r, horizon_T, dt, base_seed, cell_index, a, b, process_offset, paths)
              for a, b in blocks]
 
     if jobs > 1 and len(tasks) > 1:
@@ -206,19 +224,23 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
     else:
         results = [_simulate_block(*task) for task in tasks]
 
-    y11, y22, y12 = (np.concatenate(parts) for parts in zip(*results))
+    y11, *cross = (np.concatenate(parts) for parts in zip(*results))
     T = n_steps * dt
 
-    rho, theta_hat = correlation_and_rate(y11, y22, y12, T)
-    numerator = y12 / math.sqrt(T)
-    ybar11 = 2.0 * theta * y11 / T
+    y22 = y12 = rho = numerator = None
+    if cross:
+        y22, y12 = cross
+        rho = correlation(y11, y22, y12)
+        numerator = y12 / math.sqrt(T)
     return PairSample(theta=theta, r=r, horizon_T=T, dt=dt, n=replications,
-                      rho=rho, numerator=numerator, theta_hat=theta_hat,
-                      ybar11=ybar11, y11=y11, y22=y22, y12=y12)
+                      rho=rho, numerator=numerator, theta_hat=rate_estimate(y11, T),
+                      ybar11=2.0 * theta * y11 / T, y11=y11, y22=y22, y12=y12)
 
 
 def rejections(sample, variant, alpha):
     """Boolean rejection array of the chosen test applied to every replication."""
+    if sample.rho is None:
+        raise ParameterError("the tests read x2, which a one-path sample lacks")
     return hyp.decide(hyp.variant_statistic(sample, variant), variant, alpha, sample.theta)[1]
 
 
@@ -226,7 +248,11 @@ def rejections(sample, variant, alpha):
 # Experiment grid
 # ---------------------------------------------------------------------------
 
-STATISTICS = ("rho_centered", "numerator_centered", "theta_hat_centered", "ybar_centered")
+# the paths each statistic reads: theta_hat and ybar need Y11, so x1 alone
+_STAT_PATHS = {"rho_centered": 2, "numerator_centered": 2,
+               "theta_hat_centered": 1, "ybar_centered": 1}
+
+STATISTICS = tuple(_STAT_PATHS)
 
 _STAT_TEST = {"rho_centered": "rho_known_theta",
               "numerator_centered": "numerator_known_theta"}
@@ -300,6 +326,8 @@ class McReport:
 
 def standardized_statistic(sample, statistic):
     """Map a cell's raw functionals to the requested standardized statistic."""
+    if _STAT_PATHS.get(statistic) == 2 and sample.rho is None:
+        raise ParameterError(f"{statistic} reads x2, which a one-path sample lacks")
     if statistic == "rho_centered":
         return theory.standardize_rho(sample.rho, sample.theta, sample.r, sample.horizon_T)
     if statistic == "numerator_centered":
@@ -337,9 +365,12 @@ def summarize_cell(sample, statistic, alpha):
 def run_grid(grid, jobs=1, progress=None):
     """Run every cell of the grid and aggregate; deterministic in base_seed.
 
-    Cells failing validation (e.g. a fixed dt violating the step cap for a
-    large theta) are reported on stderr and skipped; other cells proceed.
-    A grid whose every cell is skipped raises ParameterError.
+    Each cell simulates only the paths its statistic reads (_STAT_PATHS):
+    theta_hat_centered and ybar_centered draw process 0 alone, and their
+    reports equal those of the full pair.  Cells failing validation (e.g. a
+    fixed dt violating the step cap for a large theta) are reported on
+    stderr and skipped; other cells proceed.  A grid whose every cell is
+    skipped raises ParameterError.
     """
     _check_jobs(jobs)  # grid-wide: a bad count must not skip every cell
     progress = (lambda msg: print(msg, file=sys.stderr)) if progress is None else progress
@@ -349,7 +380,8 @@ def run_grid(grid, jobs=1, progress=None):
         try:
             sample = pair_sample(theta, r, T, dt=grid.dt_policy,
                                  replications=grid.replications,
-                                 base_seed=grid.base_seed, cell_index=index, jobs=jobs)
+                                 base_seed=grid.base_seed, cell_index=index, jobs=jobs,
+                                 paths=_STAT_PATHS[grid.statistic])
         except (ParameterError, MemoryError) as exc:
             progress(f"cell {index + 1}/{len(cells)} theta={theta} r={r} T={T}: "
                      f"skipped ({exc})")

@@ -248,10 +248,23 @@ def simulate_ou(theta, horizon_T, dt, generator):
     drawing its steps from `generator`."""
     check_positive(theta=theta, dt=dt)
     n = grid_size(horizon_T, dt)
-    sd = math.sqrt(innovation_variance(theta, dt))
-    xi = sd * generator.standard_normal(n)
-    values = ar1_paths(transition_factor(theta, dt), xi)
-    return SamplePath(t0=0.0, dt=dt, values=values)
+    return SamplePath(t0=0.0, dt=dt, values=ou_paths(theta, dt, generator.standard_normal(n)))
+
+
+def _innovations(theta, dt, z):
+    """Scale standard normals z (float64) in place to the exact innovations
+    sd*z and return z."""
+    z *= math.sqrt(innovation_variance(theta, dt))
+    return z
+
+
+def ou_paths(theta, dt, z):
+    """Exact paths from a standard-normal step array z of shape (..., n).
+
+    z is overwritten with the innovations sd*z; each leading index is one
+    independent path, and every row gets the same bits as it would alone.
+    """
+    return ar1_paths(transition_factor(theta, dt), _innovations(theta, dt, z))
 
 
 def correlated_paths(theta, r, dt, z1, z0):
@@ -260,20 +273,19 @@ def correlated_paths(theta, r, dt, z1, z0):
     The second path's driving noise is r*W1 + sqrt(1-r^2)*W0, so its exact
     innovation is the same combination of the per-process innovations.
     Each leading index is one independent pair; a single pair is a batch
-    of one, and every row gets the same bits as it would alone.
+    of one, and every row gets the same bits as it would alone.  The first
+    path is ou_paths(theta, dt, z1), so it has the bits of a one-path draw.
 
     The innovations are formed in place: z1 and z0 (float64 arrays) are
     overwritten with the two paths' innovations.  Products and sums only
     trade operands, so the bits are those of sd*z1 and
     r*(sd*z1) + sqrt(1-r^2)*(sd*z0).
     """
-    sd = math.sqrt(innovation_variance(theta, dt))
-    z1 *= sd
-    z0 *= sd
+    x1 = ou_paths(theta, dt, z1)
+    z0 = _innovations(theta, dt, z0)
     z0 *= math.sqrt(1.0 - r * r)
     z0 += r * z1
-    factor = transition_factor(theta, dt)
-    return ar1_paths(factor, z1), ar1_paths(factor, z0)
+    return x1, ar1_paths(transition_factor(theta, dt), z0)
 
 
 def simulate_correlated_pair(config):

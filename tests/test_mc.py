@@ -182,6 +182,30 @@ def test_engine_block_size_invariance(monkeypatch):
     np.testing.assert_array_equal(a.rho, b.rho)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_path_cell_keeps_the_pair_bits(monkeypatch, jobs):
+    # a one-path cell draws process 0 alone, and its Y11 is the pair's
+    # whatever the blocks and tiles, ragged ones included
+    n_steps, reps = 100, 23  # theta=1, T=5 at the default dt 0.05
+    cell = dict(theta=1.0, r=0.6, horizon_T=5.0, replications=reps, base_seed=1316,
+                cell_index=2)
+    pair = pair_sample(**cell)
+    for block, tile in ((1, 1), (7, 3), (10, 4), (reps, 5), (7, reps)):
+        monkeypatch.setattr(mc, "_BLOCK_ELEMS", block * n_steps)
+        monkeypatch.setattr(mc, "_TILE_ELEMS", tile * n_steps)
+        one = pair_sample(**cell, jobs=jobs, paths=1)
+        for name in ("y11", "theta_hat", "ybar11"):
+            assert np.array_equal(getattr(one, name), getattr(pair, name)), (block, tile, name)
+        assert (one.rho, one.numerator, one.y22, one.y12) == (None, None, None, None)
+    for statistic in ("rho_centered", "numerator_centered"):
+        with pytest.raises(ParameterError, match="x2"):
+            summarize_cell(one, statistic, 0.05)
+    with pytest.raises(ParameterError, match="x2"):
+        rejections(one, "numerator_known_theta", 0.05)
+    with pytest.raises(ParameterError, match="paths"):
+        pair_sample(**cell, paths=3)
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
@@ -301,6 +325,39 @@ def test_run_grid_parallel_matches_serial():
     serial = run_grid(grid, jobs=1, progress=quiet)
     parallel = run_grid(grid, jobs=2, progress=quiet)
     assert serial[0].csv_row() == parallel[0].csv_row()
+
+
+@pytest.mark.parametrize("statistic", mc.STATISTICS)
+def test_run_grid_rows_equal_the_pair_summary(statistic):
+    # a grid simulates only the paths its statistic reads; its rows are the
+    # summaries of the full pair on the same cell index
+    grid = ExperimentGrid(thetas=(1.0, 4.0), rs=(0.5,), horizons=(5.0,),
+                          replications=200, base_seed=21, statistic=statistic)
+    reports = run_grid(grid, progress=lambda msg: None)
+    assert len(reports) == 2
+    for index, ((theta, r, T), rep) in enumerate(zip(grid.cells(), reports)):
+        pair = pair_sample(theta, r, T, replications=200, base_seed=21, cell_index=index)
+        assert rep.csv_row() == summarize_cell(pair, statistic, grid.alpha).csv_row()
+
+
+def test_y11_grids_never_key_the_second_process(monkeypatch):
+    # (cell, process) of every stream a grid keys, one per process and block
+    keys = []
+    keyed = mc.sde.stream
+
+    def recording(seed, cell, reps, process):
+        keys.append((cell, process))
+        return keyed(seed, cell, reps, process)
+    monkeypatch.setattr(mc.sde, "stream", recording)
+    for statistic, expected in (("ybar_centered", [(0, 0), (1, 0)]),
+                                ("theta_hat_centered", [(0, 0), (1, 0)]),
+                                ("rho_centered", [(0, 0), (0, 1), (1, 0), (1, 1)]),
+                                ("numerator_centered", [(0, 0), (0, 1), (1, 0), (1, 1)])):
+        keys.clear()
+        grid = ExperimentGrid(thetas=(1.0,), rs=(0.5,), horizons=(5.0, 10.0),
+                              replications=30, base_seed=3, statistic=statistic)
+        run_grid(grid, progress=lambda msg: None)
+        assert keys == expected, statistic
 
 
 def test_run_grid_skips_invalid_cell():
