@@ -238,6 +238,7 @@ _THEORY = {
     "c2": (("theta", "r"), lambda theta, r: theory.chaos_constants(theta, r).c2),
     "sigma": (("theta", "r"), lambda theta, r: theory.chaos_constants(theta, r).sigma),
     "clt_var_rho": (("theta", "r"), theory.clt_variance_rho),
+    "clt_var_rho_delta": (("theta", "r"), theory.clt_variance_rho_delta),
     "cumulant_bounds": (("theta", "r"),
                         lambda theta, r: list(theory.cumulant_bound_constants(theta, r))),
     "delta_inner": (("p", "theta"), theory.delta_convolution_inner),
@@ -329,7 +330,9 @@ def build_parser():
     p.add_argument("--statistic", choices=mc.STATISTICS)
     p.add_argument("--alpha", type=float, help="test level for reject_rate (default 0.05)")
     p.add_argument("--dt", type=float, help="fixed step (default: step-cap rule)")
-    p.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=int,
+                   help="worker threads for a cell's blocks (default 1; any value "
+                        "gives the same bytes)")
     p.add_argument("--jsonl", help="also mirror reports to this JSON-lines file")
 
     p = subs.add_parser("spde", help="multi-mode field independence experiment")
@@ -343,7 +346,9 @@ def build_parser():
     p.add_argument("--variant", choices=("rho", "rho-est", "num"))
     p.add_argument("--sidak", action="store_const", const=True, default=None,
                    help="correct the per-mode level for the family rate")
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int,
+                   help="worker threads shared by every mode's blocks (default 1; "
+                        "any value gives the same bytes)")
     p.add_argument("--csv", help="write per-replication outcome rows to this CSV")
 
     p = subs.add_parser("theory", help="print one closed-form constant as JSON")

@@ -6,13 +6,15 @@ import json
 import math
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yule_ou import mc, sde
+from yule_ou import mc, sde, theory
 from yule_ou.cli import _THEORY, main
 
 
@@ -177,6 +179,83 @@ def test_spde_json_and_csv(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[1] == "variant,alpha,theta,r,T,statistic,threshold,reject"
     assert len(lines) == 2 + 2 * 50  # per replication per mode
+
+
+@pytest.mark.parametrize("block_elems", [None, 6300, 900])
+def test_spde_bytes_do_not_depend_on_jobs_or_blocks(tmp_path, capsys, monkeypatch,
+                                                    block_elems):
+    # T=5: modes 1, 2, 3 take 100, 400 and 900 steps.  By default each mode
+    # is one block; at 6300 innovations mode 1 is one block, mode 2 two
+    # (15 + 8 rows) and mode 3 four (7, 7, 7, 2); at 900, mode 3 has
+    # one-row blocks and modes 1 and 2 ragged last blocks
+    outputs = set()
+    for elems in (None, block_elems):
+        if elems is not None:
+            monkeypatch.setattr(mc, "_BLOCK_ELEMS", elems)
+        for jobs in ("1", "2", "3"):
+            csv_path = tmp_path / f"modes-{jobs}.csv"
+            code, out, _ = run_cli(capsys, "spde", "--N", "3", "--r", "0.3", "--T", "5",
+                                   "--reps", "23", "--seed", "11", "--jobs", jobs,
+                                   "--csv", str(csv_path))
+            assert code == 0
+            outputs.add((out, csv_path.read_bytes()))
+    assert len(outputs) == 1
+
+
+def _fail_on_block_2_of_4(monkeypatch):
+    """Make the engine fail on block 2 of 4 (cell 0, rows 10-19, at 100 steps
+    a row), holding block 1 until its pool shuts down; return the (cell,
+    start row) of every block that ran."""
+    started, shut = [], threading.Event()
+    real = mc._simulate_block
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            shut.clear()
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            shut.set()
+            super().shutdown(*args, **kwargs)
+
+    def simulate(theta, r, horizon_T, dt, base_seed, cell_index, start, stop, *rest):
+        started.append((cell_index, start))
+        if cell_index == 0 and start == 10:
+            raise MemoryError("block 2 of 4")
+        if cell_index == 0 and start == 0:
+            shut.wait(30)  # still running when block 2 fails
+        return real(theta, r, horizon_T, dt, base_seed, cell_index, start, stop, *rest)
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 1000)
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(mc, "_simulate_block", simulate)
+    return started
+
+
+def test_a_failed_block_stops_its_pool(tmp_path, capsys, monkeypatch):
+    started = _fail_on_block_2_of_4(monkeypatch)
+    code, out, err = run_cli(capsys, "spde", "--N", "1", "--r", "0", "--T", "5",
+                             "--reps", "40", "--seed", "1", "--jobs", "2")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "block 2 of 4" in err
+    assert sorted(started) == [(0, 0), (0, 10)]  # blocks 3 and 4 never ran
+    # mc skips the failed cell and runs the next one (cell 1, 4 blocks)
+    started.clear()
+    code, _, err = run_cli(capsys, "mc", "--thetas", "1", "--rs", "0,0.5", "--Ts", "5",
+                           "--reps", "40", "--seed", "1", "--statistic", "rho_centered",
+                           "--jobs", "2", "--out", str(tmp_path / "mc.csv"))
+    assert code == 0
+    assert "cell 1/2" in err and "skipped (block 2 of 4)" in err and "cell 2/2" in err
+    assert sorted(started) == [(0, 0), (0, 10), (1, 0), (1, 10), (1, 20), (1, 30)]
+    assert len((tmp_path / "mc.csv").read_text().splitlines()) == 3
+
+
+def test_theory_clt_var_rho_delta(capsys):
+    code, out, _ = run_cli(capsys, "theory", "--quantity", "clt_var_rho_delta",
+                           "--theta", "2", "--r", "0.5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == theory.clt_variance_rho_delta(2.0, 0.5) == 0.28125
+    assert payload["params"] == {"theta": 2.0, "r": 0.5}
 
 
 def test_theory_sigma(capsys):

@@ -3,6 +3,10 @@ Wilson intervals, rate fits, grid runs, and reproducibility."""
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -206,33 +210,68 @@ def test_one_path_cell_keeps_the_pair_bits(monkeypatch, jobs):
         pair_sample(**cell, paths=3)
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+class _RecordingPool(ThreadPoolExecutor):
+    """The engine's thread pool, recording the size of every pool started."""
 
     sizes = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+        super().__init__(max_workers)
 
 
 def test_pool_never_exceeds_the_block_count(monkeypatch):
     serial = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=4)
     monkeypatch.setattr(mc, "_BLOCK_ELEMS", 1000)  # 100 steps: 4 blocks of 10 rows
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    for jobs in (64, 4, 2):
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    for jobs in (64, 4, 2, 1):
         pooled = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=4, jobs=jobs)
         np.testing.assert_array_equal(pooled.rho, serial.rho)
-    assert _SerialPool.sizes == [4, 4, 2]
+    assert _RecordingPool.sizes == [4, 4, 2]  # jobs=1 runs inline, with no pool
+
+
+def test_spde_runs_one_pool_over_the_blocks_of_every_mode(monkeypatch):
+    # T=5: modes 1, 2, 3 take 100, 400 and 900 steps; at 1800 innovations a
+    # block, 13 replications are 1, 4 and 7 blocks (ragged ones last)
+    serial = spde_mode_samples(3, 0.4, 5.0, replications=13, base_seed=8)
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 1800)
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", _RecordingPool)
+    for jobs, sizes in ((64, [12]), (3, [3]), (1, [])):
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        pooled = spde_mode_samples(3, 0.4, 5.0, replications=13, base_seed=8, jobs=jobs)
+        assert _RecordingPool.sizes == sizes, jobs
+        for a, b in zip(serial, pooled):
+            for name in ("y11", "y22", "y12", "rho", "theta_hat"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (jobs, name)
+
+
+def test_more_threads_than_cores_keep_the_bits(monkeypatch):
+    # blocks share no state, so a short switch interval and more threads
+    # than cores change no bit
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 300)  # 100 steps: 14 blocks of <= 3 rows
+    serial = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=6, jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in ("y11", "y22", "y12"):
+        assert np.array_equal(getattr(pooled, name), getattr(serial, name)), name
+
+
+def test_jobs_start_no_child_process(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a child process")
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 1000)  # 4 blocks per mode-1 cell
+    serial = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=4)
+    pooled = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=4, jobs=2)
+    np.testing.assert_array_equal(pooled.rho, serial.rho)
+    modes = spde_mode_samples(2, 0.2, 5.0, replications=40, base_seed=4, jobs=2)
+    np.testing.assert_array_equal(modes[0].rho, serial.rho)
 
 
 def test_jobs_below_one_are_refused(monkeypatch):

@@ -98,6 +98,23 @@ def test_import_leaves_scipy_signal_and_stats_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_first_filter_calls_on_two_pool_threads_at_once():
+    # ar1_paths imports lfilter on first use; here that first use happens on
+    # two pool threads at once, in an interpreter that has not loaded it
+    src = Path(sde.__file__).resolve().parents[1]
+    code = ("import sys; import numpy as np; from yule_ou import mc; "
+            "assert 'scipy.signal' not in sys.modules; "
+            "mc._BLOCK_ELEMS = 1000; "  # 100 steps a row: 4 blocks of 10 rows
+            "two = mc.pair_sample(1.0, 0.3, 5.0, replications=40, base_seed=3, jobs=2); "
+            "one = mc.pair_sample(1.0, 0.3, 5.0, replications=40, base_seed=3); "
+            "print(all(np.array_equal(getattr(one, k), getattr(two, k)) "
+            "for k in ('y11', 'y22', 'y12')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                          timeout=120)
+    assert proc.stdout.strip() == "True"
+
+
 # ---------------------------------------------------------------------------
 # Transition and closed-form moments
 # ---------------------------------------------------------------------------
