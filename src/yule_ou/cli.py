@@ -347,7 +347,7 @@ def build_parser():
     p.add_argument("--sidak", action="store_const", const=True, default=None,
                    help="correct the per-mode level for the family rate")
     p.add_argument("--jobs", type=int,
-                   help="worker threads shared by every mode's blocks (default 1; "
+                   help="worker threads for each mode's blocks (default 1; "
                         "any value gives the same bytes)")
     p.add_argument("--csv", help="write per-replication outcome rows to this CSV")
 

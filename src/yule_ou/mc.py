@@ -6,13 +6,12 @@ cell c draws its two noise processes from the Philox keys of
 SeedSequence(base_seed, spawn_key=(c, 0)) and (c, 1), each with its
 counter started at [0, 0, j, 0] (see sde.stream).  Blocks are fixed-size
 slices of the replication index, never functions of the worker count.
-With jobs > 1 the blocks of a cell, or of every mode of a field run, go
-to one pool of worker threads in the calling process, costliest first;
-no block shares state with another, and each result is put back in
-block order.  So results are bit-identical for a given grid whatever
-`jobs` is and in whichever order blocks complete.  A statistic that
-reads only Y11 draws process 0 alone, and its numbers are those of the
-full pair.
+With jobs > 1 a cell's blocks run on a pool of worker threads in the
+calling process; no block shares state with another, and each result is
+put back in block order.  So results are bit-identical for a given grid
+whatever `jobs` is and in whichever order blocks complete.  A statistic
+that reads only Y11 draws process 0 alone, and its numbers are those of
+the full pair.
 """
 
 import collections
@@ -21,7 +20,6 @@ import math
 import sys
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -142,25 +140,6 @@ class PairSample:
     y12: np.ndarray | None
 
 
-class _Block(NamedTuple):
-    """One fixed block of a cell: the arguments of _simulate_block."""
-
-    theta: float
-    r: float
-    horizon_T: float
-    dt: float
-    base_seed: int
-    cell_index: int
-    start: int
-    stop: int
-    process_offset: int
-    paths: int
-
-    def cost(self):
-        """Normals the block draws: rows x steps x paths."""
-        return (self.stop - self.start) * sde.grid_size(self.horizon_T, self.dt) * self.paths
-
-
 def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
                     process_offset=0, paths=2):
     """Functionals (Y11, Y22, Y12) as a (3, m) array for replications
@@ -218,34 +197,19 @@ def _cell_blocks(replications, n_steps):
     return [(a, min(a + block, replications)) for a in range(0, replications, block)]
 
 
-def _cell_tasks(theta, r, horizon_T, dt, replications, base_seed, cell_index,
-                process_offset=0, paths=2):
-    """Validate one cell and cut it into its _Blocks; dt=None resolves to
-    the largest exact divisor of T with theta*dt <= sde.STEP_CAP."""
-    if dt is None:
-        dt = sde.default_dt(theta, horizon_T)
-    # validates every cell parameter, including the step cap
-    n_steps = sde.CorrelatedPairConfig(theta=theta, r=r, horizon_T=horizon_T, dt=dt,
-                                       seed=base_seed).n_steps
-    return [_Block(theta, r, horizon_T, dt, base_seed, cell_index, a, b, process_offset, paths)
-            for a, b in _cell_blocks(replications, n_steps)]
-
-
 def _run_blocks(tasks, jobs):
     """The result of _simulate_block(*task) for every task, in task order.
 
     With jobs == 1 or a single task the blocks run inline in the calling
-    thread.  Otherwise one pool of min(jobs, len(tasks)) threads runs them,
-    the costliest first (_Block.cost), so what is left at the end is short;
-    a thread is handed the next block when one finishes.  If a block
-    raises, no further block starts: the running ones finish and the error
-    is re-raised.  Results are stored by task index, so the order in which
-    blocks finish changes no bit.
+    thread.  Otherwise one pool of min(jobs, len(tasks)) threads runs them
+    in task order, a thread being handed the next block when one finishes.
+    If a block raises, no further block starts: the running ones finish
+    and the error is re-raised.  Results are stored by task index, so the
+    order in which blocks finish changes no bit.
     """
     if jobs == 1 or len(tasks) == 1:
         return [_simulate_block(*task) for task in tasks]
-    queue = collections.deque(sorted(range(len(tasks)), key=lambda i: tasks[i].cost(),
-                                     reverse=True))  # stable: ties keep block order
+    queue = collections.deque(range(len(tasks)))
     results = [None] * len(tasks)
     with ThreadPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         running = {}
@@ -259,24 +223,8 @@ def _run_blocks(tasks, jobs):
     return results
 
 
-def _assemble(tasks, results):
-    """The PairSample of one cell from its blocks' functionals."""
-    first = tasks[0]
-    theta, dt = first.theta, first.dt
-    T = sde.grid_size(first.horizon_T, dt) * dt
-    y11, *cross = (np.concatenate(parts) for parts in zip(*results))
-    y22 = y12 = rho = numerator = None
-    if cross:
-        y22, y12 = cross
-        rho = correlation(y11, y22, y12)
-        numerator = y12 / math.sqrt(T)
-    return PairSample(theta=theta, r=first.r, horizon_T=T, dt=dt, n=y11.size,
-                      rho=rho, numerator=numerator, theta_hat=rate_estimate(y11, T),
-                      ybar11=2.0 * theta * y11 / T, y11=y11, y22=y22, y12=y12)
-
-
 def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
-                cell_index=0, jobs=1, paths=2):
+                cell_index=0, jobs=1, process_offset=0, paths=2):
     """Simulate a cell and return all per-replication functionals.
 
     dt=None resolves to the largest exact divisor of T with theta*dt <=
@@ -291,9 +239,27 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
     _check_jobs(jobs)
     if paths not in (1, 2):
         raise ParameterError(f"paths must be 1 or 2, got {paths}")
-    tasks = _cell_tasks(theta, r, horizon_T, dt, replications, base_seed, cell_index,
-                        paths=paths)
-    return _assemble(tasks, _run_blocks(tasks, jobs))
+    if dt is None:
+        dt = sde.default_dt(theta, horizon_T)
+    # validates every cell parameter, including the step cap
+    n_steps = sde.CorrelatedPairConfig(theta=theta, r=r, horizon_T=horizon_T, dt=dt,
+                                       seed=base_seed).n_steps
+    blocks = _cell_blocks(replications, n_steps)
+    tasks = [(theta, r, horizon_T, dt, base_seed, cell_index, a, b, process_offset, paths)
+             for a, b in blocks]
+    results = _run_blocks(tasks, jobs)
+
+    y11, *cross = (np.concatenate(parts) for parts in zip(*results))
+    T = n_steps * dt
+
+    y22 = y12 = rho = numerator = None
+    if cross:
+        y22, y12 = cross
+        rho = correlation(y11, y22, y12)
+        numerator = y12 / math.sqrt(T)
+    return PairSample(theta=theta, r=r, horizon_T=T, dt=dt, n=replications,
+                      rho=rho, numerator=numerator, theta_hat=rate_estimate(y11, T),
+                      ybar11=2.0 * theta * y11 / T, y11=y11, y22=y22, y12=y12)
 
 
 def rejections(sample, variant, alpha):
@@ -470,19 +436,20 @@ def spde_mode_samples(n_modes, r, horizon_T, replications, base_seed, jobs=1):
 
     Mode k of replication j is row j of the streams (base_seed, 0, 2(k-1))
     and (base_seed, 0, 2k-1), so modes are independent and adding modes
-    leaves the earlier ones unchanged.  Every mode is checked before any is
-    simulated; then the blocks of all modes share one pool (_run_blocks),
-    so a mode with few blocks does not leave threads idle.
+    leaves the earlier ones unchanged.  The step count grows with k, so the
+    top mode's grid is checked before any mode is simulated.  Each mode is
+    one pair_sample call, so with jobs > 1 each mode of more than one
+    block runs on its own thread pool, in turn.
     """
     if n_modes < 1:
         raise ParameterError("n_modes must be >= 1")
-    _check_replications(replications)
-    _check_jobs(jobs)
-    modes = [_cell_tasks(float(k * k), r, horizon_T, None, replications, base_seed, 0,
-                         process_offset=2 * (k - 1))
-             for k in range(1, n_modes + 1)]
-    results = iter(_run_blocks([task for tasks in modes for task in tasks], jobs))
-    return [_assemble(tasks, list(itertools.islice(results, len(tasks)))) for tasks in modes]
+    sde.grid_size(horizon_T, sde.default_dt(float(n_modes * n_modes), horizon_T))
+    samples = []
+    for k in range(1, n_modes + 1):
+        samples.append(pair_sample(float(k * k), r, horizon_T,
+                                   replications=replications, base_seed=base_seed,
+                                   cell_index=0, jobs=jobs, process_offset=2 * (k - 1)))
+    return samples
 
 
 def spde_family_rejections(mode_samples, alpha, variant="rho_known_theta", sidak=False):

@@ -231,16 +231,16 @@ def test_pool_never_exceeds_the_block_count(monkeypatch):
     assert _RecordingPool.sizes == [4, 4, 2]  # jobs=1 runs inline, with no pool
 
 
-def test_spde_runs_one_pool_over_the_blocks_of_every_mode(monkeypatch):
+def test_spde_runs_one_pool_per_multi_block_mode(monkeypatch):
     # T=5: modes 1, 2, 3 take 100, 400 and 900 steps; at 1800 innovations a
     # block, 13 replications are 1, 4 and 7 blocks (ragged ones last)
     serial = spde_mode_samples(3, 0.4, 5.0, replications=13, base_seed=8)
     monkeypatch.setattr(mc, "_BLOCK_ELEMS", 1800)
     monkeypatch.setattr(mc, "ThreadPoolExecutor", _RecordingPool)
-    for jobs, sizes in ((64, [12]), (3, [3]), (1, [])):
+    for jobs, sizes in ((64, [4, 7]), (3, [3, 3]), (1, [])):
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         pooled = spde_mode_samples(3, 0.4, 5.0, replications=13, base_seed=8, jobs=jobs)
-        assert _RecordingPool.sizes == sizes, jobs
+        assert _RecordingPool.sizes == sizes, jobs  # mode 1, one block, runs inline
         for a, b in zip(serial, pooled):
             for name in ("y11", "y22", "y12", "rho", "theta_hat"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (jobs, name)
