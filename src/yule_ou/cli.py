@@ -4,8 +4,11 @@ Every subcommand accepts --config FILE (a flat JSON document whose keys
 are flag names); explicit flags override file values, unknown keys are
 rejected, and the effective configuration is echoed into each output
 artifact (a `# config:` header line in CSV files, a "config" key in JSON
-output).  Exit codes: 0 success, 1 runtime error, and 2 for a configuration
-or domain error: an invalid or non-finite input, a non-finite result, an
+output).  A command returns its outputs as {path: text}, None or "-"
+meaning stdout, and `main` writes them only once the command succeeds; an
+unwritable --out, --jsonl or --csv path exits 1 before any work starts.
+Exit codes: 0 success, 1 runtime error, and 2 for a configuration or
+domain error: an invalid or non-finite input, a non-finite result, an
 arithmetic overflow or an allocation the machine cannot make.
 """
 
@@ -13,6 +16,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -83,18 +87,6 @@ def _apply_defaults(args, **defaults):
             setattr(args, dest, value)
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _emit(fileobj, text, close):
-    fileobj.write(text)
-    if close:
-        fileobj.close()
-
-
 def _config_echo(pairs):
     return json.dumps({k: v for k, v in pairs.items() if v is not None}, sort_keys=True)
 
@@ -112,9 +104,7 @@ def _cmd_simulate(args):
                          "T": config.horizon_T, "dt": config.dt, "seed": config.seed})
     buf = io.StringIO()
     sde.write_pair_csv(pair, buf, header_comment=f"config: {echo}")
-    out, close = _open_out(args.out)
-    _emit(out, buf.getvalue(), close)
-    return 0
+    return {args.out: buf.getvalue()}
 
 
 def _load_pair(path):
@@ -143,9 +133,7 @@ def _cmd_stat(args):
     payload = stats.to_dict()
     payload["config"] = {"command": "stat", "input": args.input,
                          "pooled_theta": bool(args.pooled_theta)}
-    out, close = _open_out(args.out)
-    _emit(out, json.dumps(payload, sort_keys=True) + "\n", close)
-    return 0
+    return {args.out: json.dumps(payload, sort_keys=True) + "\n"}
 
 
 _VARIANT_ALIASES = {"rho": "rho_known_theta", "rho-est": "rho_estimated_theta",
@@ -163,9 +151,7 @@ def _cmd_test(args):
     payload = outcome.to_dict()
     payload["config"] = {"command": "test", "variant": args.variant, "alpha": args.alpha,
                          "theta": args.theta, "input": args.input}
-    out, close = _open_out(args.out)
-    _emit(out, json.dumps(payload, sort_keys=True) + "\n", close)
-    return 0
+    return {args.out: json.dumps(payload, sort_keys=True) + "\n"}
 
 
 def _cmd_mc(args):
@@ -185,13 +171,10 @@ def _cmd_mc(args):
                          "dt": args.dt})
     buf = io.StringIO()
     mc.write_reports_csv(buf, reports, header_comment=f"config: {echo}")
-    out, close = _open_out(args.out)
-    _emit(out, buf.getvalue(), close)
+    outputs = {args.out: buf.getvalue()}
     if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            for rep in reports:
-                fh.write(json.dumps(rep.to_dict(), sort_keys=True) + "\n")
-    return 0
+        outputs[args.jsonl] = "".join(json.dumps(rep.to_dict(), sort_keys=True) + "\n" for rep in reports)
+    return outputs
 
 
 def _cmd_spde(args):
@@ -200,9 +183,10 @@ def _cmd_spde(args):
     n_modes, alpha, sidak = args.N, args.alpha, bool(args.sidak)
     variant = _VARIANT_ALIASES[args.variant]
     check_level(alpha)  # before simulating any mode
+    level = hyp.sidak_level(alpha, n_modes) if sidak else alpha
     samples = mc.spde_mode_samples(n_modes, args.r, args.T, replications=args.reps,
                                    base_seed=args.seed, jobs=args.jobs)
-    per_mode, family = mc.spde_family_rejections(samples, alpha, variant, sidak=sidak)
+    per_mode, family = mc.spde_family_rejections(samples, level, variant)
     rate, lo, hi = mc.error_rates(family)
     echo = {"command": "spde", "N": n_modes, "r": args.r, "T": args.T,
             "reps": args.reps, "seed": args.seed, "alpha": alpha,
@@ -211,11 +195,8 @@ def _cmd_spde(args):
                "per_mode": [{"k": k + 1, "theta": float((k + 1) ** 2),
                              "reject_rate": float(per_mode[k].mean())}
                             for k in range(n_modes)]}
-    out, close = _open_out(args.out)
-    _emit(out, json.dumps(payload, sort_keys=True) + "\n", close)
-
+    outputs = {args.out: json.dumps(payload, sort_keys=True) + "\n"}
     if args.csv:
-        level = hyp.sidak_level(alpha, n_modes) if sidak else alpha
         test = hyp.TestVariant(variant)
         columns = [(s.theta, hyp.variant_statistic(s, test),
                     hyp.critical_value(test, level, s.theta), flags)
@@ -223,9 +204,10 @@ def _cmd_spde(args):
         rows = [(test, level, theta, args.r, args.T,
                  hyp.TestOutcome(float(stat[j]), float(threshold), level, bool(reject[j]), test))
                 for j in range(args.reps) for theta, stat, threshold, reject in columns]
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            hyp.write_outcomes_csv(fh, rows, header_comment=f"config: {_config_echo(echo)}")
-    return 0
+        buf = io.StringIO()
+        hyp.write_outcomes_csv(buf, rows, header_comment=f"config: {_config_echo(echo)}")
+        outputs[args.csv] = buf.getvalue()
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +260,7 @@ def _cmd_theory(args):
     if not np.all(np.isfinite(value)):
         raise ParameterError(f"{name} is not a finite number here: {value}")
     payload = {"quantity": name, "params": params, "value": value}
-    out, close = _open_out(args.out)
-    _emit(out, json.dumps(payload, sort_keys=True) + "\n", close)
-    return 0
+    return {args.out: json.dumps(payload, sort_keys=True) + "\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +345,32 @@ _DISPATCH = {"simulate": _cmd_simulate, "stat": _cmd_stat, "test": _cmd_test,
              "mc": _cmd_mc, "spde": _cmd_spde, "theory": _cmd_theory}
 
 
+def _check_outputs(args):
+    """Refuse an output path named twice or not writable as a file; create no file."""
+    paths = [path for path in map(vars(args).get, ("out", "jsonl", "csv")) if path is not None]
+    if len(set(paths)) < len(paths):
+        raise ConfigError(f"two outputs name the same path: {paths}")
+    for path in paths:
+        parent = os.path.dirname(path) or os.curdir
+        if path != "-" and (not path or os.path.isdir(path) or not os.path.isdir(parent) or
+                            not os.access(path if os.path.exists(path) else parent, os.W_OK)):
+            raise RuntimeError(f"cannot write {path!r}: not a writable file path")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _merge_config(args, parser)
-        return _DISPATCH[args.command](args)
+        _check_outputs(args)
+        outputs = _DISPATCH[args.command](args)
+        for path, text in outputs.items():
+            if path in (None, "-"):
+                sys.stdout.write(text)  # looked up here: callers may redirect it
+            else:
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+        return 0
     except (ConfigError, YuleOuError, ArithmeticError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -452,15 +452,14 @@ def spde_mode_samples(n_modes, r, horizon_T, replications, base_seed, jobs=1):
     return samples
 
 
-def spde_family_rejections(mode_samples, alpha, variant="rho_known_theta", sidak=False):
+def spde_family_rejections(mode_samples, alpha, variant="rho_known_theta"):
     """Per-mode and family rejection flags for the field test.
 
-    Each mode is tested at its own rate; the family rejects on any mode.
-    The default tests each mode at level alpha (family rate 1-(1-alpha)^N);
-    sidak=True corrects the per-mode level so the family rate is alpha.
+    Each mode is tested at its own rate and at the per-mode level alpha, so
+    the family, which rejects on any mode, has rate 1-(1-alpha)^N; passing
+    hyp.sidak_level(a, N) as alpha gives the family rate a.
     """
     if not mode_samples:
         raise ParameterError("the field test needs at least one mode")
-    level = hyp.sidak_level(alpha, len(mode_samples)) if sidak else alpha
-    per_mode = np.stack([rejections(s, variant, level) for s in mode_samples])
+    per_mode = np.stack([rejections(s, variant, alpha) for s in mode_samples])
     return per_mode, per_mode.any(axis=0)

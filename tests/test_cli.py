@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yule_ou import hypothesis as hyp
 from yule_ou import mc, sde, theory
 from yule_ou.cli import _THEORY, main
 
@@ -179,6 +181,27 @@ def test_spde_json_and_csv(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[1] == "variant,alpha,theta,r,T,statistic,threshold,reject"
     assert len(lines) == 2 + 2 * 50  # per replication per mode
+
+
+@pytest.mark.parametrize("flags", [(), ("--sidak",), ("--variant", "num")],
+                         ids=["rho", "rho-sidak", "num"])
+def test_spde_csv_reproduces_the_json_rates(tmp_path, capsys, flags):
+    csv_path = tmp_path / "modes.csv"
+    code, out, _ = run_cli(capsys, "spde", "--N", "3", "--r", "0.3", "--T", "5",
+                           "--reps", "40", "--seed", "4", "--csv", str(csv_path), *flags)
+    assert code == 0
+    report = json.loads(out)
+    variant = report["config"]["variant"]
+    level = hyp.sidak_level(0.05, 3) if "--sidak" in flags else 0.05
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[2:]]
+    assert [float(row[2]) for row in rows] == [1.0, 4.0, 9.0] * 40  # replication by mode
+    for row in rows:
+        assert row[0] == variant and float(row[1]) == level
+        assert float(row[6]) == hyp.critical_value(variant, level, float(row[2]))
+    flags_by_rep = np.array([row[7] == "1" for row in rows]).reshape(40, 3)
+    assert [m["reject_rate"] for m in report["per_mode"]] == list(flags_by_rep.mean(axis=0))
+    assert report["family_reject_rate"] == flags_by_rep.any(axis=1).mean()
+    assert 0 < flags_by_rep.sum() < flags_by_rep.size  # both outcomes occur
 
 
 @pytest.mark.parametrize("block_elems", [None, 6300, 900])
@@ -432,6 +455,64 @@ def test_theory_unknown_quantity(capsys):
     code, _, err = run_cli(capsys, "theory", "--quantity", "nonsense")
     assert code == 2
     assert "unknown quantity" in err
+
+
+# ---------------------------------------------------------------------------
+# output stage
+# ---------------------------------------------------------------------------
+
+def test_every_subcommand_writes_the_same_bytes_to_out_and_stdout(tmp_path, capsys,
+                                                                   pair_csv):
+    argvs = [["simulate", "--theta", "1", "--r", "0.5", "--T", "5", "--dt", "0.05",
+              "--seed", "3"],
+             ["stat", "--input", str(pair_csv)],
+             ["test", "--variant", "rho", "--theta", "1", "--input", str(pair_csv)],
+             ["mc", "--thetas", "1", "--rs", "0,0.5", "--Ts", "5", "--reps", "20",
+              "--seed", "2", "--statistic", "rho_centered"],
+             ["spde", "--N", "2", "--r", "0", "--T", "5", "--reps", "20", "--seed", "2"],
+             ["theory", "--quantity", "sigma", "--theta", "1", "--r", "0.5"]]
+    for argv in argvs:
+        path = tmp_path / f"{argv[0]}.out"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        code, nothing, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0 and nothing == ""
+        assert path.read_bytes() == out.encode("utf-8"), argv[0]
+
+
+_MC_ARGV = ("mc", "--thetas", "1", "--rs", "0", "--Ts", "5", "--reps", "10", "--seed", "1",
+            "--statistic", "rho_centered")
+_SPDE_ARGV = ("spde", "--N", "2", "--r", "0", "--T", "5", "--reps", "10", "--seed", "1")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--jsonl", "--csv"])
+@pytest.mark.parametrize("kind", ["missing directory", "directory", "read-only file"])
+def test_an_unwritable_output_path_exits_1_before_simulating(tmp_path, capsys, monkeypatch,
+                                                             flag, kind):
+    _refuse_streams(monkeypatch)
+    argv = _SPDE_ARGV if flag == "--csv" else _MC_ARGV
+    locked = tmp_path / "locked.txt"
+    locked.write_text("kept\n")
+    locked.chmod(0o444)
+    if os.access(locked, os.W_OK):  # a superuser may write it anyway
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw:
+                            path != str(locked) and access(path, mode, **kw))
+    path = {"missing directory": tmp_path / "missing" / "out.txt",
+            "directory": tmp_path, "read-only file": locked}[kind]
+    code, out, err = run_cli(capsys, *argv, flag, str(path))
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and str(path) in err
+    assert not (tmp_path / "missing").exists() and locked.read_text() == "kept\n"
+
+
+def test_two_outputs_on_one_path_exit_2_before_simulating(tmp_path, capsys, monkeypatch):
+    _refuse_streams(monkeypatch)
+    for path in (str(tmp_path / "mc.csv"), "-"):
+        code, out, err = run_cli(capsys, *_MC_ARGV, "--out", path, "--jsonl", path)
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and "same path" in err
+    assert not (tmp_path / "mc.csv").exists()
 
 
 # ---------------------------------------------------------------------------

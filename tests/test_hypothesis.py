@@ -210,9 +210,9 @@ def test_sidak_level_refuses_a_mode_count_that_is_not_a_positive_integer(n_modes
 
 def test_multimode_sidak_level(field):
     assert sidak_level(0.05, 3) == pytest.approx(1 - 0.95 ** (1 / 3), rel=1e-12)
-    plain, plain_any = spde_family_rejections(field, 0.05)
-    strict, strict_any = spde_family_rejections(field, 0.05, sidak=True)
     level = sidak_level(0.05, 3)
+    plain, plain_any = spde_family_rejections(field, 0.05)
+    strict, strict_any = spde_family_rejections(field, level)
     assert all(critical_value("rho_known_theta", level, s.theta)
                > critical_value("rho_known_theta", 0.05, s.theta) for s in field)
     assert np.all(plain[strict]) and np.all(plain_any[strict_any])
@@ -220,9 +220,9 @@ def test_multimode_sidak_level(field):
 
 
 def test_multimode_empty_errors():
-    for sidak in (False, True):
+    for alpha in (0.05, sidak_level(0.05, 3)):
         with pytest.raises(ParameterError):
-            spde_family_rejections([], alpha=0.05, sidak=sidak)
+            spde_family_rejections([], alpha=alpha)
 
 
 def test_multimode_numerator_variant(field):
