@@ -121,16 +121,18 @@ def empirical_cov_functional(path_a, path_b):
 
 
 def _check_not_constant(path):
-    if np.ptp(path.values) == 0.0:
+    if path.values.min() == path.values.max():  # max - min can overflow
         raise DegenerateStatisticError("path is constant; statistic undefined")
 
 
 def theta_estimator(path):
     """Rate estimate theta_tilde = (1/2) * (Y_xx/T)^{-1}."""
     _check_not_constant(path)
-    y = float(variance_functional(path.values, path.dt))
-    if y <= 0.0:
-        raise DegenerateStatisticError("degenerate variance functional")
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = float(variance_functional(path.values, path.dt))
+    # finite paths can still overflow the reduction to inf or nan
+    if not 0.0 < y < math.inf:
+        raise DegenerateStatisticError("degenerate or non-finite variance functional")
     return rate_estimate(y, path.horizon)
 
 
@@ -142,9 +144,10 @@ def yule_rho(pair, pooled_theta=False):
     """
     _check_not_constant(pair.x1)
     _check_not_constant(pair.x2)
-    y11, y22, y12 = map(float, functionals(pair.x1.values, pair.x2.values, pair.x1.dt))
-    if y11 <= 0.0 or y22 <= 0.0:
-        raise DegenerateStatisticError("degenerate variance functional")
+    with np.errstate(over="ignore", invalid="ignore"):
+        y11, y22, y12 = map(float, functionals(pair.x1.values, pair.x2.values, pair.x1.dt))
+    if not (0.0 < y11 < math.inf and 0.0 < y22 < math.inf and math.isfinite(y12)):
+        raise DegenerateStatisticError("degenerate or non-finite functional")
     T = pair.x1.horizon
     rho, theta_hat = correlation(y11, y22, y12), rate_estimate(y11, T)
     if pooled_theta:

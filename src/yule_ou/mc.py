@@ -122,8 +122,8 @@ class PairSample:
     """Per-replication functionals of one grid cell.
 
     A one-path cell (pair_sample(..., paths=1)) simulates x1 alone: its
-    y11, theta_hat and ybar11 equal the full pair's bit for bit, and the
-    fields that need x2 (rho, numerator, y22, y12) are None.
+    y11 and theta_hat equal the full pair's bit for bit, and the fields
+    that need x2 (rho, y22, y12) are None.
     """
 
     theta: float
@@ -132,9 +132,7 @@ class PairSample:
     dt: float
     n: int
     rho: np.ndarray | None
-    numerator: np.ndarray | None    # Y12 / sqrt(T)
     theta_hat: np.ndarray
-    ybar11: np.ndarray              # 2 theta Y11 / T
     y11: np.ndarray
     y22: np.ndarray | None
     y12: np.ndarray | None
@@ -178,8 +176,8 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
 
 
 def _check_replications(replications):
-    """Reject a replication count outside [1, 2**32].  A cell holds seven
-    float64 arrays with one entry per replication, 224 GiB at 2**32, so a
+    """Reject a replication count outside [1, 2**32].  A cell holds five
+    float64 arrays with one entry per replication, 160 GiB at 2**32, so a
     larger count could never run."""
     if not 1 <= replications <= 2 ** 32:
         raise ParameterError(f"replications must lie in [1, 2**32], got {replications}")
@@ -231,9 +229,9 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
     sde.STEP_CAP.  The result is invariant to `jobs`: with jobs > 1 the
     cell's fixed blocks run on a pool of at most one worker thread per
     block, in this process, and jobs == 1 runs them inline.  paths=1 draws
-    only process 0 (x1) and returns a one-path PairSample, whose y11,
-    theta_hat and ybar11 equal the pair's bit for bit and whose rho,
-    numerator, y22 and y12 are None.
+    only process 0 (x1) and returns a one-path PairSample, whose y11 and
+    theta_hat equal the pair's bit for bit and whose rho, y22 and y12 are
+    None.
     """
     _check_replications(replications)
     _check_jobs(jobs)
@@ -252,14 +250,12 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
     y11, *cross = (np.concatenate(parts) for parts in zip(*results))
     T = n_steps * dt
 
-    y22 = y12 = rho = numerator = None
+    y22 = y12 = rho = None
     if cross:
         y22, y12 = cross
         rho = correlation(y11, y22, y12)
-        numerator = y12 / math.sqrt(T)
-    return PairSample(theta=theta, r=r, horizon_T=T, dt=dt, n=replications,
-                      rho=rho, numerator=numerator, theta_hat=rate_estimate(y11, T),
-                      ybar11=2.0 * theta * y11 / T, y11=y11, y22=y22, y12=y12)
+    return PairSample(theta=theta, r=r, horizon_T=T, dt=dt, n=replications, rho=rho,
+                      theta_hat=rate_estimate(y11, T), y11=y11, y22=y22, y12=y12)
 
 
 def rejections(sample, variant, alpha):
@@ -273,14 +269,21 @@ def rejections(sample, variant, alpha):
 # Experiment grid
 # ---------------------------------------------------------------------------
 
-# the paths each statistic reads: theta_hat and ybar need Y11, so x1 alone
-_STAT_PATHS = {"rho_centered": 2, "numerator_centered": 2,
-               "theta_hat_centered": 1, "ybar_centered": 1}
+# name: (paths drawn, test variant behind reject_rate, standardization of
+# a PairSample).  theta_hat and ybar read Y11 alone, so they draw x1 alone;
+# test None rejects by the two-sided z-rule |value| > z_{alpha/2}.
+_STATISTICS = {
+    "rho_centered": (2, "rho_known_theta", lambda s: theory.standardize_rho(
+        s.rho, s.theta, s.r, s.horizon_T)),
+    "numerator_centered": (2, "numerator_known_theta", lambda s: theory.standardize_numerator(
+        hyp.variant_statistic(s, "numerator_known_theta"), s.theta, s.r, s.horizon_T)),
+    "theta_hat_centered": (1, None, lambda s: theory.standardize_theta_hat(
+        s.theta_hat, s.theta, s.horizon_T)),
+    "ybar_centered": (1, None, lambda s: theory.standardize_ybar(
+        2.0 * s.theta * s.y11 / s.horizon_T, s.theta, s.horizon_T)),
+}
 
-STATISTICS = tuple(_STAT_PATHS)
-
-_STAT_TEST = {"rho_centered": "rho_known_theta",
-              "numerator_centered": "numerator_known_theta"}
+STATISTICS = tuple(_STATISTICS)
 
 
 @dataclass(frozen=True)
@@ -306,6 +309,8 @@ class ExperimentGrid:
         # grid-wide inputs fail here; run_grid skips only cell-specific failures
         for theta, horizon_T in itertools.product(self.thetas, self.horizons):
             check_positive(theta=theta, horizon_T=horizon_T)
+        if self.dt_policy is not None:
+            check_positive(dt=self.dt_policy)
         for r in self.rs:
             sde.check_pair_inputs(r, self.base_seed)
         if self.statistic not in STATISTICS:
@@ -349,27 +354,15 @@ class McReport:
                 "ci_lo": self.ci_lo, "ci_hi": self.ci_hi}
 
 
-def standardized_statistic(sample, statistic):
-    """Map a cell's raw functionals to the requested standardized statistic."""
-    if _STAT_PATHS.get(statistic) == 2 and sample.rho is None:
-        raise ParameterError(f"{statistic} reads x2, which a one-path sample lacks")
-    if statistic == "rho_centered":
-        return theory.standardize_rho(sample.rho, sample.theta, sample.r, sample.horizon_T)
-    if statistic == "numerator_centered":
-        return theory.standardize_numerator(sample.numerator, sample.theta, sample.r,
-                                            sample.horizon_T)
-    if statistic == "theta_hat_centered":
-        return theory.standardize_theta_hat(sample.theta_hat, sample.theta, sample.horizon_T)
-    if statistic == "ybar_centered":
-        return theory.standardize_ybar(sample.ybar11, sample.theta, sample.horizon_T)
-    raise ParameterError(f"unknown statistic {statistic!r}")
-
-
 def summarize_cell(sample, statistic, alpha):
-    """Aggregate one cell into an McReport."""
-    values = np.asarray(standardized_statistic(sample, statistic))
+    """Aggregate one cell into an McReport of its _STATISTICS row."""
+    if statistic not in _STATISTICS:
+        raise ParameterError(f"unknown statistic {statistic!r}")
+    paths, test, standardize = _STATISTICS[statistic]
+    if paths == 2 and sample.rho is None:
+        raise ParameterError(f"{statistic} reads x2, which a one-path sample lacks")
+    values = np.asarray(standardize(sample))
     n = values.size
-    test = _STAT_TEST.get(statistic)
     if test is not None:
         flags = rejections(sample, test, alpha)
     else:
@@ -390,7 +383,7 @@ def summarize_cell(sample, statistic, alpha):
 def run_grid(grid, jobs=1, progress=None):
     """Run every cell of the grid and aggregate; deterministic in base_seed.
 
-    Each cell simulates only the paths its statistic reads (_STAT_PATHS):
+    Each cell simulates only the paths its statistic reads (_STATISTICS):
     theta_hat_centered and ybar_centered draw process 0 alone, and their
     reports equal those of the full pair.  Cells failing validation (e.g. a
     fixed dt violating the step cap for a large theta) are reported on
@@ -406,7 +399,7 @@ def run_grid(grid, jobs=1, progress=None):
             sample = pair_sample(theta, r, T, dt=grid.dt_policy,
                                  replications=grid.replications,
                                  base_seed=grid.base_seed, cell_index=index, jobs=jobs,
-                                 paths=_STAT_PATHS[grid.statistic])
+                                 paths=_STATISTICS[grid.statistic][0])
         except (ParameterError, MemoryError) as exc:
             progress(f"cell {index + 1}/{len(cells)} theta={theta} r={r} T={T}: "
                      f"skipped ({exc})")

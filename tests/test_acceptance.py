@@ -157,7 +157,7 @@ def test_criterion_04_clt_variances(cell_r0_T500, cell_r05_T500):
         var_rho = np.var(math.sqrt(T) * (sample.rho - r), ddof=1)
         target_rho = clt_variance_rho_delta(1.0, r)
         ok_rho = abs(var_rho - target_rho) <= 0.10 * target_rho
-        var_num = np.var(sample.numerator - r * math.sqrt(T) / 2.0, ddof=1)
+        var_num = np.var(sample.y12 / math.sqrt(T) - r * math.sqrt(T) / 2.0, ddof=1)
         target_num = chaos_constants(1.0, r).sigma ** 2
         ok_num = abs(var_num - target_num) <= 0.10 * target_num
         results += [ok_rho, ok_num]
@@ -248,14 +248,16 @@ def test_criterion_07_cumulant_decay(decay_cells):
     theta, r = 1.0, 0.5
     k3_scaled, k4_scaled = [], []
     for T in (50.0, 100.0, 200.0, 400.0):
-        z = standardize_numerator(decay_cells[T].numerator, theta, r, T)
+        sample = decay_cells[T]
+        z = standardize_numerator(sample.y12 / math.sqrt(sample.horizon_T), theta, r, T)
         _, k3, k4 = k_statistics(z)
         k3_scaled.append(abs(k3) * math.sqrt(T))
         k4_scaled.append(abs(k4) * T)
     bounded = max(k3_scaled) <= 9.0 and max(k4_scaled) <= 75.0
 
     asym = asymptotic_cumulant(3, theta, r, 400.0) * math.sqrt(400.0)
-    z400 = standardize_numerator(decay_cells[400.0].numerator, theta, r, 400.0)
+    sample = decay_cells[400.0]
+    z400 = standardize_numerator(sample.y12 / math.sqrt(sample.horizon_T), theta, r, 400.0)
     _, k3_400, _ = k_statistics(z400)
     ratio = k3_400 * math.sqrt(400.0) / asym
     factor_ok = 1.0 / 1.5 <= ratio <= 1.5
@@ -273,7 +275,7 @@ def test_criterion_07_cumulant_decay(decay_cells):
 def test_criterion_08_kolmogorov_rate(decay_cells):
     points = []
     for T, sample in sorted(decay_cells.items()):
-        z = standardize_numerator(sample.numerator, 1.0, 0.5, T)
+        z = standardize_numerator(sample.y12 / math.sqrt(sample.horizon_T), 1.0, 0.5, T)
         points.append((T, kolmogorov_distance(z)))
     exponent, _ = rate_fit(points)
     _criterion(8, "fitted d_kol exponent <= -0.3 over T in {25..400}",
@@ -459,5 +461,5 @@ def test_supplementary_standardized_examples(null_cell_T200, decay_cells):
     # standardized marginal variance functional at T=400:
     # sqrt(T)(2 theta Y11/T - 1) has limit variance 2/theta
     sample = decay_cells[400.0]
-    zy = math.sqrt(400.0) * (sample.ybar11 - 1.0)
+    zy = math.sqrt(400.0) * (2.0 * sample.theta * sample.y11 / sample.horizon_T - 1.0)
     assert abs(np.var(zy, ddof=1) - 2.0) <= 0.2

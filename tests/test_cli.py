@@ -125,6 +125,18 @@ def test_test_known_theta_must_be_finite_positive(pair_csv, capsys, theta):
         assert _one_error_line(err)
 
 
+@pytest.mark.parametrize("command", [("stat",), ("test", "--variant", "rho", "--theta", "1"),
+                                     ("test", "--variant", "rho-est"),
+                                     ("test", "--variant", "num", "--theta", "1")])
+def test_functionals_overflowing_to_nan_exit_2(tmp_path, capsys, command):
+    # finite values whose functionals overflow used to print NaN/Infinity with exit 0
+    big = tmp_path / "big.csv"
+    big.write_text("t,x1,x2\n0,1e308,1e308\n1,-1e308,1e308\n2,1e308,-1e308\n")
+    code, out, err = run_cli(capsys, *command, "--input", str(big))
+    assert (code, out) == (2, "")
+    assert _one_error_line(err)
+
+
 def test_malformed_csv_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,x1,x2\n0.0,1.0\n")
@@ -315,6 +327,19 @@ def test_spde_refuses_the_top_mode_grid_before_simulating(capsys, monkeypatch):
                              "--reps", "1", "--seed", "1")
     assert code == 2 and out == ""
     assert _one_error_line(err) and "MAX_STEPS" in err
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
+def test_mc_bad_dt_fails_before_simulating(capsys, monkeypatch, dt):
+    # a dt no cell can use used to skip every cell, one note each, first
+    def draw(*args):
+        raise AssertionError("simulated a cell before checking dt")
+    monkeypatch.setattr(sde, "stream", draw)
+    code, out, err = run_cli(capsys, "mc", "--thetas", "1,2", "--rs", "0", "--Ts", "5",
+                             "--reps", "10", "--seed", "1", "--statistic", "rho_centered",
+                             "--dt", dt)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "dt" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -151,6 +151,16 @@ def test_rho_rejects_constant_paths():
         yule_rho(PathPair(x1=wiggly, x2=flat))
 
 
+def test_overflowing_functionals_are_refused():
+    # finite values whose Y11 overflows to inf and Y22, Y12 to nan
+    x1 = _path([1e308, -1e308, 1e308], dt=1.0)
+    x2 = _path([1e308, 1e308, -1e308], dt=1.0)
+    with pytest.raises(DegenerateStatisticError, match="non-finite"):
+        yule_rho(PathPair(x1=x1, x2=x2))
+    with pytest.raises(DegenerateStatisticError, match="non-finite"):
+        theta_estimator(x1)
+
+
 def test_rho_grid_refinement_stability():
     # exact skeleton: subsampling a fine path gives the coarse-path law, so
     # rho differences across refinements are pure quadrature error, O(dt)

@@ -231,7 +231,8 @@ def test_multimode_numerator_variant(field):
     np.testing.assert_allclose(got, [Q975 / 2.0, Q975 / 16.0], rtol=1e-9)
     per_mode, _ = spde_family_rejections(field[:2], 0.05, "numerator_known_theta")
     for sample, threshold, flags in zip(field, got, per_mode):
-        np.testing.assert_array_equal(flags, np.abs(sample.numerator) > threshold)
+        numerator = sample.y12 / math.sqrt(sample.horizon_T)
+        np.testing.assert_array_equal(flags, np.abs(numerator) > threshold)
 
 
 # ---------------------------------------------------------------------------

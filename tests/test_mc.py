@@ -198,14 +198,16 @@ def test_one_path_cell_keeps_the_pair_bits(monkeypatch, jobs):
         monkeypatch.setattr(mc, "_BLOCK_ELEMS", block * n_steps)
         monkeypatch.setattr(mc, "_TILE_ELEMS", tile * n_steps)
         one = pair_sample(**cell, jobs=jobs, paths=1)
-        for name in ("y11", "theta_hat", "ybar11"):
+        for name in ("y11", "theta_hat"):
             assert np.array_equal(getattr(one, name), getattr(pair, name)), (block, tile, name)
-        assert (one.rho, one.numerator, one.y22, one.y12) == (None, None, None, None)
+        assert (one.rho, one.y22, one.y12) == (None, None, None)
     for statistic in ("rho_centered", "numerator_centered"):
         with pytest.raises(ParameterError, match="x2"):
             summarize_cell(one, statistic, 0.05)
     with pytest.raises(ParameterError, match="x2"):
         rejections(one, "numerator_known_theta", 0.05)
+    with pytest.raises(ParameterError, match="unknown statistic"):
+        summarize_cell(pair, "nope", 0.05)
     with pytest.raises(ParameterError, match="paths"):
         pair_sample(**cell, paths=3)
 
@@ -321,7 +323,9 @@ def test_grid_validation():
     # grid-wide inputs fail up front instead of skipping every cell
     good = dict(thetas=(1.0,), rs=(0.0,), horizons=(10.0,), replications=10, base_seed=0)
     for bad in ({"rs": (0.0, math.nan)}, {"rs": (1.5,)}, {"base_seed": -1},
-                {"base_seed": 2 ** 64}, {"thetas": (-1.0,)}, {"horizons": (math.inf,)}):
+                {"base_seed": 2 ** 64}, {"thetas": (-1.0,)}, {"horizons": (math.inf,)},
+                {"dt_policy": 0.0}, {"dt_policy": -0.01}, {"dt_policy": math.nan},
+                {"dt_policy": math.inf}):
         with pytest.raises(ParameterError):
             ExperimentGrid(**{**good, **bad})
 
