@@ -125,6 +125,14 @@ def _check_not_constant(path):
         raise DegenerateStatisticError("path is constant; statistic undefined")
 
 
+def _check_finite_rate(rate):
+    """Refuse a rate estimate that overflowed, as T/(2 Y_aa) does for a
+    subnormal Y_aa."""
+    if not math.isfinite(rate):
+        raise DegenerateStatisticError("non-finite rate estimate")
+    return rate
+
+
 def theta_estimator(path):
     """Rate estimate theta_tilde = (1/2) * (Y_xx/T)^{-1}."""
     _check_not_constant(path)
@@ -133,7 +141,7 @@ def theta_estimator(path):
     # finite paths can still overflow the reduction to inf or nan
     if not 0.0 < y < math.inf:
         raise DegenerateStatisticError("degenerate or non-finite variance functional")
-    return rate_estimate(y, path.horizon)
+    return _check_finite_rate(rate_estimate(y, path.horizon))
 
 
 def yule_rho(pair, pooled_theta=False):
@@ -153,7 +161,7 @@ def yule_rho(pair, pooled_theta=False):
     if pooled_theta:
         theta_hat = 0.5 * (theta_hat + rate_estimate(y22, T))
     return YuleStatistics(y11=y11, y22=y22, y12=y12, rho=float(rho),
-                          theta_hat=theta_hat, horizon_T=T)
+                          theta_hat=_check_finite_rate(theta_hat), horizon_T=T)
 
 
 def numerator_statistic(pair):

@@ -31,12 +31,20 @@ from .estimators import PathPair
 STEP_CAP = 0.05
 
 #: Largest grid, in steps, that is simulated.  One path of this many steps
-#: is 128 MiB of float64, and a simulated pair holds up to about eight such
-#: arrays at once (draws, paths, filter and reduction temporaries), so a
-#: larger grid is refused before anything is allocated.
+#: is 128 MiB of float64, and a simulated pair holds up to about five such
+#: arrays at once (two draws, two paths and a reduction temporary; the
+#: AR(1) filter writes each path once), so a larger grid is refused before
+#: anything is allocated.
 MAX_STEPS = 2 ** 24
 
 _GRID_RTOL = 1e-9
+
+#: ar1_paths filters a row in chunks over which the weights factor**j decay
+#: by at most exp(-_CHUNK_DECAY), and of at most _CHUNK_STEPS steps.  The
+#: first keeps every weight and partial sum far from float64 underflow,
+#: the second bounds the weight arrays; longer chunks only save loop turns.
+_CHUNK_DECAY = 200.0
+_CHUNK_STEPS = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +235,42 @@ def default_dt(theta, horizon_T):
     n = max(1, math.ceil(theta * horizon_T / STEP_CAP - 1e-12))
     return horizon_T / n
 
+
 def ar1_paths(factor, innovations):
     """Cumulate innovations through X_k = factor*X_{k-1} + xi_k, X_0 = 0.
 
     `innovations` has the steps on the last axis; the returned array gains
-    one leading grid node holding the zero initial condition.
-    """
-    # imported on first use: scipy.signal pulls in scipy.stats, about a
-    # second of start-up that stat, test and theory never need
-    from scipy.signal import lfilter
+    one leading grid node holding the zero initial condition.  The output
+    is allocated once and filled in chunks of m steps: a chunk starting
+    from the carry c = X_a is
 
+        X_{a+k} = factor**-(m-k) * (factor**m * c + sum_{i<=k} factor**(m-i) xi_{a+i}),
+
+    one product, a running sum along the row and one more product.  The
+    chunk is short enough that its weights factor**j stay within
+    exp(-_CHUNK_DECAY), and each weight is a correctly rounded power, so
+    the error is that of the sequential recursion.  Every step acts on
+    elements or accumulates along one row, so a row's bits do not depend
+    on the rows beside it.
+    """
+    if not 0.0 <= factor <= 1.0:
+        raise ParameterError(f"the AR(1) factor must lie in [0, 1], got {factor}")
     innovations = np.asarray(innovations, dtype=float)
-    tail = lfilter([1.0], [1.0, -factor], innovations, axis=-1)
-    shape = innovations.shape[:-1] + (1,)
-    return np.concatenate([np.zeros(shape), tail], axis=-1)
+    n = innovations.shape[-1]
+    out = np.empty(innovations.shape[:-1] + (n + 1,))
+    out[..., 0] = 0.0
+    rate = -math.log(factor) if factor > 0.0 else math.inf
+    m = max(1, min(n, _CHUNK_STEPS, int(_CHUNK_DECAY / rate) if rate else n))
+    rise = factor ** np.arange(m - 1, -1, -1.0)
+    fall = 1.0 / rise
+    for a in range(0, n, m):
+        k = min(m, n - a)
+        seg = out[..., a + 1:a + k + 1]
+        np.multiply(innovations[..., a:a + k], rise[m - k:], out=seg)
+        seg[..., 0] += factor ** k * out[..., a]
+        np.cumsum(seg, axis=-1, out=seg)
+        seg *= fall[m - k:]
+    return out
 
 
 def simulate_ou(theta, horizon_T, dt, generator):

@@ -129,12 +129,14 @@ def test_test_known_theta_must_be_finite_positive(pair_csv, capsys, theta):
                                      ("test", "--variant", "rho-est"),
                                      ("test", "--variant", "num", "--theta", "1")])
 def test_functionals_overflowing_to_nan_exit_2(tmp_path, capsys, command):
-    # finite values whose functionals overflow used to print NaN/Infinity with exit 0
-    big = tmp_path / "big.csv"
-    big.write_text("t,x1,x2\n0,1e308,1e308\n1,-1e308,1e308\n2,1e308,-1e308\n")
-    code, out, err = run_cli(capsys, *command, "--input", str(big))
-    assert (code, out) == (2, "")
-    assert _one_error_line(err)
+    # finite values whose functionals or rate overflow used to print NaN/Infinity with exit 0
+    for rows in ("0,1e308,1e308\n1,-1e308,1e308\n2,1e308,-1e308\n",  # functionals overflow
+                 "0,1e-155,1e-155\n1,-1e-155,2e-155\n2,1e-155,-1e-155\n"):  # T/(2 Y11) = inf
+        big = tmp_path / "big.csv"
+        big.write_text("t,x1,x2\n" + rows)
+        code, out, err = run_cli(capsys, *command, "--input", str(big))
+        assert (code, out) == (2, "")
+        assert _one_error_line(err)
 
 
 def test_malformed_csv_exits_1(tmp_path, capsys):

@@ -152,13 +152,16 @@ def test_rho_rejects_constant_paths():
 
 
 def test_overflowing_functionals_are_refused():
-    # finite values whose Y11 overflows to inf and Y22, Y12 to nan
-    x1 = _path([1e308, -1e308, 1e308], dt=1.0)
-    x2 = _path([1e308, 1e308, -1e308], dt=1.0)
-    with pytest.raises(DegenerateStatisticError, match="non-finite"):
-        yule_rho(PathPair(x1=x1, x2=x2))
-    with pytest.raises(DegenerateStatisticError, match="non-finite"):
-        theta_estimator(x1)
+    # finite values whose Y11 overflows to inf and Y22, Y12 to nan; then
+    # positive subnormal Y11 and Y22, whose rate T/(2 Y_aa) overflows to inf
+    for v1, v2 in (([1e308, -1e308, 1e308], [1e308, 1e308, -1e308]),
+                   ([1e-155, -1e-155, 1e-155], [1e-155, 2e-155, -1e-155])):
+        x1, x2 = _path(v1, dt=1.0), _path(v2, dt=1.0)
+        for pooled in (False, True):
+            with pytest.raises(DegenerateStatisticError, match="non-finite"):
+                yule_rho(PathPair(x1=x1, x2=x2), pooled_theta=pooled)
+        with pytest.raises(DegenerateStatisticError, match="non-finite"):
+            theta_estimator(x1)
 
 
 def test_rho_grid_refinement_stability():

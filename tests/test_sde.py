@@ -98,21 +98,66 @@ def test_import_leaves_scipy_signal_and_stats_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_first_filter_calls_on_two_pool_threads_at_once():
-    # ar1_paths imports lfilter on first use; here that first use happens on
-    # two pool threads at once, in an interpreter that has not loaded it
+def test_first_filter_calls_on_two_pool_threads_at_once(tmp_path):
+    # a fresh interpreter runs its first blocks on two pool threads at once
+    # and must match jobs=1 bit for bit; simulate and spde then run without
+    # loading scipy.signal or scipy.stats, which ar1_paths used to pull in
     src = Path(sde.__file__).resolve().parents[1]
-    code = ("import sys; import numpy as np; from yule_ou import mc; "
-            "assert 'scipy.signal' not in sys.modules; "
-            "mc._BLOCK_ELEMS = 1000; "  # 100 steps a row: 4 blocks of 10 rows
-            "two = mc.pair_sample(1.0, 0.3, 5.0, replications=40, base_seed=3, jobs=2); "
-            "one = mc.pair_sample(1.0, 0.3, 5.0, replications=40, base_seed=3); "
-            "print(all(np.array_equal(getattr(one, k), getattr(two, k)) "
-            "for k in ('y11', 'y22', 'y12')))")
+    code = f"""
+import contextlib, io, sys
+import numpy as np
+from yule_ou import cli, mc
+mc._BLOCK_ELEMS = 1000  # 100 steps a row: 4 blocks of 10 rows
+two = mc.pair_sample(1.0, 0.3, 5.0, replications=40, base_seed=3, jobs=2)
+one = mc.pair_sample(1.0, 0.3, 5.0, replications=40, base_seed=3)
+same = all(np.array_equal(getattr(one, k), getattr(two, k)) for k in ('y11', 'y22', 'y12'))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = (cli.main(['simulate', '--theta', '1', '--r', '0.5', '--T', '5', '--dt', '0.01',
+                       '--seed', '1', '--out', {str(tmp_path / "pair.csv")!r}]),
+             cli.main(['spde', '--N', '2', '--r', '0', '--T', '5', '--reps', '20',
+                       '--seed', '1', '--jobs', '2']))
+print(same, codes, sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), check=True,
                           timeout=120)
-    assert proc.stdout.strip() == "True"
+    assert proc.stdout.strip() == "True (0, 0) []"
+
+
+def _sequential_ar1(factor, innovations):
+    """X_k = factor*X_{k-1} + xi_k in long double, one step at a time."""
+    xi = np.asarray(innovations, dtype=np.longdouble)
+    x = np.zeros(xi.shape[:-1] + (xi.shape[-1] + 1,), dtype=np.longdouble)
+    for k in range(xi.shape[-1]):
+        x[..., k + 1] = np.longdouble(factor) * x[..., k] + xi[..., k]
+    return x
+
+
+@pytest.mark.parametrize("theta_dt", [0.05, 0.05 / 9, 1e-6, 0.0])
+def test_ar1_paths_matches_the_sequential_recursion(theta_dt):
+    factor = math.exp(-theta_dt)  # exactly 1.0 at theta_dt = 0
+    chunk = sde._CHUNK_STEPS
+    if theta_dt:
+        chunk = min(chunk, int(sde._CHUNK_DECAY / -math.log(factor)))
+    sd = math.sqrt(innovation_variance(1.0, theta_dt)) if theta_dt else 1.0
+    gen = stream(11, 0)
+    for n in (1, chunk, chunk + 1, 3 * chunk + 7):
+        for shape in ((n,), (3, n)):
+            xi = sd * gen.standard_normal(shape)
+            x = ar1_paths(factor, xi)
+            exact = _sequential_ar1(factor, xi)
+            rms = float(np.sqrt(np.mean(exact ** 2)))
+            assert x.shape == exact.shape and np.all(x[..., 0] == 0.0)
+            assert float(np.max(np.abs(x - exact))) <= 1e-12 * rms
+            if xi.ndim == 2:
+                assert all(np.array_equal(x[i], ar1_paths(factor, xi[i])) for i in range(3))
+
+
+def test_ar1_paths_refuses_a_factor_outside_the_unit_interval():
+    for factor in (-0.5, 1.5, math.nan):
+        with pytest.raises(ParameterError):
+            ar1_paths(factor, np.ones(4))
+    assert np.array_equal(ar1_paths(0.0, np.arange(1.0, 4.0)), [0.0, 1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
