@@ -78,7 +78,7 @@ def wilson_interval(successes, n):
     """95% Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ParameterError("need at least one trial")
-    z = upper_quantile((1.0 - 0.95) / 2.0)  # not 0.025: the reports keep this value's bits
+    z = upper_quantile(0.025)
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom

@@ -426,6 +426,15 @@ def test_theory_non_integer_order_exits_2(capsys):
     assert code == 0 and json.loads(out)["value"] == pytest.approx(0.25, rel=1e-10)
 
 
+@pytest.mark.parametrize("order", ["10001", "1e9"])
+def test_theory_order_above_the_bound_exits_2(capsys, order):
+    # refused before the binomial, whose cost grows almost as p^2
+    code, out, err = run_cli(capsys, "theory", "--quantity", "delta_inner",
+                             "--p", order, "--theta", "1")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "10000" in err
+
+
 @pytest.mark.parametrize("argv", [
     "c1 --theta 1 --r nan",
     "clt_var_rho --theta 1 --r 3",

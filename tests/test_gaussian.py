@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from yule_ou.errors import ParameterError
 from yule_ou.gaussian import norm_cdf, upper_quantile
 
 # classic two-sided 5% point
@@ -54,3 +55,40 @@ def test_domain_errors():
     for bad in (0.0, 1.0, -0.1, 1.1, math.nan):
         with pytest.raises(ValueError):
             upper_quantile(bad)
+
+
+def test_domain_errors_are_parameter_errors():
+    for bad in (0.0, 1.0, -0.1, 1.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            upper_quantile(bad)
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_quantile_within_8_ulps_of_scipy():
+    from scipy.special import ndtri
+    lower = np.logspace(-300, math.log10(0.5), 3001)
+    upper = np.concatenate([0.5 + np.logspace(-16, math.log10(0.25), 1000),
+                            1.0 - np.logspace(math.log10(0.25), -16, 1000)])
+    upper = upper[(upper > 0.5) & (upper <= 1.0 - 1e-16)]
+    assert lower[-1] == 0.5 and upper[-1] == 1.0 - 1e-16
+    for grid in (lower, upper):
+        got = np.array([upper_quantile(a) for a in grid])
+        assert np.max(_ulps(got, -ndtri(grid))) <= 8
+
+
+def test_cdf_within_1e13_relative_of_scipy():
+    from scipy.special import erfc
+    x = np.linspace(-37.0, 10.0, 20001)
+    want = 0.5 * erfc(-x / math.sqrt(2.0))
+    assert np.max(np.abs(norm_cdf(x) - want) / want) <= 1e-13
+
+
+def test_cdf_array_equals_its_scalars_bit_for_bit():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 4001), [0.0, -0.0, math.inf, -math.inf]])
+    got = norm_cdf(x.reshape(5, -1))
+    assert got.shape == (5, x.size // 5)
+    assert np.array_equal(got.ravel(), [norm_cdf(v) for v in x])
+    assert isinstance(norm_cdf(0.3), float) and norm_cdf(np.array([])).shape == (0,)

@@ -124,6 +124,42 @@ print(same, codes, sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys
     assert proc.stdout.strip() == "True (0, 0) []"
 
 
+def test_no_command_loads_scipy(tmp_path):
+    # a fresh interpreter runs every command that reaches the normal CDF,
+    # the quantile or the convolution constant: none may import scipy
+    src = Path(sde.__file__).resolve().parents[1]
+    pair = str(tmp_path / "pair.csv")
+    code = f"""
+import contextlib, io, sys
+import yule_ou
+from yule_ou import cli
+argvs = [
+    ['simulate', '--theta', '1', '--r', '0.5', '--T', '5', '--dt', '0.01', '--seed', '1',
+     '--out', {pair!r}],
+    ['stat', '--input', {pair!r}],
+    ['test', '--variant', 'rho', '--theta', '1', '--input', {pair!r}],
+    ['test', '--variant', 'rho-est', '--input', {pair!r}],
+    ['test', '--variant', 'num', '--theta', '1', '--input', {pair!r}],
+    ['theory', '--quantity', 'delta_inner', '--p', '3', '--theta', '1'],
+    ['theory', '--quantity', 'edgeworth_tail', '--z', '1', '--theta', '1', '--r', '0.5',
+     '--T', '10'],
+    ['theory', '--quantity', 'type2_bound_rho', '--theta', '1', '--r', '0.5', '--alpha',
+     '0.05', '--T', '10', '--berry', '1'],
+    ['mc', '--thetas', '1', '--rs', '0,0.5', '--Ts', '5', '--reps', '20', '--seed', '1',
+     '--statistic', 'rho_centered'],
+    ['spde', '--N', '2', '--r', '0', '--T', '5', '--reps', '20', '--seed', '1',
+     '--jobs', '2'],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                          timeout=120)
+    assert proc.stdout.strip() == f"{[0] * 10} []", proc.stderr
+
+
 def _sequential_ar1(factor, innovations):
     """X_k = factor*X_{k-1} + xi_k in long double, one step at a time."""
     xi = np.asarray(innovations, dtype=np.longdouble)

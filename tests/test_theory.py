@@ -3,6 +3,7 @@ convolution, 2-d quadrature of kernels, and algebraic identities."""
 
 import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from scipy.signal import fftconvolve
 
 from yule_ou.errors import ParameterError
 from yule_ou.sde import ou_covariance
-from yule_ou.theory import (KernelSpec, asymptotic_cumulant, chaos_base_variance,
-                            chaos_constants, clt_variance_rho,
+from yule_ou.theory import (MAX_CONVOLUTION_ORDER, KernelSpec, asymptotic_cumulant,
+                            chaos_base_variance, chaos_constants, clt_variance_rho,
                             clt_variance_rho_delta, cumulant_bound_constants,
                             delta_convolution_inner,
                             edgeworth_kolmogorov_bound, edgeworth_tail,
@@ -151,6 +152,20 @@ def test_delta_inner_against_grid_convolution_oracle():
             closed_form_inner(p, theta), rel=1e-10, abs=0.0)
 
 
+def test_delta_inner_is_the_correctly_rounded_rational():
+    # B(1/2, p-1/2)/(2 pi) = C(2p-2, p-1)/2^(2p-1): the pi cancels
+    from scipy.special import beta
+    for p in range(2, 401):
+        exact = Fraction(math.comb(2 * p - 2, p - 1), 2 ** (2 * p - 1))
+        got = delta_convolution_inner(p, 1.0)
+        assert got == float(exact), p
+        # past p = 171, where Gamma(p) overflows, scipy's beta goes through
+        # log-gamma and drifts from the exact rational (6.4e-13 at p = 334)
+        rel = 1e-13 if p <= 171 else 1e-12
+        assert got == pytest.approx(beta(0.5, p - 0.5) / (2.0 * math.pi), rel=rel, abs=0.0)
+    assert delta_convolution_inner(3, 1.0) == 0.1875
+
+
 def test_delta_inner_young_bounds():
     for theta in (0.5, 1.0, 2.0):
         assert delta_convolution_inner(3, theta) <= 2.0 / (9.0 * theta ** 5)
@@ -173,7 +188,11 @@ def test_delta_inner_decreasing_in_p():
 def test_delta_inner_domain():
     with pytest.raises(ParameterError):
         delta_convolution_inner(1, 1.0)
-    assert 0.0 < delta_convolution_inner(1e9, 1.0) < 1e-4  # constant time in p
+    # the binomial's cost grows almost as p^2, so large orders are refused
+    assert 0.0 < delta_convolution_inner(MAX_CONVOLUTION_ORDER, 1.0) < 1e-2
+    for big in (MAX_CONVOLUTION_ORDER + 1, 1e9):
+        with pytest.raises(ParameterError):
+            delta_convolution_inner(big, 1.0)
     with pytest.raises(OverflowError):
         delta_convolution_inner(200, 1e-3)
 
