@@ -13,10 +13,9 @@ Subpackages:
 from .errors import (DegenerateStatisticError, GridMismatchError,
                      InsufficientDataError, ParameterError, YuleOuError)
 from .estimators import (PathPair, YuleStatistics, empirical_cov_functional,
-                         numerator_statistic, path_time_average, theta_estimator,
-                         yule_rho)
-from .hypothesis import (ConfidenceInterval, TestOutcome, TestVariant, ThetaMode,
-                         calibrate_berry_constant, confidence_interval_r,
+                         path_time_average, theta_estimator, yule_rho)
+from .hypothesis import (ConfidenceInterval, TestOutcome, TestVariant,
+                         calibrate_berry_constant, confidence_interval_r, decide,
                          numerator_bound_valid_from, numerator_test, rho_test,
                          rho_test_estimated_theta, sidak_level, spde_type2_bound,
                          type2_bound_numerator, type2_bound_rho)

@@ -33,8 +33,9 @@ class ConfigError(Exception):
 
 
 def _parse_float_list(text):
+    """A comma list of numbers; an empty item is refused, not skipped."""
     try:
-        return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+        return tuple(map(float, str(text).split(",")))
     except ValueError as exc:
         raise ConfigError(f"cannot parse number list {text!r}: {exc}")
 
@@ -145,6 +146,8 @@ def _cmd_test(args):
     _apply_defaults(args, alpha=0.05)
     if args.variant != "rho-est":
         _require(args, "theta")
+    elif args.theta is not None:
+        raise ConfigError("--theta is not read by the rho-est variant, which estimates the rate")
     p1, p2 = _load_pair(args.input)
     stats = yule_rho(PathPair(x1=p1, x2=p2))
     outcome = hyp.apply_test(stats, _VARIANT_ALIASES[args.variant], args.alpha, args.theta)
@@ -186,26 +189,20 @@ def _cmd_spde(args):
     level = hyp.sidak_level(alpha, n_modes) if sidak else alpha
     samples = mc.spde_mode_samples(n_modes, args.r, args.T, replications=args.reps,
                                    base_seed=args.seed, jobs=args.jobs)
-    per_mode, family = mc.spde_family_rejections(samples, level, variant)
+    outcomes, family = mc.spde_family_rejections(samples, level, variant)
     rate, lo, hi = mc.error_rates(family)
     echo = {"command": "spde", "N": n_modes, "r": args.r, "T": args.T,
             "reps": args.reps, "seed": args.seed, "alpha": alpha,
             "variant": variant, "sidak": sidak}
     payload = {"config": echo, "family_reject_rate": rate, "ci_lo": lo, "ci_hi": hi,
-               "per_mode": [{"k": k + 1, "theta": float((k + 1) ** 2),
-                             "reject_rate": float(per_mode[k].mean())}
-                            for k in range(n_modes)]}
+               "per_mode": [{"k": k, "theta": s.theta, "reject_rate": float(out.reject.mean())}
+                            for k, (s, out) in enumerate(zip(samples, outcomes), 1)]}
     outputs = {args.out: json.dumps(payload, sort_keys=True) + "\n"}
     if args.csv:
-        test = hyp.TestVariant(variant)
-        columns = [(s.theta, hyp.variant_statistic(s, test),
-                    hyp.critical_value(test, level, s.theta), flags)
-                   for s, flags in zip(samples, per_mode)]
-        rows = [(test, level, theta, args.r, args.T,
-                 hyp.TestOutcome(float(stat[j]), float(threshold), level, bool(reject[j]), test))
-                for j in range(args.reps) for theta, stat, threshold, reject in columns]
         buf = io.StringIO()
-        hyp.write_outcomes_csv(buf, rows, header_comment=f"config: {_config_echo(echo)}")
+        hyp.write_outcomes_csv(buf, [(s.theta, args.r, args.T, out)
+                                     for s, out in zip(samples, outcomes)],
+                               header_comment=f"config: {_config_echo(echo)}")
         outputs[args.csv] = buf.getvalue()
     return outputs
 
@@ -346,8 +343,10 @@ _DISPATCH = {"simulate": _cmd_simulate, "stat": _cmd_stat, "test": _cmd_test,
 
 
 def _check_outputs(args):
-    """Refuse an output path named twice or not writable as a file; create no file."""
-    paths = [path for path in map(vars(args).get, ("out", "jsonl", "csv")) if path is not None]
+    """Refuse an output path named twice or not writable as a file; create no file.
+    An omitted --out is stdout, so it collides with `--jsonl -` or `--csv -`."""
+    paths = ["-" if args.out is None else args.out]
+    paths += [path for path in map(vars(args).get, ("jsonl", "csv")) if path is not None]
     if len(set(paths)) < len(paths):
         raise ConfigError(f"two outputs name the same path: {paths}")
     for path in paths:

@@ -163,8 +163,3 @@ def yule_rho(pair, pooled_theta=False):
     return YuleStatistics(y11=y11, y22=y22, y12=y12, rho=float(rho),
                           theta_hat=_check_finite_rate(theta_hat), horizon_T=T)
 
-
-def numerator_statistic(pair):
-    """Scaled cross functional Y12(T)/sqrt(T)."""
-    y12 = empirical_cov_functional(pair.x1, pair.x2)
-    return y12 / math.sqrt(pair.x1.horizon)

@@ -8,12 +8,18 @@ q = upper_quantile(alpha/2):
     rho, estimated theta:  |sqrt(T that) rho| > q
     numerator:             |Y12 / sqrt(T)|   > q / (2 theta^{3/2})
 
-`variant_statistic`, `critical_value` and `decide` hold it for one pair's
-YuleStatistics and a Monte Carlo PairSample's arrays alike.  Ties never
-reject (a measure-zero event, resolved deterministically).  The field test
-applies the rule to each Fourier mode k at theta = k^2 and rejects on any
-mode; it lives in `mc.spde_family_rejections`, beside the engine that
-simulates the modes.
+`variant_statistic` gives the statistic and `critical_value` the
+threshold; `decide` is the only code that compares them, and returns a
+TestOutcome whose statistic and reject are scalars for one pair's
+YuleStatistics and arrays, one entry per replication, for a Monte Carlo
+PairSample.  Ties never reject (a measure-zero event, resolved
+deterministically).  The field test applies the rule to each Fourier
+mode k at theta = k^2 and rejects on any mode; it lives in
+`mc.spde_family_rejections`, beside the engine that simulates the modes.
+
+Both type-II bounds are one formula, sqrt(2/pi) (c/sigma)
+exp(-((c - shift)/sigma)^2/2) + berry * rate(T), at each test's
+threshold c, centre shift under the alternative and approximation rate.
 """
 
 import math
@@ -37,17 +43,15 @@ class TestVariant(str, Enum):
         raise ParameterError(f"unknown test variant {value!r}")
 
 
-class ThetaMode(str, Enum):
-    KNOWN = "known"
-    ESTIMATED = "estimated"
-
-
 @dataclass(frozen=True)
 class TestOutcome:
-    statistic: float
+    """A test's decision: statistic and reject are a float and a bool for
+    one pair, arrays with one entry per replication for a sample."""
+
+    statistic: float | np.ndarray
     threshold: float
     alpha: float
-    reject: bool
+    reject: bool | np.ndarray
     variant: TestVariant
 
     def to_dict(self):
@@ -61,19 +65,13 @@ class ConfidenceInterval:
     lower: float
     upper: float
     alpha: float
-    theta_mode: ThetaMode
-
-    def contains(self, value):
-        return self.lower <= value <= self.upper
-
-    def to_dict(self):
-        return {"lower": self.lower, "upper": self.upper,
-                "alpha": self.alpha, "theta_mode": self.theta_mode.value}
 
 
 def variant_statistic(stats, variant):
     """The variant's statistic from an object with horizon_T, rho, theta_hat, y12."""
     variant = TestVariant(variant)
+    if stats.rho is None:
+        raise ParameterError("the tests read x2, which a one-path sample lacks")
     if variant is TestVariant.RHO_KNOWN_THETA:
         return math.sqrt(stats.horizon_T) * stats.rho
     if variant is TestVariant.RHO_ESTIMATED_THETA:
@@ -99,15 +97,13 @@ def critical_value(variant, alpha, theta=None):
 
 
 def decide(statistic, variant, alpha, theta=None):
-    """(threshold, rejection flags) of the variant for a statistic or an array of them."""
+    """TestOutcome of the variant for one statistic or an array of them."""
     threshold = critical_value(variant, alpha, theta)
-    return threshold, np.abs(statistic) > threshold
-
-
-def _outcome(statistic, variant, alpha, theta):
-    threshold, reject = decide(statistic, variant, alpha, theta)
-    return TestOutcome(statistic=float(statistic), threshold=float(threshold),
-                       alpha=alpha, reject=bool(reject), variant=TestVariant(variant))
+    reject = np.abs(statistic) > threshold
+    if np.ndim(statistic) == 0:
+        statistic, reject = float(statistic), bool(reject)
+    return TestOutcome(statistic=statistic, threshold=float(threshold), alpha=alpha,
+                       reject=reject, variant=TestVariant(variant))
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +111,8 @@ def _outcome(statistic, variant, alpha, theta):
 # ---------------------------------------------------------------------------
 
 def apply_test(stats, variant, alpha, theta=None):
-    """TestOutcome of the variant on one pair's YuleStatistics."""
-    return _outcome(variant_statistic(stats, variant), variant, alpha, theta)
+    """TestOutcome of the variant on one pair's YuleStatistics or a PairSample."""
+    return decide(variant_statistic(stats, variant), variant, alpha, theta)
 
 
 def rho_test(stats, theta, alpha):
@@ -131,26 +127,22 @@ def rho_test_estimated_theta(stats, alpha):
 
 def numerator_test(num_stat, theta, alpha):
     """Test on the scaled cross functional Y12/sqrt(T) itself."""
-    return _outcome(num_stat, TestVariant.NUMERATOR_KNOWN_THETA, alpha, theta)
+    return decide(num_stat, TestVariant.NUMERATOR_KNOWN_THETA, alpha, theta)
 
 
-def confidence_interval_r(stats, alpha, theta_mode=ThetaMode.ESTIMATED, theta=None):
-    """Asymptotic level-(1-alpha) interval rho +- q sqrt(1+rho^2)/sqrt(theta T)."""
+def confidence_interval_r(stats, alpha, theta=None):
+    """Asymptotic level-(1-alpha) interval rho +- q sqrt(1+rho^2)/sqrt(theta T),
+    at the known rate theta, or at stats.theta_hat when theta is None."""
     check_level(alpha)
-    mode = ThetaMode(theta_mode)
-    if mode is ThetaMode.KNOWN:
-        if theta is None:
-            raise ParameterError("known mode requires a positive theta")
-        check_positive(theta=theta)
-        scale = theta
-    else:
-        scale = stats.theta_hat
-        if not scale > 0 or not math.isfinite(scale):
+    if theta is None:
+        theta = stats.theta_hat
+        if not theta > 0 or not math.isfinite(theta):
             raise DegenerateStatisticError("degenerate theta estimate")
+    else:
+        check_positive(theta=theta)
     half = upper_quantile(alpha / 2.0) * math.sqrt(1.0 + stats.rho ** 2) \
-        / math.sqrt(scale * stats.horizon_T)
-    return ConfidenceInterval(lower=stats.rho - half, upper=stats.rho + half,
-                              alpha=alpha, theta_mode=mode)
+        / math.sqrt(theta * stats.horizon_T)
+    return ConfidenceInterval(lower=stats.rho - half, upper=stats.rho + half, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -169,46 +161,49 @@ def sidak_level(alpha, n_modes):
 # Type-II error bounds
 # ---------------------------------------------------------------------------
 
-def type2_bound_rho(theta, r, alpha, horizon_T, berry_constant):
-    """Bound on the miss probability of the known-rate rho test.
+def _type2_bound(kind, theta, r, alpha, horizon_T, berry_constant):
+    """(bound, rate) of the kind's miss-probability bound
 
-    Sum of the explicit Gaussian-tail term
+        sqrt(2/pi) (c/sigma) exp(-((c - shift)/sigma)^2 / 2) + berry_constant * rate,
 
-        (2 c / (sigma sqrt(2 pi))) * exp(-((c - |r| sqrt(T)) / sigma)^2 / 2),
-        c = q_{alpha/2} / sqrt(theta),
-
-    and the caller-calibrated normal-approximation term berry_constant * T^{-1/4}.
+    with c the test's threshold, shift the centre of its statistic under
+    the alternative and rate that of its normal approximation.
     """
     if r == 0.0:
         raise ParameterError("bound is defined under the alternative (r != 0)")
-    check_positive(horizon_T=horizon_T)
+    if kind == "rho":
+        check_positive(horizon_T=horizon_T)
+        variant, shift = TestVariant.RHO_KNOWN_THETA, abs(r) * math.sqrt(horizon_T)
+        rate = horizon_T ** -0.25
+    elif kind == "numerator":
+        if not math.e < horizon_T < math.inf:
+            raise ParameterError("horizon_T must exceed e and be finite")
+        variant = TestVariant.NUMERATOR_KNOWN_THETA
+        shift = abs(r) * math.sqrt(horizon_T) / (2.0 * theta)
+        rate = math.log(horizon_T) / math.sqrt(horizon_T)
+    else:
+        raise ParameterError(f"unknown bound kind {kind!r}")
     if not 0.0 <= berry_constant < math.inf:
         raise ParameterError("berry_constant must be nonnegative and finite")
     sigma = chaos_constants(theta, r).sigma
-    c = critical_value(TestVariant.RHO_KNOWN_THETA, alpha, theta)
-    z = (c - abs(r) * math.sqrt(horizon_T)) / sigma
-    tail = 2.0 * c / (sigma * math.sqrt(2.0 * math.pi)) * math.exp(-0.5 * z * z)
-    return tail + berry_constant * horizon_T ** -0.25
+    c = critical_value(variant, alpha, theta)
+    z = (c - shift) / sigma
+    tail = math.sqrt(2.0 / math.pi) * (c / sigma) * math.exp(-0.5 * z * z)
+    return tail + berry_constant * rate, rate
+
+
+def type2_bound_rho(theta, r, alpha, horizon_T, berry_constant):
+    """Bound on the miss probability of the known-rate rho test: the tail at
+    c = q_{alpha/2}/sqrt(theta) and shift |r| sqrt(T), plus berry_constant * T^{-1/4}."""
+    return _type2_bound("rho", theta, r, alpha, horizon_T, berry_constant)[0]
 
 
 def type2_bound_numerator(theta, r, alpha, horizon_T, berry_constant):
-    """Bound on the miss probability of the numerator test.
-
-    Gaussian-tail term sqrt(2/pi) * (c/sigma) * exp(-((c - |r| sqrt(T)/(2 theta))/sigma)^2/2)
-    with c = q_{alpha/2}/(2 theta^{3/2}), plus berry_constant * ln(T)/sqrt(T).
-    Requires T > e so the log factor exceeds one.
+    """Bound on the miss probability of the numerator test: the tail at
+    c = q_{alpha/2}/(2 theta^{3/2}) and shift |r| sqrt(T)/(2 theta), plus
+    berry_constant * ln(T)/sqrt(T).  Requires T > e so the log factor exceeds one.
     """
-    if r == 0.0:
-        raise ParameterError("bound is defined under the alternative (r != 0)")
-    if not math.e < horizon_T < math.inf:
-        raise ParameterError("horizon_T must exceed e and be finite")
-    if not 0.0 <= berry_constant < math.inf:
-        raise ParameterError("berry_constant must be nonnegative and finite")
-    sigma = chaos_constants(theta, r).sigma
-    c = critical_value(TestVariant.NUMERATOR_KNOWN_THETA, alpha, theta)
-    z = (c - abs(r) * math.sqrt(horizon_T) / (2.0 * theta)) / sigma
-    tail = math.sqrt(2.0 / math.pi) * (c / sigma) * math.exp(-0.5 * z * z)
-    return tail + berry_constant * math.log(horizon_T) / math.sqrt(horizon_T)
+    return _type2_bound("numerator", theta, r, alpha, horizon_T, berry_constant)[0]
 
 
 def numerator_bound_valid_from(theta, r, alpha):
@@ -225,14 +220,7 @@ def calibrate_berry_constant(kind, theta, r, alpha, horizon_T, empirical_beta):
     Solves tail(T) + berry * rate(T) = empirical_beta for berry, floored at 0.
     kind is "rho" (rate T^{-1/4}) or "numerator" (rate ln(T)/sqrt(T)).
     """
-    if kind == "rho":
-        tail = type2_bound_rho(theta, r, alpha, horizon_T, 0.0)
-        rate = horizon_T ** -0.25
-    elif kind == "numerator":
-        tail = type2_bound_numerator(theta, r, alpha, horizon_T, 0.0)
-        rate = math.log(horizon_T) / math.sqrt(horizon_T)
-    else:
-        raise ParameterError(f"unknown bound kind {kind!r}")
+    tail, rate = _type2_bound(kind, theta, r, alpha, horizon_T, 0.0)
     return max(0.0, (empirical_beta - tail) / rate)
 
 
@@ -249,15 +237,20 @@ def spde_type2_bound(per_mode_bounds):
     return product
 
 
-def write_outcomes_csv(fileobj, rows, header_comment=None):
-    """Write batch test outcomes as `variant,alpha,theta,r,T,statistic,threshold,reject`.
+def write_outcomes_csv(fileobj, columns, header_comment=None):
+    """Write test outcomes as `variant,alpha,theta,r,T,statistic,threshold,reject`.
 
-    Each row is (variant, alpha, theta, r, T, outcome).
+    Each column is (theta, r, T, outcome).  A pair's outcome gives one row
+    and a sample's one row per replication; the rows go replication by
+    replication, through the columns in turn.
     """
     if header_comment:
         fileobj.write(f"# {header_comment}\n")
     fileobj.write("variant,alpha,theta,r,T,statistic,threshold,reject\n")
-    for variant, alpha, theta, r, horizon_T, out in rows:
-        name = TestVariant(variant).value
-        fileobj.write(f"{name},{alpha:.17g},{theta:.17g},{r:.17g},{horizon_T:.17g},"
-                      f"{out.statistic:.17g},{out.threshold:.17g},{int(out.reject)}\n")
+    fixed = [(f"{out.variant.value},{out.alpha:.17g},{theta:.17g},{r:.17g},{horizon_T:.17g}",
+              f"{out.threshold:.17g}") for theta, r, horizon_T, out in columns]
+    series = [zip(np.atleast_1d(out.statistic).tolist(), np.atleast_1d(out.reject).tolist())
+              for *_, out in columns]
+    for row in zip(*series):
+        for (head, threshold), (statistic, reject) in zip(fixed, row):
+            fileobj.write(f"{head},{statistic:.17g},{threshold},{int(reject)}\n")

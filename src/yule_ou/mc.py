@@ -260,9 +260,7 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
 
 def rejections(sample, variant, alpha):
     """Boolean rejection array of the chosen test applied to every replication."""
-    if sample.rho is None:
-        raise ParameterError("the tests read x2, which a one-path sample lacks")
-    return hyp.decide(hyp.variant_statistic(sample, variant), variant, alpha, sample.theta)[1]
+    return hyp.apply_test(sample, variant, alpha, sample.theta).reject
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +444,7 @@ def spde_mode_samples(n_modes, r, horizon_T, replications, base_seed, jobs=1):
 
 
 def spde_family_rejections(mode_samples, alpha, variant="rho_known_theta"):
-    """Per-mode and family rejection flags for the field test.
+    """Each mode's TestOutcome and the family's rejection flags for the field test.
 
     Each mode is tested at its own rate and at the per-mode level alpha, so
     the family, which rejects on any mode, has rate 1-(1-alpha)^N; passing
@@ -454,5 +452,5 @@ def spde_family_rejections(mode_samples, alpha, variant="rho_known_theta"):
     """
     if not mode_samples:
         raise ParameterError("the field test needs at least one mode")
-    per_mode = np.stack([rejections(s, variant, alpha) for s in mode_samples])
-    return per_mode, per_mode.any(axis=0)
+    outcomes = [hyp.apply_test(s, variant, alpha, s.theta) for s in mode_samples]
+    return outcomes, np.any([out.reject for out in outcomes], axis=0)

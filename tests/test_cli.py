@@ -108,6 +108,18 @@ def test_test_estimated_variant_needs_no_theta(pair_csv, capsys):
     assert json.loads(out)["threshold"] == pytest.approx(1.959964, abs=1e-6)
 
 
+def test_test_estimated_variant_refuses_theta_before_reading_input(tmp_path, capsys):
+    # rho-est never reads theta, so a theta from the flag or a config key is refused
+    missing = str(tmp_path / "missing.csv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": 3.0}))
+    for extra in (("--theta", "3"), ("--config", str(cfg))):
+        code, out, err = run_cli(capsys, "test", "--variant", "rho-est", "--input", missing,
+                                 *extra)
+        assert (code, out) == (2, "")
+        assert _one_error_line(err) and "--theta" in err
+
+
 def test_test_num_variant_requires_theta(pair_csv, capsys):
     code, _, err = run_cli(capsys, "test", "--variant", "num",
                            "--input", str(pair_csv))
@@ -358,7 +370,7 @@ def test_jobs_below_one_exit_2(tmp_path, capsys, jobs):
 
 
 @pytest.mark.parametrize("flag,value", [("--rs", "nan"), ("--rs", "0,1.5"),
-                                        ("--seed", "-1")])
+                                        ("--rs", "0,,0.5"), ("--seed", "-1")])
 def test_mc_grid_wide_input_exits_2(tmp_path, capsys, flag, value):
     argv = {"--thetas": "1", "--rs": "0", "--Ts": "5", "--reps": "10", "--seed": "1",
             "--statistic": "rho_centered", "--out": str(tmp_path / "mc.csv")}
@@ -544,8 +556,11 @@ def test_an_unwritable_output_path_exits_1_before_simulating(tmp_path, capsys, m
 
 def test_two_outputs_on_one_path_exit_2_before_simulating(tmp_path, capsys, monkeypatch):
     _refuse_streams(monkeypatch)
-    for path in (str(tmp_path / "mc.csv"), "-"):
-        code, out, err = run_cli(capsys, *_MC_ARGV, "--out", path, "--jsonl", path)
+    # an omitted --out is stdout, so `--jsonl -` or `--csv -` alone names it twice
+    for argv in [(*_MC_ARGV, "--out", path, "--jsonl", path)
+                 for path in (str(tmp_path / "mc.csv"), "-")] + \
+            [(*_MC_ARGV, "--jsonl", "-"), (*_SPDE_ARGV, "--csv", "-")]:
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert _one_error_line(err) and "same path" in err
     assert not (tmp_path / "mc.csv").exists()

@@ -8,8 +8,7 @@ import pytest
 
 from yule_ou.errors import (DegenerateStatisticError, GridMismatchError,
                             InsufficientDataError)
-from yule_ou.estimators import (PathPair, empirical_cov_functional,
-                                numerator_statistic, path_time_average,
+from yule_ou.estimators import (PathPair, empirical_cov_functional, path_time_average,
                                 theta_estimator, yule_rho)
 from yule_ou.sde import (CorrelatedPairConfig, SamplePath, mean_functional_variance,
                          simulate_correlated_pair, stream)
@@ -215,14 +214,13 @@ def test_pooled_theta_estimate():
 
 def test_numerator_zero_paths():
     zero = _path(np.zeros(11))
-    assert numerator_statistic(PathPair(x1=zero, x2=zero)) == 0.0
+    assert empirical_cov_functional(zero, zero) == 0.0
 
 
 def test_numerator_perfect_pair_limit():
     # x2 = x1: Y12/T = Y11/T -> 1/(2 theta); fixed seed, generous band
     pair = _random_pair(10, theta=1.0, r=0.0, T=200.0)
-    same = PathPair(x1=pair.x1, x2=pair.x1)
-    value = numerator_statistic(same) / math.sqrt(pair.x1.horizon)
+    value = empirical_cov_functional(pair.x1, pair.x1) / pair.x1.horizon
     assert abs(value - 0.5) < 0.15
 
 

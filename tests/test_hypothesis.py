@@ -10,8 +10,8 @@ import pytest
 
 from yule_ou.errors import ParameterError
 from yule_ou.estimators import PathPair, YuleStatistics, yule_rho
-from yule_ou.hypothesis import (TestVariant, ThetaMode, calibrate_berry_constant,
-                                confidence_interval_r, critical_value,
+from yule_ou.hypothesis import (TestVariant, calibrate_berry_constant,
+                                confidence_interval_r, critical_value, decide,
                                 numerator_bound_valid_from, numerator_test, rho_test,
                                 rho_test_estimated_theta, sidak_level, spde_type2_bound,
                                 type2_bound_numerator, type2_bound_rho, variant_statistic,
@@ -78,6 +78,22 @@ def test_numerator_test_threshold():
     assert not numerator_test(0.0, theta=2.0, alpha=0.05).reject
 
 
+@pytest.mark.parametrize("variant", list(TestVariant))
+def test_decide_on_an_array_is_decide_on_each_element(variant):
+    threshold = critical_value(variant, 0.05, 4.0)
+    above = np.nextafter(threshold, np.inf)
+    values = np.array([0.0, -3.0, 3.0, 0.1, -0.1, threshold, -threshold, above, -above])
+    batch = decide(values, variant, 0.05, 4.0)
+    assert batch.reject.dtype == bool and batch.reject.shape == values.shape
+    for j, value in enumerate(values):
+        one = decide(float(value), variant, 0.05, 4.0)
+        assert type(one.statistic) is float and type(one.reject) is bool
+        assert (one.statistic, one.threshold, one.reject, one.alpha, one.variant) == \
+            (batch.statistic[j], batch.threshold, batch.reject[j], batch.alpha, batch.variant)
+    # a tie never rejects; the next double up does
+    assert batch.reject[5:].tolist() == [False, False, True, True]
+
+
 def test_invalid_alpha():
     for alpha in (0.0, 1.0, -1.0):
         with pytest.raises(ParameterError):
@@ -103,8 +119,7 @@ def test_scale_invariance_of_known_theta_decision():
 # ---------------------------------------------------------------------------
 
 def test_ci_half_width_known_theta():
-    ci = confidence_interval_r(_stats(rho=0.0, T=400.0), alpha=0.05,
-                               theta_mode=ThetaMode.KNOWN, theta=1.0)
+    ci = confidence_interval_r(_stats(rho=0.0, T=400.0), alpha=0.05, theta=1.0)
     half = (ci.upper - ci.lower) / 2.0
     assert half == pytest.approx(Q975 / 20.0, rel=1e-9)
     assert half == pytest.approx(0.097998, abs=1e-6)
@@ -112,29 +127,24 @@ def test_ci_half_width_known_theta():
 
 
 def test_ci_width_scales_with_rho():
-    flat = confidence_interval_r(_stats(rho=0.0), 0.05, ThetaMode.KNOWN, theta=1.0)
-    peak = confidence_interval_r(_stats(rho=1.0), 0.05, ThetaMode.KNOWN, theta=1.0)
+    flat = confidence_interval_r(_stats(rho=0.0), 0.05, theta=1.0)
+    peak = confidence_interval_r(_stats(rho=1.0), 0.05, theta=1.0)
     ratio = (peak.upper - peak.lower) / (flat.upper - flat.lower)
     assert ratio == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_ci_estimated_theta_uses_theta_hat():
     stats = _stats(rho=0.1, theta_hat=4.0, T=100.0)
-    known = confidence_interval_r(stats, 0.05, ThetaMode.KNOWN, theta=4.0)
-    est = confidence_interval_r(stats, 0.05, ThetaMode.ESTIMATED)
+    known = confidence_interval_r(stats, 0.05, theta=4.0)
+    est = confidence_interval_r(stats, 0.05)
     assert known.lower == pytest.approx(est.lower, rel=1e-12)
     assert known.upper == pytest.approx(est.upper, rel=1e-12)
-
-
-def test_ci_requires_theta_in_known_mode():
-    with pytest.raises(ParameterError, match="known mode requires a positive theta"):
-        confidence_interval_r(_stats(), 0.05, ThetaMode.KNOWN)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
 def test_ci_refuses_a_known_theta_outside_its_domain(theta):
     with pytest.raises(ParameterError, match="theta must be positive and finite"):
-        confidence_interval_r(_stats(), 0.05, ThetaMode.KNOWN, theta=theta)
+        confidence_interval_r(_stats(), 0.05, theta=theta)
 
 
 def test_ci_coverage_mc():
@@ -170,10 +180,10 @@ def field():
 
 
 def test_multimode_single_mode_reduction(field):
-    per_mode, family = spde_family_rejections(field[:1], 0.05)
+    (outcome,), family = spde_family_rejections(field[:1], 0.05)
     flags = rejections(field[0], "rho_known_theta", 0.05)
-    assert per_mode.shape == (1, 100)
-    np.testing.assert_array_equal(per_mode[0], flags)
+    assert outcome.reject.shape == (100,)
+    np.testing.assert_array_equal(outcome.reject, flags)
     np.testing.assert_array_equal(family, flags)
     # each replication's flag is the single-pair test on its statistics
     for j in range(100):
@@ -188,14 +198,17 @@ def test_multimode_thresholds_scale_as_inverse_k(field):
     got = [critical_value("rho_known_theta", 0.05, s.theta) for s in field]
     np.testing.assert_allclose(got, [Q975, Q975 / 2, Q975 / 3], rtol=1e-9)
     np.testing.assert_allclose(got, [1.959964, 0.979982, 0.653321], atol=1e-6)
-    per_mode, _ = spde_family_rejections(field, 0.05)
-    for sample, threshold, flags in zip(field, got, per_mode):
+    outcomes, _ = spde_family_rejections(field, 0.05)
+    for sample, threshold, out in zip(field, got, outcomes):
         stat = variant_statistic(sample, "rho_known_theta")
-        np.testing.assert_array_equal(flags, np.abs(stat) > threshold)
+        assert out.threshold == threshold and out.alpha == 0.05
+        np.testing.assert_array_equal(out.statistic, stat)
+        np.testing.assert_array_equal(out.reject, np.abs(stat) > threshold)
 
 
 def test_multimode_reject_any_logic(field):
-    per_mode, family = spde_family_rejections(field, 0.05)
+    outcomes, family = spde_family_rejections(field, 0.05)
+    per_mode = np.stack([out.reject for out in outcomes])
     np.testing.assert_array_equal(family, per_mode.any(axis=0))
     # both outcomes occur, and some family rejection rests on one higher mode
     assert family.any() and not family.all()
@@ -213,6 +226,7 @@ def test_multimode_sidak_level(field):
     level = sidak_level(0.05, 3)
     plain, plain_any = spde_family_rejections(field, 0.05)
     strict, strict_any = spde_family_rejections(field, level)
+    plain, strict = (np.stack([out.reject for out in outs]) for outs in (plain, strict))
     assert all(critical_value("rho_known_theta", level, s.theta)
                > critical_value("rho_known_theta", 0.05, s.theta) for s in field)
     assert np.all(plain[strict]) and np.all(plain_any[strict_any])
@@ -229,10 +243,11 @@ def test_multimode_numerator_variant(field):
     # mode-k threshold q/(2 k^3)
     got = [critical_value("numerator_known_theta", 0.05, s.theta) for s in field[:2]]
     np.testing.assert_allclose(got, [Q975 / 2.0, Q975 / 16.0], rtol=1e-9)
-    per_mode, _ = spde_family_rejections(field[:2], 0.05, "numerator_known_theta")
-    for sample, threshold, flags in zip(field, got, per_mode):
+    outcomes, _ = spde_family_rejections(field[:2], 0.05, "numerator_known_theta")
+    for sample, threshold, out in zip(field, got, outcomes):
         numerator = sample.y12 / math.sqrt(sample.horizon_T)
-        np.testing.assert_array_equal(flags, np.abs(numerator) > threshold)
+        assert out.variant is TestVariant.NUMERATOR_KNOWN_THETA
+        np.testing.assert_array_equal(out.reject, np.abs(numerator) > threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +291,22 @@ def test_type2_numerator_values():
         type2_bound_numerator(1.0, 0.5, 0.05, 2.0, 0.0)  # T <= e
 
 
+@pytest.mark.parametrize("kind,bound", [("rho", type2_bound_rho),
+                                        ("numerator", type2_bound_numerator)])
+def test_calibrated_constant_inverts_its_bound(kind, bound):
+    for theta, r, alpha, T in ((1.0, 0.5, 0.05, 50.0), (2.0, -0.3, 0.01, 20.0),
+                               (0.5, 0.8, 0.1, 5.0)):
+        tail = bound(theta, r, alpha, T, 0.0)
+        for beta in (tail + 1e-3, tail + 0.3):
+            berry = calibrate_berry_constant(kind, theta, r, alpha, T, beta)
+            assert berry > 0
+            assert bound(theta, r, alpha, T, berry) == pytest.approx(beta, rel=0, abs=1e-12)
+        # a miss rate under the tail alone floors the constant at zero
+        assert calibrate_berry_constant(kind, theta, r, alpha, T, 0.5 * tail) == 0.0
+    with pytest.raises(ParameterError, match="unknown bound kind"):
+        calibrate_berry_constant("bogus", 1.0, 0.5, 0.05, 50.0, 0.5)
+
+
 def test_type2_bounds_dominate_empirical_beta():
     # calibrate at T=50, check domination at larger horizons (r=0.5 and 0.3)
     from yule_ou.mc import pair_sample, rejections
@@ -308,10 +339,24 @@ def test_spde_type2_bound_products():
 def test_outcomes_csv_schema():
     out = rho_test(_stats(rho=0.5, T=100.0), theta=1.0, alpha=0.05)
     buf = io.StringIO()
-    write_outcomes_csv(buf, [("rho_known_theta", 0.05, 1.0, 0.5, 100.0, out)],
-                       header_comment="config: {}")
+    write_outcomes_csv(buf, [(1.0, 0.5, 100.0, out)], header_comment="config: {}")
     lines = buf.getvalue().strip().splitlines()
     assert lines[1] == "variant,alpha,theta,r,T,statistic,threshold,reject"
     fields = lines[2].split(",")
     assert fields[0] == "rho_known_theta"
     assert fields[-1] == "1"
+
+
+def test_outcomes_csv_of_a_sample_is_the_rows_of_its_replications(field):
+    """A sample's rows are its replications' single-pair rows, replication
+    by replication through the modes."""
+    outcomes, _ = spde_family_rejections(field, 0.05)
+    batch = io.StringIO()
+    write_outcomes_csv(batch, [(s.theta, 0.1, 10.0, out) for s, out in zip(field, outcomes)])
+    rows = io.StringIO()
+    for j in range(100):
+        for sample, out in zip(field, outcomes):
+            one = decide(float(out.statistic[j]), out.variant, out.alpha, sample.theta)
+            write_outcomes_csv(rows, [(sample.theta, 0.1, 10.0, one)])
+    header = "variant,alpha,theta,r,T,statistic,threshold,reject\n"
+    assert batch.getvalue() == header + rows.getvalue().replace(header, "")

@@ -204,8 +204,11 @@ def test_one_path_cell_keeps_the_pair_bits(monkeypatch, jobs):
     for statistic in ("rho_centered", "numerator_centered"):
         with pytest.raises(ParameterError, match="x2"):
             summarize_cell(one, statistic, 0.05)
-    with pytest.raises(ParameterError, match="x2"):
-        rejections(one, "numerator_known_theta", 0.05)
+    for variant in ("rho_known_theta", "rho_estimated_theta", "numerator_known_theta"):
+        with pytest.raises(ParameterError, match="x2"):
+            rejections(one, variant, 0.05)
+        with pytest.raises(ParameterError, match="x2"):
+            spde_family_rejections([pair, one], 0.05, variant)
     with pytest.raises(ParameterError, match="unknown statistic"):
         summarize_cell(pair, "nope", 0.05)
     with pytest.raises(ParameterError, match="paths"):
@@ -444,6 +447,6 @@ def test_report_csv_layout():
 def test_spde_mode_samples_rates_and_family():
     samples = spde_mode_samples(2, 0.0, 10.0, replications=150, base_seed=5)
     assert [s.theta for s in samples] == [1.0, 4.0]
-    per_mode, family = spde_family_rejections(samples, 0.05)
-    assert per_mode.shape == (2, 150)
-    np.testing.assert_array_equal(family, per_mode.any(axis=0))
+    outcomes, family = spde_family_rejections(samples, 0.05)
+    assert [out.reject.shape for out in outcomes] == [(150,), (150,)]
+    np.testing.assert_array_equal(family, outcomes[0].reject | outcomes[1].reject)
