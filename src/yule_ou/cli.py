@@ -35,7 +35,7 @@ class ConfigError(Exception):
 def _parse_float_list(text):
     """A comma list of numbers; an empty item is refused, not skipped."""
     try:
-        return tuple(map(float, str(text).split(",")))
+        return tuple(map(float, text.split(",")))
     except ValueError as exc:
         raise ConfigError(f"cannot parse number list {text!r}: {exc}")
 
@@ -50,7 +50,7 @@ def _merge_config(args, parser):
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # an integer too long to convert is no JSONDecodeError
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         raise ConfigError("config file must hold a single JSON object")
@@ -63,16 +63,28 @@ def _merge_config(args, parser):
             raise ConfigError(f"unknown config key {key!r}")
         if getattr(args, dest) is not None:  # flags override file values
             continue
-        action = actions[dest]
-        try:
-            value = value if action.type is None else action.type(str(value))
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: invalid value {value!r}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-        if action.const is not None and not isinstance(value, bool):  # an on/off flag
+        setattr(args, dest, _config_value(key, value, actions[dest]))
+
+
+def _config_value(key, value, action):
+    """A config value as its flag's text gives it: a string or a number, true or
+    false for an on/off flag, and also a list of numbers for a number list."""
+    if action.const is not None:  # an on/off flag
+        if not isinstance(value, bool):
             raise ConfigError(f"config key {key!r}: {value!r} is not true or false")
-        setattr(args, dest, value)
+        return value
+    if (isinstance(value, list) and action.dest in ("thetas", "rs", "Ts") and value
+            and all(type(v) in (int, float) for v in value)):  # a bool is no number here
+        value = ",".join(map(str, value))
+    if type(value) not in (str, int, float):  # a bool, null, list or object
+        raise ConfigError(f"config key {key!r}: invalid value {value!r}")
+    try:
+        value = str(value) if action.type is None else action.type(str(value))
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return value
 
 
 def _require(args, *names):
@@ -88,8 +100,13 @@ def _apply_defaults(args, **defaults):
             setattr(args, dest, value)
 
 
-def _config_echo(pairs):
-    return json.dumps({k: v for k, v in pairs.items() if v is not None}, sort_keys=True)
+def _csv_text(echo, write):
+    """What write(fileobj) writes, under a `# config:` line of the given values."""
+    buf = io.StringIO()
+    given = {k: v for k, v in echo.items() if v is not None}
+    buf.write(f"# config: {json.dumps(given, sort_keys=True)}\n")
+    write(buf)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +118,13 @@ def _cmd_simulate(args):
     config = CorrelatedPairConfig(theta=args.theta, r=args.r, horizon_T=args.T,
                                   dt=args.dt, seed=args.seed)
     pair = sde.simulate_correlated_pair(config)
-    echo = _config_echo({"command": "simulate", "theta": config.theta, "r": config.r,
-                         "T": config.horizon_T, "dt": config.dt, "seed": config.seed})
-    buf = io.StringIO()
-    sde.write_pair_csv(pair, buf, header_comment=f"config: {echo}")
-    return {args.out: buf.getvalue()}
+    echo = {"command": "simulate", "theta": config.theta, "r": config.r,
+            "T": config.horizon_T, "dt": config.dt, "seed": config.seed}
+    return {args.out: _csv_text(echo, lambda fh: sde.write_pair_csv(pair, fh))}
 
 
 def _load_pair(path):
-    """Load a `t,x1,x2` CSV as two SamplePaths on the shared grid."""
+    """Load a `t,x1,x2` CSV as a PathPair on the shared grid."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             t, x1, x2 = sde.read_pair_csv(fh)
@@ -123,14 +138,13 @@ def _load_pair(path):
     dt = float(steps[0])
     if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
         raise RuntimeError("path CSV must be on a uniform increasing grid")
-    return (SamplePath(t0=float(t[0]), dt=dt, values=x1),
-            SamplePath(t0=float(t[0]), dt=dt, values=x2))
+    return PathPair(x1=SamplePath(t0=float(t[0]), dt=dt, values=x1),
+                    x2=SamplePath(t0=float(t[0]), dt=dt, values=x2))
 
 
 def _cmd_stat(args):
     _require(args, "input")
-    p1, p2 = _load_pair(args.input)
-    stats = yule_rho(PathPair(x1=p1, x2=p2), pooled_theta=bool(args.pooled_theta))
+    stats = yule_rho(_load_pair(args.input), pooled_theta=bool(args.pooled_theta))
     payload = stats.to_dict()
     payload["config"] = {"command": "stat", "input": args.input,
                          "pooled_theta": bool(args.pooled_theta)}
@@ -148,8 +162,7 @@ def _cmd_test(args):
         _require(args, "theta")
     elif args.theta is not None:
         raise ConfigError("--theta is not read by the rho-est variant, which estimates the rate")
-    p1, p2 = _load_pair(args.input)
-    stats = yule_rho(PathPair(x1=p1, x2=p2))
+    stats = yule_rho(_load_pair(args.input))
     outcome = hyp.apply_test(stats, _VARIANT_ALIASES[args.variant], args.alpha, args.theta)
     payload = outcome.to_dict()
     payload["config"] = {"command": "test", "variant": args.variant, "alpha": args.alpha,
@@ -167,14 +180,10 @@ def _cmd_mc(args):
                              statistic=args.statistic, dt_policy=args.dt,
                              alpha=args.alpha)
     reports = mc.run_grid(grid, jobs=args.jobs)
-    echo = _config_echo({"command": "mc", "thetas": list(grid.thetas),
-                         "rs": list(grid.rs), "Ts": list(grid.horizons),
-                         "reps": grid.replications, "seed": grid.base_seed,
-                         "statistic": grid.statistic, "alpha": grid.alpha,
-                         "dt": args.dt})
-    buf = io.StringIO()
-    mc.write_reports_csv(buf, reports, header_comment=f"config: {echo}")
-    outputs = {args.out: buf.getvalue()}
+    echo = {"command": "mc", "thetas": list(grid.thetas), "rs": list(grid.rs),
+            "Ts": list(grid.horizons), "reps": grid.replications, "seed": grid.base_seed,
+            "statistic": grid.statistic, "alpha": grid.alpha, "dt": args.dt}
+    outputs = {args.out: _csv_text(echo, lambda fh: mc.write_reports_csv(fh, reports))}
     if args.jsonl:
         outputs[args.jsonl] = "".join(json.dumps(rep.to_dict(), sort_keys=True) + "\n" for rep in reports)
     return outputs
@@ -199,11 +208,8 @@ def _cmd_spde(args):
                             for k, (s, out) in enumerate(zip(samples, outcomes), 1)]}
     outputs = {args.out: json.dumps(payload, sort_keys=True) + "\n"}
     if args.csv:
-        buf = io.StringIO()
-        hyp.write_outcomes_csv(buf, [(s.theta, args.r, args.T, out)
-                                     for s, out in zip(samples, outcomes)],
-                               header_comment=f"config: {_config_echo(echo)}")
-        outputs[args.csv] = buf.getvalue()
+        columns = [(s.theta, args.r, args.T, out) for s, out in zip(samples, outcomes)]
+        outputs[args.csv] = _csv_text(echo, lambda fh: hyp.write_outcomes_csv(fh, columns))
     return outputs
 
 

@@ -29,14 +29,15 @@ class PathPair:
 
 @dataclass(frozen=True)
 class YuleStatistics:
-    """Functionals of one pair: variances y11/y22, cross term y12,
-    correlation rho = y12 / sqrt(y11*y22), and the rate estimate."""
+    """Functionals of a pair: variances y11/y22, cross term y12, correlation
+    rho = y12 / sqrt(y11*y22) and the rate estimate; floats for one pair,
+    arrays with one entry per replication for a sample (mc.PairSample)."""
 
-    y11: float
-    y22: float
-    y12: float
-    rho: float
-    theta_hat: float
+    y11: float | np.ndarray
+    y22: float | np.ndarray
+    y12: float | np.ndarray
+    rho: float | np.ndarray
+    theta_hat: float | np.ndarray
     horizon_T: float
 
     def to_dict(self):
@@ -105,8 +106,13 @@ def functionals(x1, x2, dt):
 
 
 def rate_estimate(y_aa, horizon_T):
-    """Mean-reversion rate T/(2 Y_aa) of a path, for scalars or arrays."""
-    return horizon_T / (2.0 * y_aa)
+    """Mean-reversion rate T/(2 Y_aa) of a path, for scalars or arrays; a
+    rate that overflows, as it does for a subnormal Y_aa, is refused."""
+    with np.errstate(over="ignore"):
+        rate = horizon_T / (2.0 * y_aa)
+    if not np.all(np.isfinite(rate)):
+        raise DegenerateStatisticError("non-finite rate estimate")
+    return rate
 
 
 def correlation(y11, y22, y12):
@@ -125,12 +131,13 @@ def _check_not_constant(path):
         raise DegenerateStatisticError("path is constant; statistic undefined")
 
 
-def _check_finite_rate(rate):
-    """Refuse a rate estimate that overflowed, as T/(2 Y_aa) does for a
-    subnormal Y_aa."""
-    if not math.isfinite(rate):
-        raise DegenerateStatisticError("non-finite rate estimate")
-    return rate
+def check_functionals(y11, y22=1.0, y12=0.0):
+    """Refuse functionals, a pair's floats or a sample's arrays, with a
+    variance that is not positive and finite or a cross term that is not
+    finite: finite paths can still overflow the reduction to inf or nan."""
+    if not np.all((0.0 < y11) & (y11 < math.inf) & (0.0 < y22) & (y22 < math.inf)
+                  & np.isfinite(y12)):
+        raise DegenerateStatisticError("degenerate or non-finite functional")
 
 
 def theta_estimator(path):
@@ -138,10 +145,8 @@ def theta_estimator(path):
     _check_not_constant(path)
     with np.errstate(over="ignore", invalid="ignore"):
         y = float(variance_functional(path.values, path.dt))
-    # finite paths can still overflow the reduction to inf or nan
-    if not 0.0 < y < math.inf:
-        raise DegenerateStatisticError("degenerate or non-finite variance functional")
-    return _check_finite_rate(rate_estimate(y, path.horizon))
+    check_functionals(y)
+    return rate_estimate(y, path.horizon)
 
 
 def yule_rho(pair, pooled_theta=False):
@@ -154,12 +159,11 @@ def yule_rho(pair, pooled_theta=False):
     _check_not_constant(pair.x2)
     with np.errstate(over="ignore", invalid="ignore"):
         y11, y22, y12 = map(float, functionals(pair.x1.values, pair.x2.values, pair.x1.dt))
-    if not (0.0 < y11 < math.inf and 0.0 < y22 < math.inf and math.isfinite(y12)):
-        raise DegenerateStatisticError("degenerate or non-finite functional")
+    check_functionals(y11, y22, y12)
     T = pair.x1.horizon
     rho, theta_hat = correlation(y11, y22, y12), rate_estimate(y11, T)
     if pooled_theta:
-        theta_hat = 0.5 * (theta_hat + rate_estimate(y22, T))
+        theta_hat = 0.5 * theta_hat + 0.5 * rate_estimate(y22, T)  # does not overflow
     return YuleStatistics(y11=y11, y22=y22, y12=y12, rho=float(rho),
-                          theta_hat=_check_finite_rate(theta_hat), horizon_T=T)
+                          theta_hat=theta_hat, horizon_T=T)
 

@@ -8,11 +8,11 @@ q = upper_quantile(alpha/2):
     rho, estimated theta:  |sqrt(T that) rho| > q
     numerator:             |Y12 / sqrt(T)|   > q / (2 theta^{3/2})
 
-`variant_statistic` gives the statistic and `critical_value` the
-threshold; `decide` is the only code that compares them, and returns a
-TestOutcome whose statistic and reject are scalars for one pair's
-YuleStatistics and arrays, one entry per replication, for a Monte Carlo
-PairSample.  Ties never reject (a measure-zero event, resolved
+`variant_statistic` reads the statistic from a YuleStatistics and
+`critical_value` gives the threshold; `decide` is the only code that
+compares them.  Its TestOutcome holds scalars for one pair and arrays,
+one entry per replication, for a Monte Carlo PairSample (a YuleStatistics
+batch).  Ties never reject (a measure-zero event, resolved
 deterministically).  The field test applies the rule to each Fourier
 mode k at theta = k^2 and rejects on any mode; it lives in
 `mc.spde_family_rejections`, beside the engine that simulates the modes.
@@ -68,7 +68,7 @@ class ConfidenceInterval:
 
 
 def variant_statistic(stats, variant):
-    """The variant's statistic from an object with horizon_T, rho, theta_hat, y12."""
+    """The variant's statistic from a YuleStatistics, a pair's or a sample's."""
     variant = TestVariant(variant)
     if stats.rho is None:
         raise ParameterError("the tests read x2, which a one-path sample lacks")
@@ -111,7 +111,7 @@ def decide(statistic, variant, alpha, theta=None):
 # ---------------------------------------------------------------------------
 
 def apply_test(stats, variant, alpha, theta=None):
-    """TestOutcome of the variant on one pair's YuleStatistics or a PairSample."""
+    """TestOutcome of the variant on a YuleStatistics, a pair's or a sample's."""
     return decide(variant_statistic(stats, variant), variant, alpha, theta)
 
 
@@ -237,15 +237,13 @@ def spde_type2_bound(per_mode_bounds):
     return product
 
 
-def write_outcomes_csv(fileobj, columns, header_comment=None):
+def write_outcomes_csv(fileobj, columns):
     """Write test outcomes as `variant,alpha,theta,r,T,statistic,threshold,reject`.
 
     Each column is (theta, r, T, outcome).  A pair's outcome gives one row
     and a sample's one row per replication; the rows go replication by
     replication, through the columns in turn.
     """
-    if header_comment:
-        fileobj.write(f"# {header_comment}\n")
     fileobj.write("variant,alpha,theta,r,T,statistic,threshold,reject\n")
     fixed = [(f"{out.variant.value},{out.alpha:.17g},{theta:.17g},{r:.17g},{horizon_T:.17g}",
               f"{out.threshold:.17g}") for theta, r, horizon_T, out in columns]

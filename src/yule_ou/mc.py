@@ -19,14 +19,16 @@ import itertools
 import math
 import sys
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import hypothesis as hyp
 from . import sde, theory
-from .errors import InsufficientDataError, ParameterError, check_level, check_positive
-from .estimators import correlation, functionals, rate_estimate, variance_functional
+from .errors import (InsufficientDataError, ParameterError, YuleOuError, check_level,
+                     check_positive)
+from .estimators import (YuleStatistics, check_functionals, correlation, functionals,
+                         rate_estimate, variance_functional)
 from .gaussian import norm_cdf, upper_quantile
 
 _BLOCK_ELEMS = 4_000_000  # target innovations per simulated block
@@ -118,8 +120,9 @@ def rate_fit(points):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PairSample:
-    """Per-replication functionals of one grid cell.
+class PairSample(YuleStatistics):
+    """A grid cell's YuleStatistics, one array entry per replication, with
+    the cell's rate, correlation and step.
 
     A one-path cell (pair_sample(..., paths=1)) simulates x1 alone: its
     y11 and theta_hat equal the full pair's bit for bit, and the fields
@@ -128,14 +131,7 @@ class PairSample:
 
     theta: float
     r: float
-    horizon_T: float
     dt: float
-    n: int
-    rho: np.ndarray | None
-    theta_hat: np.ndarray
-    y11: np.ndarray
-    y22: np.ndarray | None
-    y12: np.ndarray | None
 
 
 def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
@@ -160,18 +156,19 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
                for p in range(paths)]
     buffers = [np.empty((tile, n_steps)) for _ in streams]
     out = np.empty((3 if paths == 2 else 1, m))
-    for a in range(0, m, tile):
-        b = min(a + tile, m)
-        z = [s.standard_normal((b - a, n_steps), out=buf[:b - a])
-             for s, buf in zip(streams, buffers)]
-        # the paths stay bound until the next tile's exist: freed at once,
-        # they let the heap shrink and fault back in on every tile
-        if paths == 2:
-            x = sde.correlated_paths(theta, r, dt, *z)
-            out[:, a:b] = functionals(*x, dt)
-        else:
-            x = sde.ou_paths(theta, dt, z[0])
-            out[0, a:b] = variance_functional(x, dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # pair_sample refuses the overflow
+        for a in range(0, m, tile):
+            b = min(a + tile, m)
+            z = [s.standard_normal((b - a, n_steps), out=buf[:b - a])
+                 for s, buf in zip(streams, buffers)]
+            # the paths stay bound until the next tile's exist: freed at once,
+            # they let the heap shrink and fault back in on every tile
+            if paths == 2:
+                x = sde.correlated_paths(theta, r, dt, *z)
+                out[:, a:b] = functionals(*x, dt)
+            else:
+                x = sde.ou_paths(theta, dt, z[0])
+                out[0, a:b] = variance_functional(x, dt)
     return out
 
 
@@ -223,13 +220,13 @@ def _run_blocks(tasks, jobs):
 
 def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
                 cell_index=0, jobs=1, process_offset=0, paths=2):
-    """Simulate a cell and return all per-replication functionals.
+    """Simulate a cell and return its PairSample of per-replication arrays.
 
     dt=None resolves to the largest exact divisor of T with theta*dt <=
     sde.STEP_CAP.  The result is invariant to `jobs`: with jobs > 1 the
     cell's fixed blocks run on a pool of at most one worker thread per
     block, in this process, and jobs == 1 runs them inline.  paths=1 draws
-    only process 0 (x1) and returns a one-path PairSample, whose y11 and
+    only process 0 (x1) and returns a one-path sample, whose y11 and
     theta_hat equal the pair's bit for bit and whose rho, y22 and y12 are
     None.
     """
@@ -248,14 +245,14 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
     results = _run_blocks(tasks, jobs)
 
     y11, *cross = (np.concatenate(parts) for parts in zip(*results))
+    check_functionals(y11, *cross)  # the rule yule_rho applies to one pair
     T = n_steps * dt
-
     y22 = y12 = rho = None
     if cross:
         y22, y12 = cross
         rho = correlation(y11, y22, y12)
-    return PairSample(theta=theta, r=r, horizon_T=T, dt=dt, n=replications, rho=rho,
-                      theta_hat=rate_estimate(y11, T), y11=y11, y22=y22, y12=y12)
+    return PairSample(y11=y11, y22=y22, y12=y12, rho=rho, theta_hat=rate_estimate(y11, T),
+                      horizon_T=T, theta=theta, r=r, dt=dt)
 
 
 def rejections(sample, variant, alpha):
@@ -336,42 +333,40 @@ class McReport:
     ci_lo: float
     ci_hi: float
 
-    CSV_HEADER = "theta,r,T,n,mean,var,k3,k4,d_kol,reject_rate,ci_lo,ci_hi"
+    # the CSV and JSON name of each field, in field order
+    COLUMNS = ("theta", "r", "T", "n", "mean", "var", "k3", "k4", "d_kol",
+               "reject_rate", "ci_lo", "ci_hi")
 
     def csv_row(self):
-        vals = (self.theta, self.r, self.horizon_T)
-        stats = (self.mean, self.variance, self.k3, self.k4, self.d_kol,
-                 self.reject_rate, self.ci_lo, self.ci_hi)
-        return ",".join([f"{v:.17g}" for v in vals] + [str(self.n)]
-                        + [f"{v:.17g}" for v in stats])
+        # n <= 2**32 has fewer than 17 digits, so .17g prints it as an integer
+        return ",".join(f"{v:.17g}" for v in astuple(self))
 
     def to_dict(self):
-        return {"theta": self.theta, "r": self.r, "T": self.horizon_T, "n": self.n,
-                "mean": self.mean, "var": self.variance, "k3": self.k3, "k4": self.k4,
-                "d_kol": self.d_kol, "reject_rate": self.reject_rate,
-                "ci_lo": self.ci_lo, "ci_hi": self.ci_hi}
+        return dict(zip(self.COLUMNS, astuple(self)))
 
 
 def summarize_cell(sample, statistic, alpha):
-    """Aggregate one cell into an McReport of its _STATISTICS row."""
+    """Aggregate one cell into an McReport of its _STATISTICS row, refusing an overflow."""
     if statistic not in _STATISTICS:
         raise ParameterError(f"unknown statistic {statistic!r}")
     paths, test, standardize = _STATISTICS[statistic]
     if paths == 2 and sample.rho is None:
         raise ParameterError(f"{statistic} reads x2, which a one-path sample lacks")
-    values = np.asarray(standardize(sample))
-    n = values.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(standardize(sample))
+        n = values.size
+        if n >= 4:
+            k = k_statistics(values)
+        else:  # a smaller sample has k2 from two replications on, and no k3 or k4
+            k = (float(np.var(values, ddof=1)),) if n >= 2 else ()
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(k))):
+        raise ParameterError(f"{statistic} or its k-statistics are not finite")
+    k2, k3, k4 = k + (float("nan"),) * (3 - len(k))  # NaN flags an undefined one
     if test is not None:
         flags = rejections(sample, test, alpha)
     else:
         flags = np.abs(values) > upper_quantile(alpha / 2.0)
     rate, lo, hi = error_rates(flags)
-    if n >= 4:
-        k2, k3, k4 = k_statistics(values)
-    elif n >= 2:
-        k2, k3, k4 = float(np.var(values, ddof=1)), float("nan"), float("nan")
-    else:
-        k2 = k3 = k4 = float("nan")  # variance-undefined flag
     return McReport(theta=sample.theta, r=sample.r, horizon_T=sample.horizon_T,
                     n=n, mean=float(np.mean(values)), variance=k2, k3=k3, k4=k4,
                     d_kol=kolmogorov_distance(values), reject_rate=rate,
@@ -383,9 +378,9 @@ def run_grid(grid, jobs=1, progress=None):
 
     Each cell simulates only the paths its statistic reads (_STATISTICS):
     theta_hat_centered and ybar_centered draw process 0 alone, and their
-    reports equal those of the full pair.  Cells failing validation (e.g. a
-    fixed dt violating the step cap for a large theta) are reported on
-    stderr and skipped; other cells proceed.  A grid whose every cell is
+    reports equal those of the full pair.  A cell failing as a command exits
+    2 (a fixed dt over the step cap for a large theta, an overflow) is
+    reported on stderr and skipped; other cells proceed.  A grid whose every cell is
     skipped raises ParameterError.
     """
     _check_jobs(jobs)  # grid-wide: a bad count must not skip every cell
@@ -398,21 +393,19 @@ def run_grid(grid, jobs=1, progress=None):
                                  replications=grid.replications,
                                  base_seed=grid.base_seed, cell_index=index, jobs=jobs,
                                  paths=_STATISTICS[grid.statistic][0])
-        except (ParameterError, MemoryError) as exc:
+            reports.append(summarize_cell(sample, grid.statistic, grid.alpha))
+        except (YuleOuError, ArithmeticError, MemoryError) as exc:
             progress(f"cell {index + 1}/{len(cells)} theta={theta} r={r} T={T}: "
-                     f"skipped ({exc})")
+                     f"skipped ({exc or type(exc).__name__})")
             continue
-        reports.append(summarize_cell(sample, grid.statistic, grid.alpha))
         progress(f"cell {index + 1}/{len(cells)} theta={theta} r={r} T={T}: done")
     if not reports:
         raise ParameterError("every cell of the grid was skipped")
     return reports
 
 
-def write_reports_csv(fileobj, reports, header_comment=None):
-    if header_comment:
-        fileobj.write(f"# {header_comment}\n")
-    fileobj.write(McReport.CSV_HEADER + "\n")
+def write_reports_csv(fileobj, reports):
+    fileobj.write(",".join(McReport.COLUMNS) + "\n")
     for rep in reports:
         fileobj.write(rep.csv_row() + "\n")
 

@@ -335,10 +335,8 @@ def simulate_correlated_pair(config):
 # CSV export
 # ---------------------------------------------------------------------------
 
-def write_pair_csv(pair, fileobj, header_comment=None):
+def write_pair_csv(pair, fileobj):
     """Write a pair as `t,x1,x2` rows at full double precision."""
-    if header_comment:
-        fileobj.write(f"# {header_comment}\n")
     fileobj.write("t,x1,x2\n")
     times = pair.x1.times()
     for t, a, b in zip(times, pair.x1.values, pair.x2.values):

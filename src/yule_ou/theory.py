@@ -276,7 +276,7 @@ def major_tail_bound(n, kernel_norm, x, prefactor_C):
     # sqrt(n!) is not a finite float past n = 170
     if not float(n).is_integer() or not 1 <= n <= 170:
         raise ParameterError(f"n must be an integer in [1, 170], got {n}")
-    check_positive(kernel_norm=kernel_norm, x=x)
+    check_positive(kernel_norm=kernel_norm, x=x, prefactor_C=prefactor_C)
     ratio = x / (math.sqrt(math.factorial(int(n))) * kernel_norm)
     return prefactor_C * math.exp(-0.5 * ratio ** (2.0 / n))
 

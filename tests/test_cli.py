@@ -180,6 +180,24 @@ def test_mc_report_csv(tmp_path, capsys):
     assert "done" in err  # progress on stderr
 
 
+@pytest.mark.parametrize("statistic", mc.STATISTICS)
+def test_each_jsonl_record_is_its_csv_row(tmp_path, capsys, statistic):
+    jsonl = tmp_path / "mc.jsonl"
+    code, out, _ = run_cli(capsys, "mc", "--thetas", "1,4", "--rs", "0,0.5", "--Ts", "5",
+                           "--reps", "20", "--seed", "8", "--statistic", statistic,
+                           "--jsonl", str(jsonl))
+    assert code == 0
+    header, *rows = out.splitlines()[1:]
+    keys = header.split(",")
+    records = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert len(records) == len(rows) == 4
+    for record, row in zip(records, rows):
+        assert sorted(record) == sorted(keys)
+        for key, field in zip(keys, row.split(",")):
+            assert record[key] == (int(field) if key == "n" else float(field)), key
+            assert type(record[key]) is (int if key == "n" else float), key
+
+
 def test_mc_jobs_do_not_change_output(tmp_path, capsys):
     outs = []
     for jobs, name in ((1, "one.csv"), (2, "two.csv")):
@@ -397,6 +415,28 @@ def test_mc_exits_2_when_every_cell_is_skipped(tmp_path, capsys):
     assert len(paths["--out"].read_text().splitlines()) == 3  # comment, header, one cell
 
 
+@pytest.mark.parametrize("argv", [
+    "mc --thetas 1 --Ts 1e-300 --statistic rho_centered",  # functionals underflow to 0
+    "mc --thetas 1e-300 --Ts 1e300 --statistic rho_centered",  # ... overflow to inf
+    "mc --thetas 1e-300 --Ts 2 --statistic theta_hat_centered",  # k-statistics overflow
+    "spde --N 1 --T 1e-300",
+])
+def test_cells_whose_numbers_overflow_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split(), "--rs" if "mc" in argv else "--r", "0",
+                             "--reps", "4", "--seed", "3")
+    assert code == 2 and out == ""
+    *skips, error = err.splitlines()
+    assert error.startswith("error: ") and all("skipped" in line for line in skips)
+
+
+def test_a_cell_that_overflows_is_skipped_beside_one_that_runs(capsys):
+    code, out, err = run_cli(capsys, "mc", "--thetas", "1", "--rs", "0", "--Ts", "1e-300,2",
+                             "--reps", "4", "--seed", "3", "--statistic", "rho_centered")
+    assert code == 0 and "skipped (degenerate or non-finite functional)" in err
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert len(rows) == 1 and rows[0][2] == "2" and all(math.isfinite(float(v)) for v in rows[0])
+
+
 def _refuse_streams(monkeypatch):
     def stream(*args):
         raise AssertionError("drew random numbers before refusing the input")
@@ -459,6 +499,7 @@ def test_theory_order_above_the_bound_exits_2(capsys, order):
     "asymptotic_cumulant --p 2000 --theta 1 --r 0.5 --T 10",
     "c1 --theta 1e-300 --r 0.5",
     "major_tail_bound --n 1e6 --norm 1 --x 1 --prefactor 1",
+    "major_tail_bound --n 2 --norm 1 --x 1 --prefactor -1",
 ])
 def test_theory_refuses_non_finite_inputs_and_results(capsys, argv):
     code, out, err = run_cli(capsys, "theory", "--quantity", *argv.split())
@@ -595,7 +636,7 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("payload", [{"theta": "abc"}, {"seed": 2.5}, {"theta": True},
-                                     {"seed": "7x"}])
+                                     {"seed": "7x"}, {"out": [1]}, {"dt": None}])
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, payload):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"theta": 1.0, "r": 0.5, "T": 5.0, "dt": 0.05, "seed": 21,
@@ -611,6 +652,69 @@ def test_config_value_outside_choices_exits_2(tmp_path, capsys, pair_csv):
     code, _, err = run_cli(capsys, "test", "--config", str(cfg))
     assert code == 2
     assert _one_error_line(err) and "bogus" in err
+
+
+_MC_CONFIG = {"thetas": "1,2", "rs": "0,0.5", "Ts": "5", "reps": 30, "seed": 4,
+              "statistic": "rho_centered"}
+
+
+def test_config_number_lists_as_json_lists_give_the_same_report(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    reports = []
+    for lists in ({}, {"thetas": [1, 2], "rs": [0, 0.5], "Ts": [5.0]}):
+        cfg.write_text(json.dumps({**_MC_CONFIG, **lists}))
+        code, out, _ = run_cli(capsys, "mc", "--config", str(cfg))
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("items", [[True], ["1"], [[1]], [1, None], []])
+def test_config_number_list_of_other_items_exits_2(tmp_path, capsys, monkeypatch, items):
+    _refuse_streams(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_MC_CONFIG, "thetas": items}))
+    code, out, err = run_cli(capsys, "mc", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "'thetas'" in err
+
+
+# base configuration and the keys a drawn value may replace; mc runs at --reps 4
+_CONFIG_BASES = {
+    "simulate": ({"theta": 1, "r": 0.5, "T": 2, "dt": 0.05, "seed": 3},
+                 ("theta", "r", "T", "dt", "seed")),
+    "mc": ({"thetas": "1", "rs": "0,0.5", "Ts": "2", "seed": 3, "statistic": "rho_centered"},
+           ("thetas", "rs", "Ts", "seed", "statistic", "alpha", "dt", "jobs")),
+}
+_JSON_NUMBERS = st.sampled_from((-1, 0, 1, 2, 3, 0.05, 0.25, 0.5, 2.5, 2 ** 64, 1e-300,
+                                 1e300, -1e300))
+_JSON_SCALARS = st.one_of(_JSON_NUMBERS, st.booleans(), st.none(), st.sampled_from(
+    ("", "1", "0.5", "1,2", "0,,1", "x", "nan", "inf", "rho_centered", "ybar_centered")))
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(
+    st.one_of(_JSON_SCALARS, st.lists(_JSON_NUMBERS, max_size=2)), max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(command=st.sampled_from(sorted(_CONFIG_BASES)), data=st.data())
+def test_config_files_exit_0_with_finite_output_or_2_with_one_error_line(
+        tmp_path_factory, command, data):
+    base, keys = _CONFIG_BASES[command]
+    drawn = data.draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES, max_size=3))
+    cfg = tmp_path_factory.getbasetemp() / "drawn-config.json"
+    cfg.write_text(json.dumps({**base, **drawn}))
+    argv = [command, "--config", str(cfg)] + (["--reps", "4"] if command == "mc" else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    notes = [line for line in lines if line.startswith("cell ")]  # mc progress
+    if code == 0:
+        assert notes == lines, drawn
+        rows = [line.split(",") for line in out.getvalue().splitlines()[2:]]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row), drawn
+    else:
+        assert code == 2 and out.getvalue() == "", drawn
+        assert notes + lines[-1:] == lines and lines[-1].startswith("error: "), (drawn, lines)
 
 
 def test_config_on_off_flag_takes_booleans(tmp_path, capsys, pair_csv):

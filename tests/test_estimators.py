@@ -8,8 +8,8 @@ import pytest
 
 from yule_ou.errors import (DegenerateStatisticError, GridMismatchError,
                             InsufficientDataError)
-from yule_ou.estimators import (PathPair, empirical_cov_functional, path_time_average,
-                                theta_estimator, yule_rho)
+from yule_ou.estimators import (PathPair, check_functionals, empirical_cov_functional,
+                                path_time_average, rate_estimate, theta_estimator, yule_rho)
 from yule_ou.sde import (CorrelatedPairConfig, SamplePath, mean_functional_variance,
                          simulate_correlated_pair, stream)
 
@@ -161,6 +161,27 @@ def test_overflowing_functionals_are_refused():
                 yule_rho(PathPair(x1=x1, x2=x2), pooled_theta=pooled)
         with pytest.raises(DegenerateStatisticError, match="non-finite"):
             theta_estimator(x1)
+
+
+@pytest.mark.parametrize("row, refusal", [
+    ((2.0, 3.0, 0.5), None),
+    ((0.0, 3.0, 0.5), "non-finite functional"),
+    ((2.0, -1.0, 0.5), "non-finite functional"),
+    ((math.inf, 3.0, 0.5), "non-finite functional"),
+    ((2.0, 3.0, math.nan), "non-finite functional"),
+    ((1e-310, 1.0, 0.0), "non-finite rate"),  # T/(2 Y11) overflows
+])
+def test_functional_and_rate_refusals_are_one_rule_for_a_pair_and_a_batch(row, refusal):
+    # a row alone and a batch holding it beside a valid row meet the same rule
+    batch = [np.array([2.0, v]) for v in row]
+    for y11, y22, y12 in (row, batch):
+        try:
+            check_functionals(y11, y22, y12)
+            rate_estimate(y11, 1.0)
+        except DegenerateStatisticError as exc:
+            assert refusal is not None and refusal in str(exc), (row, y11)
+        else:
+            assert refusal is None, (row, y11)
 
 
 def test_rho_grid_refinement_stability():

@@ -339,10 +339,11 @@ def test_spde_type2_bound_products():
 def test_outcomes_csv_schema():
     out = rho_test(_stats(rho=0.5, T=100.0), theta=1.0, alpha=0.05)
     buf = io.StringIO()
-    write_outcomes_csv(buf, [(1.0, 0.5, 100.0, out)], header_comment="config: {}")
+    write_outcomes_csv(buf, [(1.0, 0.5, 100.0, out)])
     lines = buf.getvalue().strip().splitlines()
-    assert lines[1] == "variant,alpha,theta,r,T,statistic,threshold,reject"
-    fields = lines[2].split(",")
+    assert lines[0] == "variant,alpha,theta,r,T,statistic,threshold,reject"
+    assert len(lines) == 2
+    fields = lines[1].split(",")
     assert fields[0] == "rho_known_theta"
     assert fields[-1] == "1"
 

@@ -434,10 +434,10 @@ def test_report_csv_layout():
     sample = pair_sample(1.0, 0.0, 10.0, replications=50, base_seed=2)
     rep = summarize_cell(sample, "rho_centered", 0.05)
     buf = io.StringIO()
-    write_reports_csv(buf, [rep], header_comment="config: {}")
+    write_reports_csv(buf, [rep])
     lines = buf.getvalue().strip().splitlines()
-    assert lines[1] == "theta,r,T,n,mean,var,k3,k4,d_kol,reject_rate,ci_lo,ci_hi"
-    assert len(lines[2].split(",")) == 12
+    assert lines[0] == "theta,r,T,n,mean,var,k3,k4,d_kol,reject_rate,ci_lo,ci_hi"
+    assert len(lines) == 2 and len(lines[1].split(",")) == 12
 
 
 # ---------------------------------------------------------------------------

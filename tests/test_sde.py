@@ -400,7 +400,7 @@ def test_spde_mode_rates():
     assert [s.theta for s in samples] == [1.0, 4.0, 9.0]
     for k, sample in enumerate(samples, start=1):
         assert sample.dt <= 0.05 / k ** 2 + 1e-15
-        assert sample.n == 4 and sample.horizon_T == 2.0
+        assert sample.y11.size == 4 and sample.horizon_T == 2.0
 
 
 def test_spde_single_mode_matches_pair_law():
@@ -456,7 +456,8 @@ def test_pair_csv_round_trip():
     cfg = CorrelatedPairConfig(theta=1.0, r=0.4, horizon_T=1.0, dt=0.05, seed=3)
     pair = simulate_correlated_pair(cfg)
     buf = io.StringIO()
-    write_pair_csv(pair, buf, header_comment="config: {}")
+    write_pair_csv(pair, buf)
+    assert buf.getvalue().startswith("t,x1,x2\n")
     buf.seek(0)
     t, x1, x2 = read_pair_csv(buf)
     np.testing.assert_array_equal(x1, pair.x1.values)

@@ -428,6 +428,12 @@ def test_major_tail_bound_order_range():
             major_tail_bound(n, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("prefactor", [-1.0, 0.0, math.nan, math.inf])
+def test_major_tail_bound_refuses_a_prefactor_that_is_not_positive(prefactor):
+    with pytest.raises(ParameterError, match="prefactor_C"):
+        major_tail_bound(2, 1.0, 1.0, prefactor)
+
+
 def test_major_tail_bound_monotone_in_x():
     vals = [major_tail_bound(2, 1.0, x, 1.0) for x in (0.5, 1.0, 2.0, 4.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
