@@ -60,9 +60,10 @@ def trapezoid_weights(n_nodes, dt):
     return w
 
 
-def _linear(x, w):
-    """Row-wise trapezoidal integral sum_j w_j x_j of paths (..., n_nodes)."""
-    return (x * w).sum(axis=-1)
+def _linear(x, w, scratch=None):
+    """Row-wise trapezoidal integral sum_j w_j x_j of paths (..., n_nodes),
+    the products formed in `scratch` (an array of x's shape) if one is given."""
+    return np.multiply(x, w, out=scratch).sum(axis=-1)
 
 
 def _quadratic(x, y, w):
@@ -73,9 +74,9 @@ def _quadratic(x, y, w):
     return np.einsum("...j,...j,j->...", x, y, w)
 
 
-def _variance_and_linear(x, w, T):
+def _variance_and_linear(x, w, T, scratch=None):
     """Y_aa of paths x and their linear term, which Y_ab needs too."""
-    s = _linear(x, w)
+    s = _linear(x, w, scratch)
     return _quadratic(x, x, w) - s * s / T, s
 
 
@@ -85,23 +86,25 @@ def path_time_average(path):
     return float(_linear(path.values, w)) / path.horizon
 
 
-def variance_functional(x, dt):
+def variance_functional(x, dt, scratch=None):
     """Centered functional Y_aa of paths of shape (..., n_nodes): the Y11 of
     `functionals` bit for bit, without a second path."""
     w = trapezoid_weights(x.shape[-1], dt)
-    return _variance_and_linear(x, w, (x.shape[-1] - 1) * dt)[0]
+    return _variance_and_linear(x, w, (x.shape[-1] - 1) * dt, scratch)[0]
 
 
-def functionals(x1, x2, dt):
+def functionals(x1, x2, dt, scratch=None):
     """Centered functionals (Y11, Y22, Y12) of paths of shape (..., n_nodes).
 
     Rows are reduced one by one, so a row's bits do not depend on the
-    block it sits in; a single pair is a batch of one.
+    block it sits in; a single pair is a batch of one.  A C-contiguous
+    `scratch` of the paths' shape holds the linear terms' products, which
+    are otherwise allocated; the sums have the same bits either way.
     """
     w = trapezoid_weights(x1.shape[-1], dt)
     T = (x1.shape[-1] - 1) * dt
-    y11, s1 = _variance_and_linear(x1, w, T)
-    y22, s2 = _variance_and_linear(x2, w, T)
+    y11, s1 = _variance_and_linear(x1, w, T, scratch)
+    y22, s2 = _variance_and_linear(x2, w, T, scratch)
     return y11, y22, _quadratic(x1, x2, w) - s1 * s2 / T
 
 

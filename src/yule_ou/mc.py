@@ -143,10 +143,13 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
     the counter set to [0, 0, j, 0], whatever block or tile holds the row.
     A one-path block keys process 0 only; x1 and Y11 come from the same
     sde.ou_paths and reduction as in the pair, so they keep their bits.
-    The block is computed in row tiles of about _TILE_ELEMS innovations,
-    drawn into buffers reused for every tile, so the working set stays
-    near the cache instead of streaming block-sized temporaries through
-    memory.  Rows never interact, so tiles do not change any bit.
+    The block is computed in row tiles of about _TILE_ELEMS innovations.
+    It owns one (tile, n+1) array per path and one (tile, n+1) scratch,
+    reused for every tile: each row's normals are drawn into nodes 1..n of
+    its path array, which sde.correlated_paths (or sde.ou_paths) turns
+    into the path in place, and the scratch holds the noise mix and the
+    reductions' products.  So a block allocates no tile-sized array after
+    its first tile.  Rows never interact, so tiles do not change any bit.
     """
     n_steps = sde.grid_size(horizon_T, dt)
     m = stop - start
@@ -154,21 +157,20 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
     reps = np.arange(start, stop)
     streams = [sde.stream(base_seed, cell_index, reps, process_offset + p)
                for p in range(paths)]
-    buffers = [np.empty((tile, n_steps)) for _ in streams]
+    buffers = np.empty((paths + 1, tile, n_steps + 1))  # the paths, then the scratch
     out = np.empty((3 if paths == 2 else 1, m))
     with np.errstate(over="ignore", invalid="ignore"):  # pair_sample refuses the overflow
         for a in range(0, m, tile):
             b = min(a + tile, m)
-            z = [s.standard_normal((b - a, n_steps), out=buf[:b - a])
-                 for s, buf in zip(streams, buffers)]
-            # the paths stay bound until the next tile's exist: freed at once,
-            # they let the heap shrink and fault back in on every tile
+            *x, scratch = buffers[:, :b - a]
+            for s, path in zip(streams, x):
+                s.standard_normal((b - a, n_steps), out=path[:, 1:])
             if paths == 2:
-                x = sde.correlated_paths(theta, r, dt, *z)
-                out[:, a:b] = functionals(*x, dt)
+                sde.correlated_paths(theta, r, dt, *x, scratch=scratch)
+                out[:, a:b] = functionals(*x, dt, scratch=scratch)
             else:
-                x = sde.ou_paths(theta, dt, z[0])
-                out[0, a:b] = variance_functional(x, dt)
+                sde.ou_paths(theta, dt, x[0])
+                out[0, a:b] = variance_functional(x[0], dt, scratch=scratch)
     return out
 
 

@@ -31,10 +31,10 @@ from .estimators import PathPair
 STEP_CAP = 0.05
 
 #: Largest grid, in steps, that is simulated.  One path of this many steps
-#: is 128 MiB of float64, and a simulated pair holds up to about five such
-#: arrays at once (two draws, two paths and a reduction temporary; the
-#: AR(1) filter writes each path once), so a larger grid is refused before
-#: anything is allocated.
+#: is 128 MiB of float64, and a simulated pair holds three such arrays at
+#: once (the two paths, each filtered in place over its own draws, and one
+#: scratch for the noise mix and the reductions), so a larger grid is
+#: refused before anything is allocated.
 MAX_STEPS = 2 ** 24
 
 _GRID_RTOL = 1e-9
@@ -203,7 +203,10 @@ class CorrelatedPairConfig:
             raise ParameterError(
                 f"dt={self.dt} exceeds step cap {STEP_CAP}/theta={STEP_CAP / self.theta:g}"
             )
-        grid_size(self.horizon_T, self.dt)  # validates divisibility
+        if grid_size(self.horizon_T, self.dt) < 2:  # validates divisibility
+            # on a two-node grid rho is exactly +1 or -1 in every replication
+            raise ParameterError(f"dt={self.dt} leaves one step on [0, {self.horizon_T}]; "
+                                 "need at least two")
 
     @property
     def n_steps(self):
@@ -236,13 +239,14 @@ def default_dt(theta, horizon_T):
     return horizon_T / n
 
 
-def ar1_paths(factor, innovations):
-    """Cumulate innovations through X_k = factor*X_{k-1} + xi_k, X_0 = 0.
+def ar1_paths(factor, x):
+    """Filter x in place through X_k = factor*X_{k-1} + xi_k, X_0 = 0, and
+    return x.
 
-    `innovations` has the steps on the last axis; the returned array gains
-    one leading grid node holding the zero initial condition.  The output
-    is allocated once and filled in chunks of m steps: a chunk starting
-    from the carry c = X_a is
+    x is a float64 array with the grid nodes on the last axis, its nodes
+    1..n holding the innovations xi_1..xi_n; node 0 is set to the zero
+    initial condition whatever it held.  Nodes are filtered in chunks of
+    m steps: a chunk starting from the carry c = X_a is
 
         X_{a+k} = factor**-(m-k) * (factor**m * c + sum_{i<=k} factor**(m-i) xi_{a+i}),
 
@@ -255,22 +259,20 @@ def ar1_paths(factor, innovations):
     """
     if not 0.0 <= factor <= 1.0:
         raise ParameterError(f"the AR(1) factor must lie in [0, 1], got {factor}")
-    innovations = np.asarray(innovations, dtype=float)
-    n = innovations.shape[-1]
-    out = np.empty(innovations.shape[:-1] + (n + 1,))
-    out[..., 0] = 0.0
+    n = x.shape[-1] - 1
+    x[..., 0] = 0.0
     rate = -math.log(factor) if factor > 0.0 else math.inf
     m = max(1, min(n, _CHUNK_STEPS, int(_CHUNK_DECAY / rate) if rate else n))
     rise = factor ** np.arange(m - 1, -1, -1.0)
     fall = 1.0 / rise
     for a in range(0, n, m):
         k = min(m, n - a)
-        seg = out[..., a + 1:a + k + 1]
-        np.multiply(innovations[..., a:a + k], rise[m - k:], out=seg)
-        seg[..., 0] += factor ** k * out[..., a]
+        seg = x[..., a + 1:a + k + 1]
+        seg *= rise[m - k:]
+        seg[..., 0] += factor ** k * x[..., a]
         np.cumsum(seg, axis=-1, out=seg)
         seg *= fall[m - k:]
-    return out
+    return x
 
 
 def simulate_ou(theta, horizon_T, dt, generator):
@@ -278,27 +280,31 @@ def simulate_ou(theta, horizon_T, dt, generator):
     drawing its steps from `generator`."""
     check_positive(theta=theta, dt=dt)
     n = grid_size(horizon_T, dt)
-    return SamplePath(t0=0.0, dt=dt, values=ou_paths(theta, dt, generator.standard_normal(n)))
+    x = np.empty(n + 1)
+    generator.standard_normal(n, out=x[1:])
+    return SamplePath(t0=0.0, dt=dt, values=ou_paths(theta, dt, x))
 
 
 def _innovations(theta, dt, z):
-    """Scale standard normals z (float64) in place to the exact innovations
-    sd*z and return z."""
-    z *= math.sqrt(innovation_variance(theta, dt))
+    """Scale the standard normals in nodes 1..n of z (float64, shape
+    (..., n+1)) in place to the exact innovations sd*z and return z."""
+    z[..., 1:] *= math.sqrt(innovation_variance(theta, dt))
     return z
 
 
 def ou_paths(theta, dt, z):
-    """Exact paths from a standard-normal step array z of shape (..., n).
+    """Turn z, of shape (..., n+1) with standard normals in nodes 1..n, into
+    exact paths in place and return it.
 
-    z is overwritten with the innovations sd*z; each leading index is one
-    independent path, and every row gets the same bits as it would alone.
+    Each leading index is one independent path, and every row gets the
+    same bits as it would alone.
     """
     return ar1_paths(transition_factor(theta, dt), _innovations(theta, dt, z))
 
 
-def correlated_paths(theta, r, dt, z1, z0):
-    """Exact pair paths from two standard-normal step arrays of shape (..., n).
+def correlated_paths(theta, r, dt, z1, z0, scratch=None):
+    """Turn z1 and z0, of shape (..., n+1) with standard normals in nodes
+    1..n, into an exact pair of paths in place and return (z1, z0).
 
     The second path's driving noise is r*W1 + sqrt(1-r^2)*W0, so its exact
     innovation is the same combination of the per-process innovations.
@@ -306,16 +312,16 @@ def correlated_paths(theta, r, dt, z1, z0):
     of one, and every row gets the same bits as it would alone.  The first
     path is ou_paths(theta, dt, z1), so it has the bits of a one-path draw.
 
-    The innovations are formed in place: z1 and z0 (float64 arrays) are
-    overwritten with the two paths' innovations.  Products and sums only
-    trade operands, so the bits are those of sd*z1 and
-    r*(sd*z1) + sqrt(1-r^2)*(sd*z0).
+    The product r*(sd*z1) is formed in `scratch`, an array of z1's shape
+    (one is allocated if None); products and sums only trade operands, so
+    z0's innovations have the bits of r*(sd*z1) + sqrt(1-r^2)*(sd*z0).
     """
-    x1 = ou_paths(theta, dt, z1)
-    z0 = _innovations(theta, dt, z0)
-    z0 *= math.sqrt(1.0 - r * r)
-    z0 += r * z1
-    return x1, ar1_paths(transition_factor(theta, dt), z0)
+    xi1 = _innovations(theta, dt, z1)[..., 1:]
+    xi0 = _innovations(theta, dt, z0)[..., 1:]
+    xi0 *= math.sqrt(1.0 - r * r)
+    xi0 += np.multiply(r, xi1, out=None if scratch is None else scratch[..., 1:])
+    factor = transition_factor(theta, dt)
+    return ar1_paths(factor, z1), ar1_paths(factor, z0)
 
 
 def simulate_correlated_pair(config):
@@ -325,9 +331,10 @@ def simulate_correlated_pair(config):
     stream (config.seed, 1).
     """
     n = config.n_steps
-    x1, x2 = correlated_paths(config.theta, config.r, config.dt,
-                              stream(config.seed, 0).standard_normal(n),
-                              stream(config.seed, 1).standard_normal(n))
+    z = np.empty((2, n + 1))
+    for p in range(2):
+        stream(config.seed, p).standard_normal(n, out=z[p, 1:])
+    x1, x2 = correlated_paths(config.theta, config.r, config.dt, *z)
     return PathPair(x1=SamplePath(0.0, config.dt, x1), x2=SamplePath(0.0, config.dt, x2))
 
 

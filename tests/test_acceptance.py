@@ -113,7 +113,7 @@ def _endpoint_cov_check(theta, s, t, seed, reps=100000):
     n = grid_size(horizon, dt)
     z = stream(seed).standard_normal((reps, n))
     sd = math.sqrt(innovation_variance(theta, dt))
-    paths = ar1_paths(transition_factor(theta, dt), sd * z)
+    paths = ar1_paths(transition_factor(theta, dt), np.insert(sd * z, 0, 0.0, axis=1))
     xs = paths[:, grid_size(s, dt)]
     xt = paths[:, grid_size(t, dt)]
     prod = xs * xt

@@ -416,10 +416,11 @@ def test_mc_exits_2_when_every_cell_is_skipped(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    "mc --thetas 1 --Ts 1e-300 --statistic rho_centered",  # functionals underflow to 0
+    "mc --thetas 1 --Ts 1e-300 --statistic rho_centered",  # one step
+    "mc --thetas 1e200 --Ts 1e-198 --statistic rho_centered",  # functionals underflow to 0
     "mc --thetas 1e-300 --Ts 1e300 --statistic rho_centered",  # ... overflow to inf
-    "mc --thetas 1e-300 --Ts 2 --statistic theta_hat_centered",  # k-statistics overflow
-    "spde --N 1 --T 1e-300",
+    "mc --thetas 1e-300 --Ts 2 --statistic theta_hat_centered",  # one step
+    "spde --N 1 --T 1e-300",  # one step
 ])
 def test_cells_whose_numbers_overflow_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split(), "--rs" if "mc" in argv else "--r", "0",
@@ -430,17 +431,39 @@ def test_cells_whose_numbers_overflow_exit_2(capsys, argv):
 
 
 def test_a_cell_that_overflows_is_skipped_beside_one_that_runs(capsys):
-    code, out, err = run_cli(capsys, "mc", "--thetas", "1", "--rs", "0", "--Ts", "1e-300,2",
-                             "--reps", "4", "--seed", "3", "--statistic", "rho_centered")
+    # of the four cells only theta=1, T=2 runs: at theta=1e200, T=1e-198 the
+    # functionals underflow, and the other two have too many steps or one
+    code, out, err = run_cli(capsys, "mc", "--thetas", "1e200,1", "--rs", "0",
+                             "--Ts", "1e-198,2", "--reps", "4", "--seed", "3",
+                             "--statistic", "rho_centered")
     assert code == 0 and "skipped (degenerate or non-finite functional)" in err
     rows = [line.split(",") for line in out.splitlines()[2:]]
-    assert len(rows) == 1 and rows[0][2] == "2" and all(math.isfinite(float(v)) for v in rows[0])
+    assert len(rows) == 1 and rows[0][:3] == ["1", "0", "2"]
+    assert all(math.isfinite(float(v)) for v in rows[0])
 
 
 def _refuse_streams(monkeypatch):
     def stream(*args):
         raise AssertionError("drew random numbers before refusing the input")
     monkeypatch.setattr(sde, "stream", stream)
+
+
+@pytest.mark.parametrize("argv", [
+    "mc --thetas 0.01 --rs 0.5 --Ts 2 --reps 100 --seed 1 --statistic rho_centered",
+    "simulate --theta 0.01 --r 0.5 --T 2 --dt 2 --seed 1",
+    "spde --N 3 --r 0.5 --T 0.01 --reps 100 --seed 1",  # mode 1 has one step
+])
+def test_a_one_step_grid_exits_2_before_drawing(capsys, monkeypatch, argv):
+    # theta*T <= STEP_CAP gives dt = T, and on a two-node grid rho is +-1
+    _refuse_streams(monkeypatch)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert "one step" in lines[0] and lines[-1].startswith("error: ")
+    if argv.startswith("mc"):  # the cell is skipped, then the grid refused
+        assert len(lines) == 2 and "skipped" in lines[0] and "every cell" in lines[1]
+    else:
+        assert len(lines) == 1
 
 
 def test_mc_replications_beyond_32_bits_exit_2_before_simulating(tmp_path, capsys,
@@ -679,12 +702,15 @@ def test_config_number_list_of_other_items_exits_2(tmp_path, capsys, monkeypatch
     assert _one_error_line(err) and "'thetas'" in err
 
 
-# base configuration and the keys a drawn value may replace; mc runs at --reps 4
+# base configuration and the keys a drawn value may replace; mc and spde run at
+# --reps 4
 _CONFIG_BASES = {
     "simulate": ({"theta": 1, "r": 0.5, "T": 2, "dt": 0.05, "seed": 3},
                  ("theta", "r", "T", "dt", "seed")),
     "mc": ({"thetas": "1", "rs": "0,0.5", "Ts": "2", "seed": 3, "statistic": "rho_centered"},
            ("thetas", "rs", "Ts", "seed", "statistic", "alpha", "dt", "jobs")),
+    "spde": ({"N": 2, "r": 0.3, "T": 2, "seed": 3},
+             ("N", "r", "T", "seed", "variant", "alpha", "jobs")),
 }
 _JSON_NUMBERS = st.sampled_from((-1, 0, 1, 2, 3, 0.05, 0.25, 0.5, 2.5, 2 ** 64, 1e-300,
                                  1e300, -1e300))
@@ -702,7 +728,7 @@ def test_config_files_exit_0_with_finite_output_or_2_with_one_error_line(
     drawn = data.draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES, max_size=3))
     cfg = tmp_path_factory.getbasetemp() / "drawn-config.json"
     cfg.write_text(json.dumps({**base, **drawn}))
-    argv = [command, "--config", str(cfg)] + (["--reps", "4"] if command == "mc" else [])
+    argv = [command, "--config", str(cfg)] + (["--reps", "4"] if command != "simulate" else [])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -710,8 +736,14 @@ def test_config_files_exit_0_with_finite_output_or_2_with_one_error_line(
     notes = [line for line in lines if line.startswith("cell ")]  # mc progress
     if code == 0:
         assert notes == lines, drawn
-        rows = [line.split(",") for line in out.getvalue().splitlines()[2:]]
-        assert rows and all(math.isfinite(float(v)) for row in rows for v in row), drawn
+        if command == "spde":  # a JSON report
+            report = json.loads(out.getvalue())
+            values = [report[key] for key in ("family_reject_rate", "ci_lo", "ci_hi")]
+            values += [v for mode in report["per_mode"] for v in mode.values()]
+            assert report["per_mode"] and all(map(math.isfinite, values)), drawn
+        else:
+            rows = [line.split(",") for line in out.getvalue().splitlines()[2:]]
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row), drawn
     else:
         assert code == 2 and out.getvalue() == "", drawn
         assert notes + lines[-1:] == lines and lines[-1].startswith("error: "), (drawn, lines)

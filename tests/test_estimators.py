@@ -48,7 +48,8 @@ def test_time_average_squared_matches_closed_form():
     from yule_ou.sde import ar1_paths, grid_size, innovation_variance, transition_factor
     n = grid_size(T, dt)
     z = stream(17).standard_normal((reps, n))
-    x = ar1_paths(transition_factor(theta, dt), math.sqrt(innovation_variance(theta, dt)) * z)
+    xi = math.sqrt(innovation_variance(theta, dt)) * z
+    x = ar1_paths(transition_factor(theta, dt), np.insert(xi, 0, 0.0, axis=1))
     w = np.full(n + 1, dt)
     w[0] = w[-1] = 0.5 * dt
     means = (x @ w) / T

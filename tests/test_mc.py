@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from yule_ou.errors import InsufficientDataError, ParameterError
 from yule_ou import mc
-from yule_ou.estimators import PathPair, functionals, yule_rho
+from yule_ou.estimators import PathPair, functionals, rate_estimate, yule_rho
 from yule_ou.gaussian import upper_quantile
 from yule_ou.mc import (ExperimentGrid, error_rates, k_statistics,
                         kolmogorov_distance, pair_sample, rate_fit, rejections,
@@ -144,9 +145,11 @@ def _assert_same_bits(sample, rep, stats):
 
 
 def _row(seed, cell, rep, process, n):
-    """The n normals of row `rep` of the engine's stream (seed, cell, process)."""
-    rows = stream(seed, cell, np.array([rep]), process)
-    return rows.standard_normal((1, n), out=np.empty((1, n)))[0]
+    """The n normals of row `rep` of the engine's stream (seed, cell, process),
+    in nodes 1..n of a (n+1,) buffer."""
+    buf = np.empty((1, n + 1))
+    stream(seed, cell, np.array([rep]), process).standard_normal((1, n), out=buf[:, 1:])
+    return buf[0]
 
 
 def test_engine_matches_single_path_route():
@@ -213,6 +216,26 @@ def test_one_path_cell_keeps_the_pair_bits(monkeypatch, jobs):
         summarize_cell(pair, "nope", 0.05)
     with pytest.raises(ParameterError, match="paths"):
         pair_sample(**cell, paths=3)
+
+
+@pytest.mark.parametrize("paths", [1, 2])
+def test_a_block_holds_one_tile_array_per_path_plus_one_scratch(monkeypatch, paths):
+    # over three tiles (the last ragged) a block's traced peak stays below
+    # (paths + 1) arrays of (tile, n+1) float64, its (3, m) output and a
+    # slack for the iteration buffers numpy's ufuncs take on strided views
+    n_steps, tile, m = 2000, 50, 120  # theta=1, T=100 at the default dt 0.05
+    monkeypatch.setattr(mc, "_TILE_ELEMS", tile * n_steps)
+    block = (1.0, 0.5, 100.0, 0.05, 7, 0, 0, m, 0, paths)
+    mc._simulate_block(*block)  # warm-up
+    tracemalloc.start()
+    try:
+        out = mc._simulate_block(*block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (3 if paths == 2 else 1, m)
+    tile_bytes, slack = 8 * tile * (n_steps + 1), 2 ** 19
+    assert peak < (paths + 1) * tile_bytes + 8 * 3 * m + slack, peak / tile_bytes
 
 
 class _RecordingPool(ThreadPoolExecutor):
@@ -427,6 +450,16 @@ def test_single_replication_flags_variance_undefined():
     assert math.isnan(rep.variance)
     assert math.isnan(rep.k3)
     assert rep.n == 1
+
+
+def test_summarize_cell_refuses_k_statistics_that_overflow():
+    # theta_hat near 1 at theta = 1e-300 standardizes to about 1e150, whose k4 overflows
+    y11 = np.array([1.0, 0.5, 0.25, 2.0])
+    sample = mc.PairSample(y11=y11, y22=None, y12=None, rho=None,
+                           theta_hat=rate_estimate(y11, 2.0), horizon_T=2.0,
+                           theta=1e-300, r=0.0, dt=1.0)
+    with pytest.raises(ParameterError, match="k-statistics are not finite"):
+        summarize_cell(sample, "theta_hat_centered", 0.05)
 
 
 def test_report_csv_layout():

@@ -22,12 +22,17 @@ from yule_ou.sde import (MAX_STEPS, CorrelatedPairConfig, SamplePath,
                          stream, transition_factor, write_pair_csv)
 
 
+def _nodes(xi, node0=0.0):
+    """Innovations of shape (..., n) as an ar1_paths buffer (..., n+1)."""
+    return np.insert(xi, 0, node0, axis=-1)
+
+
 def _endpoint_matrix(theta, horizon_T, dt, reps, seed):
     """Law-exact batch of paths as a (reps, nodes) matrix from one stream."""
     n = grid_size(horizon_T, dt)
     z = stream(seed).standard_normal((reps, n))
     sd = math.sqrt(innovation_variance(theta, dt))
-    return ar1_paths(transition_factor(theta, dt), sd * z)
+    return ar1_paths(transition_factor(theta, dt), _nodes(sd * z))
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +185,24 @@ def test_ar1_paths_matches_the_sequential_recursion(theta_dt):
     for n in (1, chunk, chunk + 1, 3 * chunk + 7):
         for shape in ((n,), (3, n)):
             xi = sd * gen.standard_normal(shape)
-            x = ar1_paths(factor, xi)
             exact = _sequential_ar1(factor, xi)
             rms = float(np.sqrt(np.mean(exact ** 2)))
-            assert x.shape == exact.shape and np.all(x[..., 0] == 0.0)
-            assert float(np.max(np.abs(x - exact))) <= 1e-12 * rms
-            if xi.ndim == 2:
-                assert all(np.array_equal(x[i], ar1_paths(factor, xi[i])) for i in range(3))
+            # the filter works in place and overwrites whatever node 0 held
+            for node0 in (0.0, math.nan):
+                buf = _nodes(xi, node0)
+                x = ar1_paths(factor, buf)
+                assert x is buf and x.shape == exact.shape and np.all(x[..., 0] == 0.0)
+                assert float(np.max(np.abs(x - exact))) <= 1e-12 * rms
+                if xi.ndim == 2:
+                    assert all(np.array_equal(x[i], ar1_paths(factor, _nodes(xi[i], node0)))
+                               for i in range(3))
 
 
 def test_ar1_paths_refuses_a_factor_outside_the_unit_interval():
     for factor in (-0.5, 1.5, math.nan):
         with pytest.raises(ParameterError):
             ar1_paths(factor, np.ones(4))
-    assert np.array_equal(ar1_paths(0.0, np.arange(1.0, 4.0)), [0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(ar1_paths(0.0, np.arange(9.0, -3.0, -3.0)), [0.0, 6.0, 3.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +242,22 @@ def test_ou_covariance_values():
 
 
 def test_correlated_paths_mixes_in_place_with_the_formula_bits():
-    # z1 and z0 become the innovations sd*z1 and r*(sd*z1) + sqrt(1-r^2)*(sd*z0)
-    # bit for bit, so the in-place mixing leaves every path unchanged
+    # z1 and z0 become the paths filtered from the innovations sd*z1 and
+    # r*(sd*z1) + sqrt(1-r^2)*(sd*z0) bit for bit, with or without a scratch,
+    # and node 0 (here NaN) is never read
     theta, r, dt = 1.3, -0.7, 0.02
     gen = stream(5, 0)
     z1, z0 = gen.standard_normal((3, 400)), gen.standard_normal((3, 400))
     sd = math.sqrt(innovation_variance(theta, dt))
     xi1 = sd * z1
     xi2 = r * xi1 + math.sqrt(1.0 - r * r) * (sd * z0)
-    x1, x2 = correlated_paths(theta, r, dt, z1, z0)
-    assert np.array_equal(z1, xi1) and np.array_equal(z0, xi2)
     factor = transition_factor(theta, dt)
-    assert np.array_equal(x1, ar1_paths(factor, xi1))
-    assert np.array_equal(x2, ar1_paths(factor, xi2))
+    for scratch in (None, np.full((3, 401), math.nan)):
+        b1, b0 = _nodes(z1, math.nan), _nodes(z0, math.nan)
+        x1, x2 = correlated_paths(theta, r, dt, b1, b0, scratch=scratch)
+        assert x1 is b1 and x2 is b0
+        assert np.array_equal(x1, ar1_paths(factor, _nodes(xi1)))
+        assert np.array_equal(x2, ar1_paths(factor, _nodes(xi2)))
 
 
 def test_mean_functional_variance_against_quadrature():
@@ -362,11 +374,21 @@ def test_pair_cross_correlation_mc():
     xi0 = sd * g0.standard_normal((reps, n))
     xi2 = r * xi1 + math.sqrt(1 - r * r) * xi0
     a = transition_factor(theta, dt)
-    x1 = ar1_paths(a, xi1)[:, -1]
-    x2 = ar1_paths(a, xi2)[:, -1]
+    x1 = ar1_paths(a, _nodes(xi1))[:, -1]
+    x2 = ar1_paths(a, _nodes(xi2))[:, -1]
     est = np.corrcoef(x1, x2)[0, 1]
     se = (1 - r * r) / math.sqrt(reps)
     assert abs(est - r) < 4 * se
+
+
+def test_pair_config_refuses_a_one_step_grid():
+    # on two nodes rho is exactly +-1; theta*T <= STEP_CAP gives dt = T
+    with pytest.raises(ParameterError, match="one step"):
+        CorrelatedPairConfig(theta=0.01, r=0.5, horizon_T=2.0, dt=default_dt(0.01, 2.0),
+                             seed=1)
+    assert CorrelatedPairConfig(theta=0.01, r=0.5, horizon_T=2.0, dt=1.0, seed=1).n_steps == 2
+    with pytest.raises(ParameterError, match="one step"):
+        pair_sample(0.01, 0.5, 2.0, replications=6, base_seed=1)
 
 
 def test_pair_determinism():
