@@ -6,6 +6,7 @@ Subpackages:
     estimators  path functionals, the correlation statistic, rate estimate
     hypothesis  independence tests, confidence intervals, type-II bounds
     theory      closed-form constants, cumulants, kernel norms
+    exact       exact moments of the discrete functionals, quadrature bias
     mc          Monte Carlo replication engine and diagnostics
     cli         command-line interface (yule-ou)
 """

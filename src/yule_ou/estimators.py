@@ -55,7 +55,7 @@ def trapezoid_weights(n_nodes, dt):
     """Composite trapezoid weights on n_nodes uniform grid points."""
     if n_nodes < 2:
         raise InsufficientDataError("need at least two grid nodes")
-    w = np.full(n_nodes, dt)
+    w = np.full(n_nodes, dt, dtype=float)
     w[0] = w[-1] = 0.5 * dt
     return w
 

@@ -26,9 +26,11 @@ import numpy as np
 from .errors import ParameterError, check_correlation, check_positive
 from .estimators import PathPair
 
-#: Cap on theta*dt; keeps quadrature error of the path functionals below
-#: Monte Carlo noise at the validation-suite sample sizes.
-STEP_CAP = 0.05
+#: Cap on theta*dt.  At the cap the exact quadrature bias of the mean and
+#: of the variance of Y11 and Y12 (exact.relative_bias) is at most half the
+#: Monte Carlo SE of every validation-suite cell (tests/test_exact.py); the
+#: variance bias, about 0.35%, passes half an SE above some 40 000 reps.
+STEP_CAP = 0.1
 
 #: Largest grid, in steps, that is simulated.  One path of this many steps
 #: is 128 MiB of float64, and a simulated pair holds three such arrays at

@@ -20,6 +20,11 @@ from yule_ou import mc, sde, theory
 from yule_ou.cli import _THEORY, main
 
 
+#: steps of theta=1, T=5 on the default grid, the grid of the T=5 cells and
+#: spde mode 1 below; block sizes are given as rows times this
+_STEPS_1_5 = sde.grid_size(5.0, sde.default_dt(1.0, 5.0))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -251,14 +256,15 @@ def test_spde_csv_reproduces_the_json_rates(tmp_path, capsys, flags):
 @pytest.mark.parametrize("block_elems", [None, 6300, 900])
 def test_spde_bytes_do_not_depend_on_jobs_or_blocks(tmp_path, capsys, monkeypatch,
                                                     block_elems):
-    # T=5: modes 1, 2, 3 take 100, 400 and 900 steps.  By default each mode
-    # is one block; at 6300 innovations mode 1 is one block, mode 2 two
-    # (15 + 8 rows) and mode 3 four (7, 7, 7, 2); at 900, mode 3 has
-    # one-row blocks and modes 1 and 2 ragged last blocks
+    # T=5: modes 1, 2, 3 take 1, 4 and 9 times _STEPS_1_5 steps, and a block
+    # takes block_elems innovations per 100 of them.  By default each mode
+    # is one block; at 6300 mode 1 is one block, mode 2 two (15 + 8 rows)
+    # and mode 3 four (7, 7, 7, 2); at 900, mode 3 has one-row blocks and
+    # modes 1 and 2 ragged last blocks
     outputs = set()
     for elems in (None, block_elems):
         if elems is not None:
-            monkeypatch.setattr(mc, "_BLOCK_ELEMS", elems)
+            monkeypatch.setattr(mc, "_BLOCK_ELEMS", elems * _STEPS_1_5 // 100)
         for jobs in ("1", "2", "3"):
             csv_path = tmp_path / f"modes-{jobs}.csv"
             code, out, _ = run_cli(capsys, "spde", "--N", "3", "--r", "0.3", "--T", "5",
@@ -270,8 +276,8 @@ def test_spde_bytes_do_not_depend_on_jobs_or_blocks(tmp_path, capsys, monkeypatc
 
 
 def _fail_on_block_2_of_4(monkeypatch):
-    """Make the engine fail on block 2 of 4 (cell 0, rows 10-19, at 100 steps
-    a row), holding block 1 until its pool shuts down; return the (cell,
+    """Make the engine fail on block 2 of 4 (cell 0, rows 10-19, at 10 rows
+    a block), holding block 1 until its pool shuts down; return the (cell,
     start row) of every block that ran."""
     started, shut = [], threading.Event()
     real = mc._simulate_block
@@ -292,7 +298,7 @@ def _fail_on_block_2_of_4(monkeypatch):
         if cell_index == 0 and start == 0:
             shut.wait(30)  # still running when block 2 fails
         return real(theta, r, horizon_T, dt, base_seed, cell_index, start, stop, *rest)
-    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 1000)
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 10 * _STEPS_1_5)
     monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(mc, "_simulate_block", simulate)
     return started
@@ -355,7 +361,10 @@ def test_spde_refuses_the_top_mode_grid_before_simulating(capsys, monkeypatch):
     def draw(*args):
         raise AssertionError("simulated a mode before checking the top mode's grid")
     monkeypatch.setattr(sde, "stream", draw)
-    code, out, err = run_cli(capsys, "spde", "--N", "100", "--r", "0", "--T", "100",
+    # the fewest modes whose top grid, of N^2 T / STEP_CAP steps, passes MAX_STEPS
+    n_modes = math.isqrt(int(sde.MAX_STEPS * sde.STEP_CAP / 100.0)) + 1
+    assert sde.MAX_STEPS < n_modes ** 2 * 100.0 / sde.STEP_CAP
+    code, out, err = run_cli(capsys, "spde", "--N", str(n_modes), "--r", "0", "--T", "100",
                              "--reps", "1", "--seed", "1")
     assert code == 2 and out == ""
     assert _one_error_line(err) and "MAX_STEPS" in err
@@ -464,6 +473,42 @@ def test_a_one_step_grid_exits_2_before_drawing(capsys, monkeypatch, argv):
         assert len(lines) == 2 and "skipped" in lines[0] and "every cell" in lines[1]
     else:
         assert len(lines) == 1
+
+
+@pytest.mark.parametrize("theta", [1.0, 3.0])
+def test_simulate_refuses_a_step_just_above_the_cap_and_runs_one_at_it(tmp_path, capsys,
+                                                                       theta):
+    at_cap = sde.STEP_CAP / theta
+    for dt, want in ((at_cap * (1.0 + 1e-9), 2), (at_cap, 0)):
+        path = tmp_path / f"pair-{want}.csv"
+        code, out, err = run_cli(capsys, "simulate", "--theta", repr(theta), "--r", "0.5",
+                                 "--T", repr(20 * dt), "--dt", repr(dt), "--seed", "1",
+                                 "--out", str(path))
+        assert code == want and out == ""
+        if want:
+            assert _one_error_line(err) and "step cap" in err and not path.exists()
+        else:
+            assert err == "" and len(path.read_text().splitlines()) == 2 + 21
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --theta 1 --r 0.5 --T {T} --dt {dt} --seed 1",
+    "mc --thetas 1 --rs 0.5 --Ts {T} --reps 20 --seed 1 --statistic rho_centered",
+    "spde --N 2 --r 0.5 --T {T} --reps 20 --seed 1",
+])
+def test_the_one_step_refusal_sits_at_theta_T_equal_to_the_cap(capsys, monkeypatch, argv):
+    # just above theta*T = STEP_CAP the default grid (and simulate at
+    # dt = T/2) has two steps and runs; at it, one step is refused before
+    # any draw
+    above = sde.STEP_CAP * (1.0 + 1e-6)
+    code, out, _ = run_cli(capsys, *argv.format(T=repr(above), dt=repr(above / 2)).split())
+    assert code == 0 and out
+    _refuse_streams(monkeypatch)
+    at_cap = repr(sde.STEP_CAP)
+    code, out, err = run_cli(capsys, *argv.format(T=at_cap, dt=at_cap).split())
+    lines = err.splitlines()
+    assert code == 2 and out == ""
+    assert "one step" in lines[0] and lines[-1].startswith("error: ")
 
 
 def test_mc_replications_beyond_32_bits_exit_2_before_simulating(tmp_path, capsys,
@@ -703,7 +748,8 @@ def test_config_number_list_of_other_items_exits_2(tmp_path, capsys, monkeypatch
 
 
 # base configuration and the keys a drawn value may replace; mc and spde run at
-# --reps 4
+# --reps 4, and stat and test read the pair _config_pair_csv writes (a drawn
+# input path would exit 1, as an unreadable file does)
 _CONFIG_BASES = {
     "simulate": ({"theta": 1, "r": 0.5, "T": 2, "dt": 0.05, "seed": 3},
                  ("theta", "r", "T", "dt", "seed")),
@@ -711,6 +757,8 @@ _CONFIG_BASES = {
            ("thetas", "rs", "Ts", "seed", "statistic", "alpha", "dt", "jobs")),
     "spde": ({"N": 2, "r": 0.3, "T": 2, "seed": 3},
              ("N", "r", "T", "seed", "variant", "alpha", "jobs")),
+    "stat": ({}, ("pooled_theta",)),
+    "test": ({"variant": "rho", "theta": 1}, ("variant", "alpha", "theta")),
 }
 _JSON_NUMBERS = st.sampled_from((-1, 0, 1, 2, 3, 0.05, 0.25, 0.5, 2.5, 2 ** 64, 1e-300,
                                  1e300, -1e300))
@@ -720,15 +768,28 @@ _JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(
     st.one_of(_JSON_SCALARS, st.lists(_JSON_NUMBERS, max_size=2)), max_size=3))
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+def _config_pair_csv(directory):
+    """A simulated pair CSV in directory, written on the first call."""
+    path = directory / "drawn-config-pair.csv"
+    if not path.exists():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--theta", "1", "--r", "0.5", "--T", "5", "--dt", "0.05",
+                         "--seed", "3", "--out", str(path)]) == 0
+    return str(path)
+
+
+@settings(derandomize=True, deadline=None, max_examples=350)
 @given(command=st.sampled_from(sorted(_CONFIG_BASES)), data=st.data())
 def test_config_files_exit_0_with_finite_output_or_2_with_one_error_line(
         tmp_path_factory, command, data):
     base, keys = _CONFIG_BASES[command]
     drawn = data.draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES, max_size=3))
-    cfg = tmp_path_factory.getbasetemp() / "drawn-config.json"
+    tmp = tmp_path_factory.getbasetemp()
+    if command in ("stat", "test"):
+        base = {**base, "input": _config_pair_csv(tmp)}
+    cfg = tmp / "drawn-config.json"
     cfg.write_text(json.dumps({**base, **drawn}))
-    argv = [command, "--config", str(cfg)] + (["--reps", "4"] if command != "simulate" else [])
+    argv = [command, "--config", str(cfg)] + (["--reps", "4"] if command in ("mc", "spde") else [])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -741,6 +802,10 @@ def test_config_files_exit_0_with_finite_output_or_2_with_one_error_line(
             values = [report[key] for key in ("family_reject_rate", "ci_lo", "ci_hi")]
             values += [v for mode in report["per_mode"] for v in mode.values()]
             assert report["per_mode"] and all(map(math.isfinite, values)), drawn
+        elif command in ("stat", "test"):  # one JSON record
+            record = json.loads(out.getvalue())
+            values = [v for k, v in record.items() if k not in ("config", "variant")]
+            assert values and all(map(math.isfinite, values)), drawn
         else:
             rows = [line.split(",") for line in out.getvalue().splitlines()[2:]]
             assert rows and all(math.isfinite(float(v)) for row in rows for v in row), drawn

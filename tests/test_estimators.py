@@ -37,6 +37,14 @@ def test_time_average_linear_ramp():
     assert path_time_average(path) == pytest.approx(0.5, rel=1e-14)
 
 
+def test_an_integer_step_weights_the_end_nodes_by_half():
+    # an int dt used to give integer weights, truncating the end nodes' dt/2 to 0
+    x = stream(12).standard_normal((2, 6))
+    pair = lambda dt: PathPair(_path(x[0], dt), _path(x[1], dt))
+    assert yule_rho(pair(1)) == yule_rho(pair(1.0))
+    assert path_time_average(_path(np.linspace(0.0, 1.0, 11), dt=1)) == pytest.approx(0.5)
+
+
 def test_time_average_needs_two_nodes():
     with pytest.raises(InsufficientDataError):
         path_time_average(_path([1.0]))

@@ -20,7 +20,10 @@ from yule_ou.mc import (ExperimentGrid, error_rates, k_statistics,
                         kolmogorov_distance, pair_sample, rate_fit, rejections,
                         run_grid, spde_family_rejections, spde_mode_samples,
                         summarize_cell, wilson_interval, write_reports_csv)
-from yule_ou.sde import SamplePath, correlated_paths, grid_size, stream
+from yule_ou.sde import SamplePath, correlated_paths, default_dt, grid_size, stream
+
+#: steps of theta=1, T=5 on the default grid; block sizes below are rows times this
+_STEPS_1_5 = grid_size(5.0, default_dt(1.0, 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,7 @@ def test_engine_block_size_invariance(monkeypatch):
 def test_one_path_cell_keeps_the_pair_bits(monkeypatch, jobs):
     # a one-path cell draws process 0 alone, and its Y11 is the pair's
     # whatever the blocks and tiles, ragged ones included
-    n_steps, reps = 100, 23  # theta=1, T=5 at the default dt 0.05
+    n_steps, reps = _STEPS_1_5, 23
     cell = dict(theta=1.0, r=0.6, horizon_T=5.0, replications=reps, base_seed=1316,
                 cell_index=2)
     pair = pair_sample(**cell)
@@ -223,7 +226,7 @@ def test_a_block_holds_one_tile_array_per_path_plus_one_scratch(monkeypatch, pat
     # over three tiles (the last ragged) a block's traced peak stays below
     # (paths + 1) arrays of (tile, n+1) float64, its (3, m) output and a
     # slack for the iteration buffers numpy's ufuncs take on strided views
-    n_steps, tile, m = 2000, 50, 120  # theta=1, T=100 at the default dt 0.05
+    n_steps, tile, m = 2000, 50, 120  # theta=1, T=100 at dt 0.05
     monkeypatch.setattr(mc, "_TILE_ELEMS", tile * n_steps)
     block = (1.0, 0.5, 100.0, 0.05, 7, 0, 0, m, 0, paths)
     mc._simulate_block(*block)  # warm-up
@@ -250,7 +253,7 @@ class _RecordingPool(ThreadPoolExecutor):
 
 def test_pool_never_exceeds_the_block_count(monkeypatch):
     serial = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=4)
-    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 1000)  # 100 steps: 4 blocks of 10 rows
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 10 * _STEPS_1_5)  # 4 blocks of 10 rows
     monkeypatch.setattr(mc, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     for jobs in (64, 4, 2, 1):
@@ -260,10 +263,10 @@ def test_pool_never_exceeds_the_block_count(monkeypatch):
 
 
 def test_spde_runs_one_pool_per_multi_block_mode(monkeypatch):
-    # T=5: modes 1, 2, 3 take 100, 400 and 900 steps; at 1800 innovations a
-    # block, 13 replications are 1, 4 and 7 blocks (ragged ones last)
+    # T=5: modes 1, 2, 3 take 1, 4 and 9 times _STEPS_1_5 steps; at 18 times
+    # that a block, 13 replications are 1, 4 and 7 blocks (ragged ones last)
     serial = spde_mode_samples(3, 0.4, 5.0, replications=13, base_seed=8)
-    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 1800)
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 18 * _STEPS_1_5)
     monkeypatch.setattr(mc, "ThreadPoolExecutor", _RecordingPool)
     for jobs, sizes in ((64, [4, 7]), (3, [3, 3]), (1, [])):
         monkeypatch.setattr(_RecordingPool, "sizes", [])
@@ -277,7 +280,7 @@ def test_spde_runs_one_pool_per_multi_block_mode(monkeypatch):
 def test_more_threads_than_cores_keep_the_bits(monkeypatch):
     # blocks share no state, so a short switch interval and more threads
     # than cores change no bit
-    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 300)  # 100 steps: 14 blocks of <= 3 rows
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 3 * _STEPS_1_5)  # 14 blocks of <= 3 rows
     serial = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -294,7 +297,7 @@ def test_jobs_start_no_child_process(monkeypatch):
         raise AssertionError("started a child process")
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
-    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 1000)  # 4 blocks per mode-1 cell
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 10 * _STEPS_1_5)  # 4 blocks per mode-1 cell
     serial = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=4)
     pooled = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=4, jobs=2)
     np.testing.assert_array_equal(pooled.rho, serial.rho)

@@ -111,8 +111,8 @@ def test_first_filter_calls_on_two_pool_threads_at_once(tmp_path):
     code = f"""
 import contextlib, io, sys
 import numpy as np
-from yule_ou import cli, mc
-mc._BLOCK_ELEMS = 1000  # 100 steps a row: 4 blocks of 10 rows
+from yule_ou import cli, mc, sde
+mc._BLOCK_ELEMS = 10 * sde.grid_size(5.0, sde.default_dt(1.0, 5.0))  # 4 blocks of 10 rows
 two = mc.pair_sample(1.0, 0.3, 5.0, replications=40, base_seed=3, jobs=2)
 one = mc.pair_sample(1.0, 0.3, 5.0, replications=40, base_seed=3)
 same = all(np.array_equal(getattr(one, k), getattr(two, k)) for k in ('y11', 'y22', 'y12'))
@@ -421,7 +421,7 @@ def test_spde_mode_rates():
     samples = spde_mode_samples(3, 0.2, 2.0, replications=4, base_seed=21)
     assert [s.theta for s in samples] == [1.0, 4.0, 9.0]
     for k, sample in enumerate(samples, start=1):
-        assert sample.dt <= 0.05 / k ** 2 + 1e-15
+        assert sample.dt <= sde.STEP_CAP / k ** 2 + 1e-15
         assert sample.y11.size == 4 and sample.horizon_T == 2.0
 
 
@@ -466,7 +466,8 @@ def test_grid_size_refuses_grids_beyond_max_steps():
 
 def test_default_dt_policy():
     dt = default_dt(9.0, 50.0)
-    assert dt <= 0.05 / 9.0 + 1e-15
+    assert dt <= sde.STEP_CAP / 9.0 + 1e-15
+    assert 50.0 / (grid_size(50.0, dt) - 1) > sde.STEP_CAP / 9.0  # the largest such dt
     assert grid_size(50.0, dt) * dt == pytest.approx(50.0, rel=1e-12)
 
 
