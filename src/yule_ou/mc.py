@@ -3,9 +3,11 @@
 The engine simulates many independent pairs per grid cell and reduces
 each replication to its path functionals on the fly.  Replication j of
 cell c draws its two noise processes from the Philox keys of
-SeedSequence(base_seed, spawn_key=(c, 0)) and (c, 1), each with its
-counter started at [0, 0, j, 0] (see sde.stream).  Blocks are fixed-size
-slices of the replication index, never functions of the worker count.
+SeedSequence(base_seed, spawn_key=(c, 0)) and (c, 1): the replications
+are cut into fixed groups of consecutive rows, group g is the key's
+Philox with its counter started at [0, 0, g, 0], and its rows draw from
+it in order (see sde.RowStreams).  Blocks are fixed-size slices of the
+replication index, never functions of the worker count or of the groups.
 With jobs > 1 a cell's blocks run on a pool of worker threads in the
 calling process; no block shares state with another, and each result is
 put back in block order.  So results are bit-identical for a given grid
@@ -139,17 +141,21 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
     """Functionals (Y11, Y22, Y12) as a (3, m) array for replications
     [start, stop) of one cell; with paths=1, Y11 alone as a (1, m) array.
 
-    Each process keys one Philox per block, and row j draws from it with
-    the counter set to [0, 0, j, 0], whatever block or tile holds the row.
-    A one-path block keys process 0 only; x1 and Y11 come from the same
-    sde.ou_paths and reduction as in the pair, so they keep their bits.
-    The block is computed in row tiles of about _TILE_ELEMS innovations.
-    It owns one (tile, n+1) array per path and one (tile, n+1) scratch,
-    reused for every tile: each row's normals are drawn into nodes 1..n of
-    its path array, which sde.correlated_paths (or sde.ou_paths) turns
-    into the path in place, and the scratch holds the noise mix and the
-    reductions' products.  So a block allocates no tile-sized array after
-    its first tile.  Rows never interact, so tiles do not change any bit.
+    Each process keys one Philox per block (an sde.RowStreams), and row j
+    draws its n+1 normals from that process's row group holding j,
+    whatever block or tile holds the row; a block starting inside a group
+    draws and drops the group's earlier rows.  A one-path block keys
+    process 0 only; x1 and Y11 come from the same sde.ou_paths and
+    reduction as in the pair, so they keep their bits.  The block is
+    computed in row tiles of about _TILE_ELEMS innovations.  It owns one
+    C-contiguous (tile, n+1) array per path and one (tile, n+1) scratch,
+    reused for every tile: each tile's rows are drawn whole into their
+    path array, one draw per run of rows inside one group, and
+    sde.correlated_paths (or sde.ou_paths) turns nodes 1..n into the path
+    in place and sets node 0 to zero.  The scratch holds the noise mix and
+    the reductions' products.  So a block allocates no tile-sized array
+    after its first tile.  Rows never interact, so tiles do not change any
+    bit.
     """
     n_steps = sde.grid_size(horizon_T, dt)
     m = stop - start
@@ -164,7 +170,7 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
             b = min(a + tile, m)
             *x, scratch = buffers[:, :b - a]
             for s, path in zip(streams, x):
-                s.standard_normal((b - a, n_steps), out=path[:, 1:])
+                s.standard_normal(path.shape, out=path)
             if paths == 2:
                 sde.correlated_paths(theta, r, dt, *x, scratch=scratch)
                 out[:, a:b] = functionals(*x, dt, scratch=scratch)

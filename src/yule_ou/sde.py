@@ -10,10 +10,11 @@ so the discrete skeleton has zero time-discretization bias; downstream
 statistics are only approximate through the quadrature of path integrals.
 
 Randomness is drawn from counter-based Philox streams.  A stream is keyed
-by SeedSequence(seed, spawn_key=key); a Monte Carlo replication j is the
-stream of key (cell, process) with its Philox counter started at
-[0, 0, j, 0].  Every path is reproducible from integers alone and safe to
-generate from parallel workers.
+by SeedSequence(seed, spawn_key=key).  The Monte Carlo replications of key
+(cell, process) are cut into groups of consecutive rows; group g is that
+key's Philox with its counter started at [0, 0, g, 0], and its rows draw
+from it in order (RowStreams).  Every path is reproducible from integers
+alone and safe to generate from parallel workers.
 """
 
 import io
@@ -59,8 +60,8 @@ def stream(seed, *key):
 
     Stream identity is purely the integer tuple, so any worker can recreate
     any stream without shared state.  If one key part is an array of row
-    indices, it is left out of the key: the result is a RowStreams whose row
-    j draws from that key's Philox with its counter set to [0, 0, j, 0].
+    indices, it is left out of the key: the result is a RowStreams that
+    draws those rows of that key's Philox, group by group.
     """
     ints = [int(part) for part in (seed, *key) if not np.ndim(part)]
     rows = [np.asarray(part) for part in key if np.ndim(part)]
@@ -72,34 +73,64 @@ def stream(seed, *key):
     return RowStreams(bitgen, rows[0]) if rows else np.random.Generator(bitgen)
 
 
-class RowStreams:
-    """The streams of a block's rows, each row drawn from its own stream.
+#: Normals per row group of a RowStreams.  A layout constant: it fixes which
+#: numbers every Monte Carlo replication draws, so changing it changes them.
+_GROUP_ELEMS = 2 ** 16
 
-    Row j is the block's Philox with its counter set to [0, 0, j, 0] and an
-    empty buffer, which is Philox(...).advance(j << 128): rows are 2^128
-    counter steps apart, and a row draws at most MAX_STEPS normals, so no
-    two rows share a number.  Rows are handed out in order; each call
-    continues where the last one stopped.
+
+class RowStreams:
+    """The streams of a block's rows, drawn group by group.
+
+    Rows of w normals are cut into groups of G = max(1, _GROUP_ELEMS // w)
+    consecutive row indices.  Group g is the block's Philox with its
+    counter set to [0, 0, g, 0] and an empty buffer, which is
+    Philox(...).advance(g << 128), and row j = g*G + i draws normals
+    i*w .. (i+1)*w - 1 of it.  Groups are 2^128 counter steps apart and
+    draw at most MAX_STEPS + 1 normals each, so no two rows share a
+    number.  Rows are handed out in order; each call continues where the
+    last one stopped, re-keys the Philox once per group and fills each run
+    of consecutive rows of one group with one draw.  A run that starts
+    inside its group first draws and drops the group's earlier rows, into
+    the rows of `out` not yet written.
     """
 
     def __init__(self, bitgen, rows):
         self._rows = rows
         self._next = 0
+        self._width = None
+        self._at = (-1, 0)  # (group, rows of it drawn) of the Philox
         self._bitgen = bitgen
         self._gen = np.random.Generator(bitgen)
         self._state = bitgen.state  # counter 0, empty buffer
 
     def standard_normal(self, size, out):
-        """Write the first n standard normals of each of the next `rows`
-        streams to `out`, of shape size = (rows, n), and return it."""
-        count, state = len(out), self._state
-        if out.shape != tuple(size) or self._next + count > len(self._rows):
+        """Write the w normals of each of the next `rows` streams to `out`,
+        a C-contiguous array of shape size = (rows, w), and return it.
+        Every call has the width w of the first."""
+        count, width = out.shape
+        if (out.shape != tuple(size) or not out.flags.c_contiguous
+                or self._width not in (None, width)
+                or self._next + count > len(self._rows)):
             raise ParameterError(f"cannot draw {size} from {len(self._rows) - self._next} "
-                                 f"remaining row streams into shape {out.shape}")
-        for j, row in zip(self._rows[self._next:self._next + count].tolist(), out):
-            state["state"]["counter"] = [0, 0, j, 0]
-            self._bitgen.state = state
-            self._gen.standard_normal(out=row)
+                                 f"remaining row streams of width {self._width} into "
+                                 f"shape {out.shape} (C-contiguous: {out.flags.c_contiguous})")
+        self._width = width
+        rows = self._rows[self._next:self._next + count]
+        group, pos = np.divmod(rows, max(1, _GROUP_ELEMS // width))
+        # a run starts where the row index jumps or a group begins (row 0
+        # begins group 0, hence the -1 before the first row)
+        starts = np.flatnonzero((np.diff(rows, prepend=-1) != 1) | (pos == 0)).tolist()
+        for a, b in zip(starts, starts[1:] + [count]):
+            g, i = int(group[a]), int(pos[a])
+            if self._at[0] != g or self._at[1] > i:
+                self._state["state"]["counter"] = [0, 0, g, 0]
+                self._bitgen.state = self._state
+                self._at = (g, 0)
+            drop, spare = (i - self._at[1]) * width, out[a:].reshape(-1)
+            while drop:  # the group's rows before row i, into rows not yet written
+                drop -= self._gen.standard_normal(out=spare[:drop]).size
+            self._gen.standard_normal(out=out[a:b])
+            self._at = (g, i + b - a)
         self._next += count
         return out
 

@@ -29,9 +29,9 @@ from yule_ou.mc import (ExperimentGrid, k_statistics, kolmogorov_distance,
                         pair_sample, rate_fit, rejections, run_grid,
                         spde_family_rejections, spde_mode_samples,
                         write_reports_csv)
-from yule_ou.sde import (ar1_paths, grid_size, innovation_variance, ou_covariance,
-                         simulate_correlated_pair, stream, transition_factor,
-                         CorrelatedPairConfig)
+from yule_ou.sde import (ar1_paths, default_dt, grid_size, innovation_variance,
+                         ou_covariance, simulate_correlated_pair, stream,
+                         transition_factor, CorrelatedPairConfig)
 from yule_ou.gaussian import norm_cdf, upper_quantile
 from yule_ou.theory import (chaos_constants, clt_variance_rho_delta,
                             delta_convolution_inner, exact_second_moment_Ar,
@@ -436,7 +436,9 @@ def test_determinism_across_blocks_and_tiles(monkeypatch, jobs):
     # criterion 13 for the engine's inner schedule: a cell's functionals do
     # not depend on how its replications are cut into blocks and row tiles
     import yule_ou.mc as mc_mod
-    n_steps, reps = 100, 23  # theta=1, T=5 at the default dt 0.05
+    # the 23 rows lie in one row group of the streams, so every block but
+    # the first starts inside it
+    n_steps, reps = grid_size(5.0, default_dt(1.0, 5.0)), 23
     cell = dict(theta=1.0, r=0.3, horizon_T=5.0, replications=reps, base_seed=1315)
     ref = pair_sample(**cell)  # default shapes: one block, one tile
     # (block, tile) in replications: one-replication blocks, one-row tiles,

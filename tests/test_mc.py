@@ -21,6 +21,7 @@ from yule_ou.mc import (ExperimentGrid, error_rates, k_statistics,
                         run_grid, spde_family_rejections, spde_mode_samples,
                         summarize_cell, wilson_interval, write_reports_csv)
 from yule_ou.sde import SamplePath, correlated_paths, default_dt, grid_size, stream
+from row_oracle import row_normals
 
 #: steps of theta=1, T=5 on the default grid; block sizes below are rows times this
 _STEPS_1_5 = grid_size(5.0, default_dt(1.0, 5.0))
@@ -148,11 +149,9 @@ def _assert_same_bits(sample, rep, stats):
 
 
 def _row(seed, cell, rep, process, n):
-    """The n normals of row `rep` of the engine's stream (seed, cell, process),
-    in nodes 1..n of a (n+1,) buffer."""
-    buf = np.empty((1, n + 1))
-    stream(seed, cell, np.array([rep]), process).standard_normal((1, n), out=buf[:, 1:])
-    return buf[0]
+    """The n+1 normals of row `rep` of the engine's stream (seed, cell, process);
+    the filter overwrites node 0 with the zero start."""
+    return row_normals(seed, cell, process, [rep], n + 1)[0]
 
 
 def test_engine_matches_single_path_route():
@@ -239,6 +238,28 @@ def test_a_block_holds_one_tile_array_per_path_plus_one_scratch(monkeypatch, pat
     assert out.shape == (3 if paths == 2 else 1, m)
     tile_bytes, slack = 8 * tile * (n_steps + 1), 2 ** 19
     assert peak < (paths + 1) * tile_bytes + 8 * 3 * m + slack, peak / tile_bytes
+
+
+@pytest.mark.parametrize("paths", [1, 2])
+def test_each_draw_names_the_shape_it_fills(monkeypatch, paths):
+    # a benchmark tracer counts prod(size) normals per draw on a stream, so
+    # every draw passes size == out.shape, over whole C-contiguous rows, and
+    # the sizes add up to the block's rows; the block starts inside a group
+    n_steps, tile, start, stop = 2000, 50, 5, 125  # groups of 32 rows of 2001
+    monkeypatch.setattr(mc, "_TILE_ELEMS", tile * n_steps)
+    draws, keyed = [], mc.sde.stream
+
+    class Recording:
+        def __init__(self, rows):
+            self._rows = rows
+
+        def standard_normal(self, size, out):
+            draws.append((tuple(size), out.shape, out.flags.c_contiguous))
+            return self._rows.standard_normal(size, out=out)
+    monkeypatch.setattr(mc.sde, "stream", lambda *key: Recording(keyed(*key)))
+    mc._simulate_block(1.0, 0.5, 100.0, 0.05, 7, 0, start, stop, 0, paths)
+    assert draws == [((k, n_steps + 1), (k, n_steps + 1), True)
+                     for k in (50, 50, 20) for _ in range(paths)]
 
 
 class _RecordingPool(ThreadPoolExecutor):

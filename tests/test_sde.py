@@ -20,6 +20,7 @@ from yule_ou.sde import (MAX_STEPS, CorrelatedPairConfig, SamplePath,
                          innovation_variance, mean_functional_variance, ou_covariance,
                          read_pair_csv, simulate_correlated_pair, simulate_ou,
                          stream, transition_factor, write_pair_csv)
+from row_oracle import row_normals
 
 
 def _nodes(xi, node0=0.0):
@@ -48,22 +49,15 @@ _SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 64 - 1)
 _REPS = (0, 1, 17, 2 ** 32 - 1)
 
 
-def _row_stream(seed, cell, rep, process):
-    """Row `rep` of the engine's streams: the key's Philox advanced rep * 2^128."""
-    bitgen = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(cell, process)))
-    return np.random.Generator(bitgen.advance(rep << 128))
-
-
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_row_streams_are_the_key_stream_advanced_by_the_row_index(seed):
-    n = 40
+    # row j is row j % G of group j // G, the key's Philox advanced by the group
+    w = 41  # groups of 1598 rows
     for cell in (0, 7, 2 ** 32 + 5):
         for process in (0, 1, 5):
             rows = stream(seed, cell, np.array(_REPS), process)
-            drawn = rows.standard_normal((len(_REPS), n), out=np.empty((len(_REPS), n)))
-            for rep, row in zip(_REPS, drawn):
-                assert np.array_equal(row, _row_stream(seed, cell, rep, process)
-                                      .standard_normal(n))
+            drawn = rows.standard_normal((len(_REPS), w), out=np.empty((len(_REPS), w)))
+            assert np.array_equal(drawn, row_normals(seed, cell, process, _REPS, w))
 
 
 def test_stream_draws_the_seed_sequence_numbers():
@@ -73,17 +67,33 @@ def test_stream_draws_the_seed_sequence_numbers():
 
 
 def test_row_streams_draw_each_row_from_its_own_stream_over_ragged_tiles():
-    seed, cell, process, n = 2 ** 40 + 3, 7, 1, 37
-    reps = np.arange(15, 26)
-    rows = stream(seed, cell, reps, process)
-    buf = np.empty((4, n))
-    drawn = [rows.standard_normal((k, n), out=buf[:k]).copy() for k in (4, 4, 3)]
-    assert [d.shape for d in drawn] == [(4, n), (4, n), (3, n)]
-    expected = np.stack([_row_stream(seed, cell, int(rep), process).standard_normal(n)
-                         for rep in reps])
-    assert np.array_equal(np.concatenate(drawn), expected)
-    with pytest.raises(ParameterError):  # every row stream is used up
-        rows.standard_normal((1, n), out=buf[:1])
+    # width 6554 makes groups of 9 rows.  Blocks start inside a group (15,
+    # and 2**32 - 25 = 9*477218585 + 6, whose last row is 2**32 - 1) or on
+    # a group boundary (18); tiles are ragged, one holds one row, others
+    # straddle a group boundary, and one holds a whole group
+    seed, cell, process, w = 2 ** 40 + 3, 7, 1, 6554
+    buf = np.empty((10, w))
+    for first in (15, 18, 2 ** 32 - 25):
+        reps = np.arange(first, first + 25)
+        rows = stream(seed, cell, reps, process)
+        drawn = [rows.standard_normal((k, w), out=buf[:k]).copy()
+                 for k in (1, 4, 4, 3, 10, 3)]
+        assert np.array_equal(np.concatenate(drawn),
+                              row_normals(seed, cell, process, reps, w)), first
+        with pytest.raises(ParameterError):  # every row stream is used up
+            rows.standard_normal((1, w), out=buf[:1])
+
+
+def test_row_streams_refuse_a_new_width_or_a_strided_buffer():
+    rows = stream(3, 0, np.arange(10), 0)
+    buf = np.empty((4, 21))
+    with pytest.raises(ParameterError):  # rows must be whole and contiguous
+        rows.standard_normal((4, 20), out=buf[:, 1:])
+    rows.standard_normal((2, 21), out=buf[:2])
+    with pytest.raises(ParameterError):  # the group size follows the first width
+        rows.standard_normal((2, 20), out=np.empty((2, 20)))
+    with pytest.raises(ParameterError):  # size and out disagree
+        rows.standard_normal((1, 21), out=buf[:2])
 
 
 def test_stream_refuses_index_arrays_beyond_32_bits():
