@@ -219,7 +219,10 @@ def calibrate_berry_constant(kind, theta, r, alpha, horizon_T, empirical_beta):
 
     Solves tail(T) + berry * rate(T) = empirical_beta for berry, floored at 0.
     kind is "rho" (rate T^{-1/4}) or "numerator" (rate ln(T)/sqrt(T)).
+    empirical_beta is a miss rate, so it must lie in [0, 1].
     """
+    if not 0.0 <= empirical_beta <= 1.0:
+        raise ParameterError(f"empirical_beta must lie in [0, 1], got {empirical_beta}")
     tail, rate = _type2_bound(kind, theta, r, alpha, horizon_T, 0.0)
     return max(0.0, (empirical_beta - tail) / rate)
 
@@ -229,8 +232,8 @@ def spde_type2_bound(per_mode_bounds):
     bounds = [float(b) for b in per_mode_bounds]
     if not bounds:
         raise ParameterError("empty bound sequence")
-    if any(b < 0 for b in bounds):
-        raise ParameterError("bounds must be nonnegative")
+    if not all(0.0 <= b < math.inf for b in bounds):
+        raise ParameterError("bounds must be nonnegative and finite")
     product = 1.0
     for b in bounds:
         product *= min(b, 1.0)

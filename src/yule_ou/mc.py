@@ -6,11 +6,11 @@ cell c draws its two noise processes from the Philox keys of
 SeedSequence(base_seed, spawn_key=(c, 0)) and (c, 1): the replications
 are cut into fixed groups of consecutive rows, group g is the key's
 Philox with its counter started at [0, 0, g, 0], and its rows draw from
-it in order (see sde.RowStreams).  Blocks are fixed-size slices of the
-replication index, never functions of the worker count or of the groups.
-With jobs > 1 a cell's blocks run on a pool of worker threads in the
-calling process; no block shares state with another, and each result is
-put back in block order.  So results are bit-identical for a given grid
+it in order (see sde.draw_group).  Blocks are fixed runs of whole groups
+(the last one ragged), never functions of the worker count.  With
+jobs > 1 a cell's blocks run on a pool of worker threads in the calling
+process; no block shares state with another, and each result is put
+back in block order.  So results are bit-identical for a given grid
 whatever `jobs` is and in whichever order blocks complete.  A statistic
 that reads only Y11 draws process 0 alone, and its numbers are those of
 the full pair.
@@ -34,7 +34,6 @@ from .estimators import (YuleStatistics, check_functionals, correlation, functio
 from .gaussian import norm_cdf, upper_quantile
 
 _BLOCK_ELEMS = 4_000_000  # target innovations per simulated block
-_TILE_ELEMS = 125_000     # target innovations per row tile inside a block
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +81,8 @@ def wilson_interval(successes, n):
     """95% Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ParameterError("need at least one trial")
+    if not 0 <= successes <= n:
+        raise ParameterError(f"successes must lie in [0, {n}], got {successes}")
     z = upper_quantile(0.025)
     p = successes / n
     denom = 1.0 + z * z / n
@@ -109,8 +110,8 @@ def rate_fit(points):
     pts = [(float(t), float(v)) for t, v in points]
     if len(pts) < 3:
         raise InsufficientDataError("rate fit needs at least 3 points")
-    if any(v <= 0 for _, v in pts):
-        raise ParameterError("rate fit needs positive values")
+    if not all(0.0 < t < math.inf and 0.0 < v < math.inf for t, v in pts):
+        raise ParameterError("rate fit needs positive finite horizons and values")
     logs_t = np.log([t for t, _ in pts])
     logs_v = np.log([v for _, v in pts])
     exponent, intercept = np.polyfit(logs_t, logs_v, 1)
@@ -141,36 +142,30 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
     """Functionals (Y11, Y22, Y12) as a (3, m) array for replications
     [start, stop) of one cell; with paths=1, Y11 alone as a (1, m) array.
 
-    Each process keys one Philox per block (an sde.RowStreams), and row j
-    draws its n+1 normals from that process's row group holding j,
-    whatever block or tile holds the row; a block starting inside a group
-    draws and drops the group's earlier rows.  A one-path block keys
-    process 0 only; x1 and Y11 come from the same sde.ou_paths and
-    reduction as in the pair, so they keep their bits.  The block is
-    computed in row tiles of about _TILE_ELEMS innovations.  It owns one
-    C-contiguous (tile, n+1) array per path and one (tile, n+1) scratch,
-    reused for every tile: each tile's rows are drawn whole into their
-    path array, one draw per run of rows inside one group, and
+    `start` starts a row group (_cell_blocks).  Each process keys its
+    stream once per block, and the block is computed one row group at a
+    time: the group's rows are drawn whole, one draw per path
+    (sde.draw_group), into one C-contiguous (G, n+1) array per path, and
     sde.correlated_paths (or sde.ou_paths) turns nodes 1..n into the path
-    in place and sets node 0 to zero.  The scratch holds the noise mix and
-    the reductions' products.  So a block allocates no tile-sized array
-    after its first tile.  Rows never interact, so tiles do not change any
-    bit.
+    in place and sets node 0 to zero.  One more (G, n+1) scratch holds the
+    noise mix and the reductions' products, so a block allocates no
+    group-sized array after its first group.  A one-path block keys
+    process 0 only; x1 and Y11 come from the same sde.ou_paths and
+    reduction as in the pair, so they keep their bits.  Rows never
+    interact, so neither blocks nor groups change any bit.
     """
     n_steps = sde.grid_size(horizon_T, dt)
     m = stop - start
-    tile = max(1, min(m, _TILE_ELEMS // n_steps))
-    reps = np.arange(start, stop)
-    streams = [sde.stream(base_seed, cell_index, reps, process_offset + p)
-               for p in range(paths)]
-    buffers = np.empty((paths + 1, tile, n_steps + 1))  # the paths, then the scratch
+    group = min(m, sde.group_rows(n_steps + 1))
+    streams = [sde.stream(base_seed, cell_index, process_offset + p) for p in range(paths)]
+    buffers = np.empty((paths + 1, group, n_steps + 1))  # the paths, then the scratch
     out = np.empty((3 if paths == 2 else 1, m))
     with np.errstate(over="ignore", invalid="ignore"):  # pair_sample refuses the overflow
-        for a in range(0, m, tile):
-            b = min(a + tile, m)
+        for a in range(0, m, group):
+            b = min(a + group, m)
             *x, scratch = buffers[:, :b - a]
             for s, path in zip(streams, x):
-                s.standard_normal(path.shape, out=path)
+                sde.draw_group(s, start + a, path)
             if paths == 2:
                 sde.correlated_paths(theta, r, dt, *x, scratch=scratch)
                 out[:, a:b] = functionals(*x, dt, scratch=scratch)
@@ -195,8 +190,11 @@ def _check_jobs(jobs):
 
 
 def _cell_blocks(replications, n_steps):
-    """Fixed-size replication blocks (independent of the worker count)."""
-    block = max(1, min(replications, _BLOCK_ELEMS // max(1, n_steps)))
+    """Blocks of the most whole row groups of n+1 normals a row within
+    _BLOCK_ELEMS innovations (at least one group), the last one ragged;
+    independent of the worker count."""
+    group = sde.group_rows(n_steps + 1)
+    block = group * max(1, _BLOCK_ELEMS // (n_steps * group))
     return [(a, min(a + block, replications)) for a in range(0, replications, block)]
 
 

@@ -13,7 +13,7 @@ Randomness is drawn from counter-based Philox streams.  A stream is keyed
 by SeedSequence(seed, spawn_key=key).  The Monte Carlo replications of key
 (cell, process) are cut into groups of consecutive rows; group g is that
 key's Philox with its counter started at [0, 0, g, 0], and its rows draw
-from it in order (RowStreams).  Every path is reproducible from integers
+from it in order (draw_group).  Every path is reproducible from integers
 alone and safe to generate from parallel workers.
 """
 
@@ -59,80 +59,49 @@ def stream(seed, *key):
     Generator(Philox(SeedSequence(seed, spawn_key=key))).
 
     Stream identity is purely the integer tuple, so any worker can recreate
-    any stream without shared state.  If one key part is an array of row
-    indices, it is left out of the key: the result is a RowStreams that
-    draws those rows of that key's Philox, group by group.
+    any stream without shared state.
     """
-    ints = [int(part) for part in (seed, *key) if not np.ndim(part)]
-    rows = [np.asarray(part) for part in key if np.ndim(part)]
+    ints = [int(part) for part in (seed, *key)]
     if min(ints) < 0:
         raise ParameterError("stream key parts must be nonnegative")
-    if rows and rows[0].size and not 0 <= rows[0].min() <= rows[0].max() < 2 ** 32:
-        raise ParameterError("stream index arrays must lie in [0, 2**32)")
-    bitgen = np.random.Philox(np.random.SeedSequence(ints[0], spawn_key=ints[1:]))
-    return RowStreams(bitgen, rows[0]) if rows else np.random.Generator(bitgen)
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(ints[0], spawn_key=ints[1:])))
 
 
-#: Normals per row group of a RowStreams.  A layout constant: it fixes which
+#: Normals per row group of a stream.  A layout constant: it fixes which
 #: numbers every Monte Carlo replication draws, so changing it changes them.
 _GROUP_ELEMS = 2 ** 16
 
 
-class RowStreams:
-    """The streams of a block's rows, drawn group by group.
+def group_rows(width):
+    """Rows G = max(1, _GROUP_ELEMS // width) of a row group of rows of
+    `width` normals."""
+    return max(1, _GROUP_ELEMS // width)
 
-    Rows of w normals are cut into groups of G = max(1, _GROUP_ELEMS // w)
-    consecutive row indices.  Group g is the block's Philox with its
-    counter set to [0, 0, g, 0] and an empty buffer, which is
-    Philox(...).advance(g << 128), and row j = g*G + i draws normals
-    i*w .. (i+1)*w - 1 of it.  Groups are 2^128 counter steps apart and
-    draw at most MAX_STEPS + 1 normals each, so no two rows share a
-    number.  Rows are handed out in order; each call continues where the
-    last one stopped, re-keys the Philox once per group and fills each run
-    of consecutive rows of one group with one draw.  A run that starts
-    inside its group first draws and drops the group's earlier rows, into
-    the rows of `out` not yet written.
+
+def draw_group(gen, first, out):
+    """Write rows first, first+1, ... of stream `gen` to `out`, a C-contiguous
+    (rows, w) array, and return it.
+
+    Rows of w normals are cut into groups of G = group_rows(w) consecutive
+    row indices.  Group g is gen's Philox with its counter set to
+    [0, 0, g, 0] and an empty buffer, which is Philox(...).advance(g << 128),
+    and row g*G + i draws normals i*w .. (i+1)*w - 1 of it.  Groups are
+    2^128 counter steps apart, far more than one draws, so no two rows
+    share a number.  `first` must start a group and `out` hold at most
+    its G rows, so the rows are one draw.
     """
-
-    def __init__(self, bitgen, rows):
-        self._rows = rows
-        self._next = 0
-        self._width = None
-        self._at = (-1, 0)  # (group, rows of it drawn) of the Philox
-        self._bitgen = bitgen
-        self._gen = np.random.Generator(bitgen)
-        self._state = bitgen.state  # counter 0, empty buffer
-
-    def standard_normal(self, size, out):
-        """Write the w normals of each of the next `rows` streams to `out`,
-        a C-contiguous array of shape size = (rows, w), and return it.
-        Every call has the width w of the first."""
-        count, width = out.shape
-        if (out.shape != tuple(size) or not out.flags.c_contiguous
-                or self._width not in (None, width)
-                or self._next + count > len(self._rows)):
-            raise ParameterError(f"cannot draw {size} from {len(self._rows) - self._next} "
-                                 f"remaining row streams of width {self._width} into "
-                                 f"shape {out.shape} (C-contiguous: {out.flags.c_contiguous})")
-        self._width = width
-        rows = self._rows[self._next:self._next + count]
-        group, pos = np.divmod(rows, max(1, _GROUP_ELEMS // width))
-        # a run starts where the row index jumps or a group begins (row 0
-        # begins group 0, hence the -1 before the first row)
-        starts = np.flatnonzero((np.diff(rows, prepend=-1) != 1) | (pos == 0)).tolist()
-        for a, b in zip(starts, starts[1:] + [count]):
-            g, i = int(group[a]), int(pos[a])
-            if self._at[0] != g or self._at[1] > i:
-                self._state["state"]["counter"] = [0, 0, g, 0]
-                self._bitgen.state = self._state
-                self._at = (g, 0)
-            drop, spare = (i - self._at[1]) * width, out[a:].reshape(-1)
-            while drop:  # the group's rows before row i, into rows not yet written
-                drop -= self._gen.standard_normal(out=spare[:drop]).size
-            self._gen.standard_normal(out=out[a:b])
-            self._at = (g, i + b - a)
-        self._next += count
-        return out
+    rows, width = out.shape
+    per_group = group_rows(width)
+    if first % per_group or rows > per_group or not out.flags.c_contiguous:
+        raise ParameterError(f"cannot draw {rows} rows of width {width} from row {first}: "
+                             f"a group draw starts a group of {per_group} rows, holds at "
+                             f"most one group and fills a C-contiguous array")
+    state = gen.bit_generator.state
+    state["state"]["counter"] = [0, 0, first // per_group, 0]
+    state["buffer_pos"] = state["buffer"].size  # an empty buffer
+    gen.bit_generator.state = state
+    return gen.standard_normal(out.shape, out=out)
 
 
 # ---------------------------------------------------------------------------

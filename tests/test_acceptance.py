@@ -434,21 +434,26 @@ def test_criterion_13_determinism(tmp_path):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_determinism_across_blocks_and_tiles(monkeypatch, jobs):
     # criterion 13 for the engine's inner schedule: a cell's functionals do
-    # not depend on how its replications are cut into blocks and row tiles
+    # not depend on how its replications are cut into blocks of whole row
+    # groups.  At the real group size the 23 rows are one group, hence one
+    # block, so the groups shrink to G rows (the layout, and so the
+    # numbers, follow G; the blocks must not)
     import yule_ou.mc as mc_mod
-    # the 23 rows lie in one row group of the streams, so every block but
-    # the first starts inside it
+    import yule_ou.sde as sde_mod
     n_steps, reps = grid_size(5.0, default_dt(1.0, 5.0)), 23
     cell = dict(theta=1.0, r=0.3, horizon_T=5.0, replications=reps, base_seed=1315)
-    ref = pair_sample(**cell)  # default shapes: one block, one tile
-    # (block, tile) in replications: one-replication blocks, one-row tiles,
-    # ragged last blocks and tiles, and tiles larger than their block
-    for block, tile in ((1, 1), (reps, 1), (7, 3), (10, 4), (7, reps)):
-        monkeypatch.setattr(mc_mod, "_BLOCK_ELEMS", block * n_steps)
-        monkeypatch.setattr(mc_mod, "_TILE_ELEMS", tile * n_steps)
+    # (G, groups a block): one-row blocks; blocks of 1, 2 and 3 groups of
+    # 3 rows, and of 2 groups of 5 rows, each with a ragged last block
+    default_block = mc_mod._BLOCK_ELEMS
+    for group, per_block in ((1, 1), (3, 1), (3, 2), (3, 3), (5, 2)):
+        monkeypatch.setattr(sde_mod, "_GROUP_ELEMS", group * (n_steps + 1))
+        monkeypatch.setattr(mc_mod, "_BLOCK_ELEMS", default_block)
+        ref = pair_sample(**cell)  # one block
+        monkeypatch.setattr(mc_mod, "_BLOCK_ELEMS", per_block * group * n_steps)
+        assert len(mc_mod._cell_blocks(reps, n_steps)) == -(-reps // (per_block * group))
         got = pair_sample(**cell, jobs=jobs)
         for name in ("y11", "y22", "y12"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name)), (block, tile, name)
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), (group, per_block, name)
 
 
 # ---------------------------------------------------------------------------

@@ -257,10 +257,13 @@ def test_spde_csv_reproduces_the_json_rates(tmp_path, capsys, flags):
 def test_spde_bytes_do_not_depend_on_jobs_or_blocks(tmp_path, capsys, monkeypatch,
                                                     block_elems):
     # T=5: modes 1, 2, 3 take 1, 4 and 9 times _STEPS_1_5 steps, and a block
-    # takes block_elems innovations per 100 of them.  By default each mode
-    # is one block; at 6300 mode 1 is one block, mode 2 two (15 + 8 rows)
-    # and mode 3 four (7, 7, 7, 2); at 900, mode 3 has one-row blocks and
-    # modes 1 and 2 ragged last blocks
+    # takes block_elems innovations per 100 of them.  Row groups of at most
+    # 500 normals hold 9, 2 and 1 rows of the three modes.  By default each
+    # mode is one block; at 6300 mode 1 is one block, mode 2 two (14 + 9
+    # rows) and mode 3 four (7, 7, 7, 2); at 900, mode 1 is three blocks
+    # (9, 9, 5), mode 2 twelve (the last of one row) and mode 3 one-row
+    # blocks
+    monkeypatch.setattr(sde, "_GROUP_ELEMS", 500)
     outputs = set()
     for elems in (None, block_elems):
         if elems is not None:
@@ -298,6 +301,7 @@ def _fail_on_block_2_of_4(monkeypatch):
         if cell_index == 0 and start == 0:
             shut.wait(30)  # still running when block 2 fails
         return real(theta, r, horizon_T, dt, base_seed, cell_index, start, stop, *rest)
+    monkeypatch.setattr(sde, "_GROUP_ELEMS", 1)  # one-row groups
     monkeypatch.setattr(mc, "_BLOCK_ELEMS", 10 * _STEPS_1_5)
     monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(mc, "_simulate_block", simulate)

@@ -297,7 +297,8 @@ def test_calibrated_constant_inverts_its_bound(kind, bound):
     for theta, r, alpha, T in ((1.0, 0.5, 0.05, 50.0), (2.0, -0.3, 0.01, 20.0),
                                (0.5, 0.8, 0.1, 5.0)):
         tail = bound(theta, r, alpha, T, 0.0)
-        for beta in (tail + 1e-3, tail + 0.3):
+        # a miss rate is at most 1, so a tail of 1 or more has none to invert
+        for beta in (b for b in (tail + 1e-3, tail + 0.3, 1.0) if tail < b <= 1.0):
             berry = calibrate_berry_constant(kind, theta, r, alpha, T, beta)
             assert berry > 0
             assert bound(theta, r, alpha, T, berry) == pytest.approx(beta, rel=0, abs=1e-12)
@@ -305,6 +306,10 @@ def test_calibrated_constant_inverts_its_bound(kind, bound):
         assert calibrate_berry_constant(kind, theta, r, alpha, T, 0.5 * tail) == 0.0
     with pytest.raises(ParameterError, match="unknown bound kind"):
         calibrate_berry_constant("bogus", 1.0, 0.5, 0.05, 50.0, 0.5)
+    # a miss rate outside [0, 1] is refused, not floored to 0 or fitted
+    for beta in (math.nan, 7.0, -0.1, math.inf):
+        with pytest.raises(ParameterError, match="empirical_beta"):
+            calibrate_berry_constant(kind, 1.0, 0.5, 0.05, 50.0, beta)
 
 
 def test_type2_bounds_dominate_empirical_beta():
@@ -334,6 +339,9 @@ def test_spde_type2_bound_products():
     assert spde_type2_bound([2.5, 0.5]) == pytest.approx(0.5, rel=1e-12)  # clamped
     with pytest.raises(ParameterError):
         spde_type2_bound([])
+    for bad in ([0.5, math.nan], [math.inf, 0.5], [0.5, -0.1]):
+        with pytest.raises(ParameterError):
+            spde_type2_bound(bad)
 
 
 def test_outcomes_csv_schema():

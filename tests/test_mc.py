@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from yule_ou.errors import InsufficientDataError, ParameterError
-from yule_ou import mc
+from yule_ou import mc, sde
 from yule_ou.estimators import PathPair, functionals, rate_estimate, yule_rho
 from yule_ou.gaussian import upper_quantile
 from yule_ou.mc import (ExperimentGrid, error_rates, k_statistics,
@@ -121,6 +121,9 @@ def test_wilson_interval_contains_rate():
     for k, n in ((0, 50), (1, 50), (25, 50), (50, 50)):
         lo, hi = wilson_interval(k, n)
         assert lo <= k / n <= hi
+    for k, n in ((5, 3), (-1, 3), (math.nan, 3)):
+        with pytest.raises(ParameterError, match="successes"):
+            wilson_interval(k, n)
 
 
 def test_rate_fit_exact_power_laws():
@@ -137,6 +140,9 @@ def test_rate_fit_domain():
         rate_fit([(1.0, 1.0), (2.0, 0.5)])
     with pytest.raises(ParameterError):
         rate_fit([(1.0, 1.0), (2.0, 0.5), (3.0, -0.1)])
+    for bad in ((20, math.nan), (20, math.inf), (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0)):
+        with pytest.raises(ParameterError):
+            rate_fit([(10, 1), bad, (40, 0.3)])
 
 
 # ---------------------------------------------------------------------------
@@ -184,27 +190,52 @@ def test_field_mode_rows_are_addressed_streams():
 
 
 def test_engine_block_size_invariance(monkeypatch):
-    import yule_ou.mc as mc_mod
+    monkeypatch.setattr(sde, "_GROUP_ELEMS", 1)  # one-row groups
     a = pair_sample(1.0, 0.2, 5.0, replications=64, base_seed=4, cell_index=0)
-    monkeypatch.setattr(mc_mod, "_BLOCK_ELEMS", 1000)  # force many blocks
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 1000)  # force many blocks
     b = pair_sample(1.0, 0.2, 5.0, replications=64, base_seed=4, cell_index=0)
+    assert len(mc._cell_blocks(64, _STEPS_1_5)) == 4
     np.testing.assert_array_equal(a.rho, b.rho)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_engine_rows_are_the_oracle_rows_over_whole_group_blocks(monkeypatch, jobs):
+    # at the real group size rows of 20 001 normals make groups of 3 rows;
+    # a budget of one row more than 1, 2 and 3 groups rounds down to blocks
+    # of whole groups, which cut 23 replications into 8, 4 and 3 blocks,
+    # the last one ragged (2, 5 and 5 rows), and every row is the oracle's
+    # row of its stream
+    theta, r, T, dt, seed, cell, reps = 1.0, 0.4, 100.0, 0.005, 21, 2, 23
+    n = grid_size(T, dt)
+    assert sde.group_rows(n + 1) == 3
+    z1, z0 = (row_normals(seed, cell, p, range(reps), n + 1) for p in (0, 1))
+    expected = functionals(*correlated_paths(theta, r, dt, z1, z0), dt)
+    for groups, last in ((1, 2), (2, 5), (3, 5)):
+        monkeypatch.setattr(mc, "_BLOCK_ELEMS", (groups * 3 + 1) * n)
+        blocks = mc._cell_blocks(reps, n)
+        assert {b - a for a, b in blocks[:-1]} == {3 * groups}, groups
+        assert blocks[-1][1] - blocks[-1][0] == last and blocks[-1][1] == reps
+        got = pair_sample(theta, r, T, dt=dt, replications=reps, base_seed=seed,
+                          cell_index=cell, jobs=jobs)
+        for name, want in zip(("y11", "y22", "y12"), expected):
+            assert np.array_equal(getattr(got, name), want), (groups, name)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_one_path_cell_keeps_the_pair_bits(monkeypatch, jobs):
     # a one-path cell draws process 0 alone, and its Y11 is the pair's
-    # whatever the blocks and tiles, ragged ones included
-    n_steps, reps = _STEPS_1_5, 23
+    # whatever the blocks, ragged ones included; groups of 3 rows make
+    # blocks of 1, 2, 3 and 8 groups (the last covering all 23 rows)
+    monkeypatch.setattr(sde, "_GROUP_ELEMS", 3 * (_STEPS_1_5 + 1))
+    reps = 23
     cell = dict(theta=1.0, r=0.6, horizon_T=5.0, replications=reps, base_seed=1316,
                 cell_index=2)
     pair = pair_sample(**cell)
-    for block, tile in ((1, 1), (7, 3), (10, 4), (reps, 5), (7, reps)):
-        monkeypatch.setattr(mc, "_BLOCK_ELEMS", block * n_steps)
-        monkeypatch.setattr(mc, "_TILE_ELEMS", tile * n_steps)
+    for groups in (1, 2, 3, 8):
+        monkeypatch.setattr(mc, "_BLOCK_ELEMS", groups * 3 * _STEPS_1_5)
         one = pair_sample(**cell, jobs=jobs, paths=1)
         for name in ("y11", "theta_hat"):
-            assert np.array_equal(getattr(one, name), getattr(pair, name)), (block, tile, name)
+            assert np.array_equal(getattr(one, name), getattr(pair, name)), (groups, name)
         assert (one.rho, one.y22, one.y12) == (None, None, None)
     for statistic in ("rho_centered", "numerator_centered"):
         with pytest.raises(ParameterError, match="x2"):
@@ -221,12 +252,13 @@ def test_one_path_cell_keeps_the_pair_bits(monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("paths", [1, 2])
-def test_a_block_holds_one_tile_array_per_path_plus_one_scratch(monkeypatch, paths):
-    # over three tiles (the last ragged) a block's traced peak stays below
-    # (paths + 1) arrays of (tile, n+1) float64, its (3, m) output and a
-    # slack for the iteration buffers numpy's ufuncs take on strided views
-    n_steps, tile, m = 2000, 50, 120  # theta=1, T=100 at dt 0.05
-    monkeypatch.setattr(mc, "_TILE_ELEMS", tile * n_steps)
+def test_a_block_holds_one_tile_array_per_path_plus_one_scratch(paths):
+    # over four row groups of 32 rows (the last ragged) a block's traced
+    # peak stays below (paths + 1) arrays of (32, n+1) float64, its (3, m)
+    # output and a slack for the iteration buffers numpy's ufuncs take on
+    # strided views
+    n_steps, m = 2000, 120  # theta=1, T=100 at dt 0.05
+    tile = sde.group_rows(n_steps + 1)
     block = (1.0, 0.5, 100.0, 0.05, 7, 0, 0, m, 0, paths)
     mc._simulate_block(*block)  # warm-up
     tracemalloc.start()
@@ -243,23 +275,29 @@ def test_a_block_holds_one_tile_array_per_path_plus_one_scratch(monkeypatch, pat
 @pytest.mark.parametrize("paths", [1, 2])
 def test_each_draw_names_the_shape_it_fills(monkeypatch, paths):
     # a benchmark tracer counts prod(size) normals per draw on a stream, so
-    # every draw passes size == out.shape, over whole C-contiguous rows, and
-    # the sizes add up to the block's rows; the block starts inside a group
-    n_steps, tile, start, stop = 2000, 50, 5, 125  # groups of 32 rows of 2001
-    monkeypatch.setattr(mc, "_TILE_ELEMS", tile * n_steps)
-    draws, keyed = [], mc.sde.stream
+    # every draw passes size == out.shape, over whole C-contiguous rows.  A
+    # block of 93 rows from group 1 is one draw per group and path, and
+    # its generators write exactly 93 rows of n+1 normals each: none is
+    # drawn and dropped
+    n_steps, start, stop = 2000, 32, 125  # groups of 32 rows of 2001
+    draws, written, keyed = [], [], sde.stream
 
     class Recording:
-        def __init__(self, rows):
-            self._rows = rows
+        def __init__(self, gen):
+            self._gen = gen
 
-        def standard_normal(self, size, out):
+        def __getattr__(self, name):
+            return getattr(self._gen, name)
+
+        def standard_normal(self, size=None, out=None):
             draws.append((tuple(size), out.shape, out.flags.c_contiguous))
-            return self._rows.standard_normal(size, out=out)
-    monkeypatch.setattr(mc.sde, "stream", lambda *key: Recording(keyed(*key)))
+            written.append(out.size)
+            return self._gen.standard_normal(size, out=out)
+    monkeypatch.setattr(sde, "stream", lambda *key: Recording(keyed(*key)))
     mc._simulate_block(1.0, 0.5, 100.0, 0.05, 7, 0, start, stop, 0, paths)
     assert draws == [((k, n_steps + 1), (k, n_steps + 1), True)
-                     for k in (50, 50, 20) for _ in range(paths)]
+                     for k in (32, 32, 29) for _ in range(paths)]
+    assert sum(written) == paths * (stop - start) * (n_steps + 1)
 
 
 class _RecordingPool(ThreadPoolExecutor):
@@ -273,6 +311,7 @@ class _RecordingPool(ThreadPoolExecutor):
 
 
 def test_pool_never_exceeds_the_block_count(monkeypatch):
+    monkeypatch.setattr(sde, "_GROUP_ELEMS", 1)  # one-row groups
     serial = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=4)
     monkeypatch.setattr(mc, "_BLOCK_ELEMS", 10 * _STEPS_1_5)  # 4 blocks of 10 rows
     monkeypatch.setattr(mc, "ThreadPoolExecutor", _RecordingPool)
@@ -286,6 +325,7 @@ def test_pool_never_exceeds_the_block_count(monkeypatch):
 def test_spde_runs_one_pool_per_multi_block_mode(monkeypatch):
     # T=5: modes 1, 2, 3 take 1, 4 and 9 times _STEPS_1_5 steps; at 18 times
     # that a block, 13 replications are 1, 4 and 7 blocks (ragged ones last)
+    monkeypatch.setattr(sde, "_GROUP_ELEMS", 1)  # one-row groups
     serial = spde_mode_samples(3, 0.4, 5.0, replications=13, base_seed=8)
     monkeypatch.setattr(mc, "_BLOCK_ELEMS", 18 * _STEPS_1_5)
     monkeypatch.setattr(mc, "ThreadPoolExecutor", _RecordingPool)
@@ -301,6 +341,7 @@ def test_spde_runs_one_pool_per_multi_block_mode(monkeypatch):
 def test_more_threads_than_cores_keep_the_bits(monkeypatch):
     # blocks share no state, so a short switch interval and more threads
     # than cores change no bit
+    monkeypatch.setattr(sde, "_GROUP_ELEMS", 1)  # one-row groups
     monkeypatch.setattr(mc, "_BLOCK_ELEMS", 3 * _STEPS_1_5)  # 14 blocks of <= 3 rows
     serial = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=6)
     interval = sys.getswitchinterval()
@@ -318,6 +359,7 @@ def test_jobs_start_no_child_process(monkeypatch):
         raise AssertionError("started a child process")
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(sde, "_GROUP_ELEMS", 1)  # one-row groups
     monkeypatch.setattr(mc, "_BLOCK_ELEMS", 10 * _STEPS_1_5)  # 4 blocks per mode-1 cell
     serial = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=4)
     pooled = pair_sample(1.0, 0.2, 5.0, replications=40, base_seed=4, jobs=2)
@@ -438,9 +480,9 @@ def test_y11_grids_never_key_the_second_process(monkeypatch):
     keys = []
     keyed = mc.sde.stream
 
-    def recording(seed, cell, reps, process):
+    def recording(seed, cell, process):
         keys.append((cell, process))
-        return keyed(seed, cell, reps, process)
+        return keyed(seed, cell, process)
     monkeypatch.setattr(mc.sde, "stream", recording)
     for statistic, expected in (("ybar_centered", [(0, 0), (1, 0)]),
                                 ("theta_hat_centered", [(0, 0), (1, 0)]),

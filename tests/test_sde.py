@@ -51,13 +51,17 @@ _REPS = (0, 1, 17, 2 ** 32 - 1)
 
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_row_streams_are_the_key_stream_advanced_by_the_row_index(seed):
-    # row j is row j % G of group j // G, the key's Philox advanced by the group
+    # row j is row j % G of group j // G, the key's Philox advanced by the
+    # group; one generator draws the groups in any order
     w = 41  # groups of 1598 rows
+    per_group = sde.group_rows(w)
     for cell in (0, 7, 2 ** 32 + 5):
         for process in (0, 1, 5):
-            rows = stream(seed, cell, np.array(_REPS), process)
-            drawn = rows.standard_normal((len(_REPS), w), out=np.empty((len(_REPS), w)))
-            assert np.array_equal(drawn, row_normals(seed, cell, process, _REPS, w))
+            gen = stream(seed, cell, process)
+            for rep in _REPS:
+                g, i = divmod(rep, per_group)
+                rows = sde.draw_group(gen, g * per_group, np.empty((i + 1, w)))
+                assert np.array_equal(rows[i], row_normals(seed, cell, process, [rep], w)[0])
 
 
 def test_stream_draws_the_seed_sequence_numbers():
@@ -67,41 +71,37 @@ def test_stream_draws_the_seed_sequence_numbers():
 
 
 def test_row_streams_draw_each_row_from_its_own_stream_over_ragged_tiles():
-    # width 6554 makes groups of 9 rows.  Blocks start inside a group (15,
-    # and 2**32 - 25 = 9*477218585 + 6, whose last row is 2**32 - 1) or on
-    # a group boundary (18); tiles are ragged, one holds one row, others
-    # straddle a group boundary, and one holds a whole group
+    # width 6554 makes groups of 9 rows.  25 rows from a group boundary (0,
+    # 18, or 9*477218585, the group of the last rows below 2**32) are two
+    # whole groups and a ragged one of 7 rows, drawn last group first
     seed, cell, process, w = 2 ** 40 + 3, 7, 1, 6554
-    buf = np.empty((10, w))
-    for first in (15, 18, 2 ** 32 - 25):
-        reps = np.arange(first, first + 25)
-        rows = stream(seed, cell, reps, process)
-        drawn = [rows.standard_normal((k, w), out=buf[:k]).copy()
-                 for k in (1, 4, 4, 3, 10, 3)]
-        assert np.array_equal(np.concatenate(drawn),
-                              row_normals(seed, cell, process, reps, w)), first
-        with pytest.raises(ParameterError):  # every row stream is used up
-            rows.standard_normal((1, w), out=buf[:1])
+    gen = stream(seed, cell, process)
+    for first in (0, 18, 9 * 477218585):
+        drawn = np.empty((25, w))
+        for a in (18, 9, 0):
+            sde.draw_group(gen, first + a, drawn[a:a + 9])
+        reps = range(first, first + 25)
+        assert np.array_equal(drawn, row_normals(seed, cell, process, reps, w)), first
 
 
-def test_row_streams_refuse_a_new_width_or_a_strided_buffer():
-    rows = stream(3, 0, np.arange(10), 0)
-    buf = np.empty((4, 21))
+def test_group_draw_refuses_a_mid_group_start_more_than_a_group_or_a_strided_buffer():
+    gen, w = stream(3, 0, 0), 20_000  # groups of 3 rows
+    buf = np.empty((4, w))
+    for first in (1, 2, 4, 2 ** 32):
+        with pytest.raises(ParameterError):  # a start inside a group
+            sde.draw_group(gen, first, buf[:1])
+    with pytest.raises(ParameterError):  # four rows are more than one group
+        sde.draw_group(gen, 3, buf)
     with pytest.raises(ParameterError):  # rows must be whole and contiguous
-        rows.standard_normal((4, 20), out=buf[:, 1:])
-    rows.standard_normal((2, 21), out=buf[:2])
-    with pytest.raises(ParameterError):  # the group size follows the first width
-        rows.standard_normal((2, 20), out=np.empty((2, 20)))
-    with pytest.raises(ParameterError):  # size and out disagree
-        rows.standard_normal((1, 21), out=buf[:2])
+        sde.draw_group(gen, 3, np.empty((3, w + 1))[:, 1:])
+    assert np.shares_memory(sde.draw_group(gen, 3, buf[:3]), buf)  # a whole group
 
 
-def test_stream_refuses_index_arrays_beyond_32_bits():
-    for bad in ([0, 2 ** 32], [-1, 0]):
-        with pytest.raises(ParameterError):
-            stream(1, 0, np.array(bad), 0)
+def test_stream_refuses_negative_key_parts_and_index_arrays():
     with pytest.raises(ParameterError):
         stream(1, -1)
+    with pytest.raises(TypeError):  # a key is integers alone
+        stream(1, 0, np.arange(2), 0)
 
 
 def test_import_leaves_scipy_signal_and_stats_unloaded():
@@ -122,7 +122,8 @@ def test_first_filter_calls_on_two_pool_threads_at_once(tmp_path):
 import contextlib, io, sys
 import numpy as np
 from yule_ou import cli, mc, sde
-mc._BLOCK_ELEMS = 10 * sde.grid_size(5.0, sde.default_dt(1.0, 5.0))  # 4 blocks of 10 rows
+sde._GROUP_ELEMS = 1  # one-row groups, so 4 blocks of 10 rows
+mc._BLOCK_ELEMS = 10 * sde.grid_size(5.0, sde.default_dt(1.0, 5.0))
 two = mc.pair_sample(1.0, 0.3, 5.0, replications=40, base_seed=3, jobs=2)
 one = mc.pair_sample(1.0, 0.3, 5.0, replications=40, base_seed=3)
 same = all(np.array_equal(getattr(one, k), getattr(two, k)) for k in ('y11', 'y22', 'y12'))
