@@ -229,11 +229,9 @@ _THEORY = {
     "delta_inner": (("p", "theta"), theory.delta_convolution_inner),
     "asymptotic_cumulant": (("p", "theta", "r", "T"), theory.asymptotic_cumulant),
     "second_moment_Ar": (("theta", "r", "T"), theory.exact_second_moment_Ar),
-    "h_norm": (("theta", "r", "T"),
-               lambda *spec: theory.kernel_h_norm(theory.KernelSpec(*spec))),
+    "h_norm": (("theta", "r", "T"), theory.kernel_h_norm),
     "h_norm_limit": (("theta", "r"), theory.kernel_h_norm_limit),
-    "g_norm": (("theta", "r", "T"),
-               lambda *spec: theory.kernel_g_norm(theory.KernelSpec(*spec))),
+    "g_norm": (("theta", "r", "T"), theory.kernel_g_norm),
     "eta": (("theta", "r"), theory.eta_constant),
     "edgeworth_tail": (("z", "theta", "r", "T"), theory.edgeworth_tail),
     "edgeworth_kol_bound": (("theta", "r", "T"), theory.edgeworth_kolmogorov_bound),
@@ -298,7 +296,7 @@ def build_parser():
 
     p = subs.add_parser("test", help="run one independence test on a path CSV")
     _add_common(p)
-    p.add_argument("--variant", choices=("rho", "rho-est", "num"))
+    p.add_argument("--variant", choices=tuple(_VARIANT_ALIASES))
     p.add_argument("--alpha", type=float, help="significance level (default 0.05)")
     p.add_argument("--theta", type=float, help="known rate (rho and num variants)")
     p.add_argument("--input", help="pair CSV with header t,x1,x2")
@@ -326,7 +324,7 @@ def build_parser():
     p.add_argument("--reps", type=int, help="replications")
     p.add_argument("--seed", type=int, help="base seed")
     p.add_argument("--alpha", type=float, help="per-mode level (default 0.05)")
-    p.add_argument("--variant", choices=("rho", "rho-est", "num"))
+    p.add_argument("--variant", choices=tuple(_VARIANT_ALIASES))
     p.add_argument("--sidak", action="store_const", const=True, default=None,
                    help="correct the per-mode level for the family rate")
     p.add_argument("--jobs", type=int,

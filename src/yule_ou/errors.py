@@ -1,6 +1,7 @@
 """Exception types shared across the package and the domain checks raising them."""
 
 import math
+import operator
 
 
 class YuleOuError(Exception):
@@ -28,6 +29,15 @@ def check_positive(**named):
     for name, value in named.items():
         if not 0.0 < value < math.inf:
             raise ParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def check_integer(**named):
+    """Reject each value that is not an integer; Python and numpy integers pass."""
+    for name, value in named.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_correlation(r):

@@ -80,12 +80,6 @@ def _variance_and_linear(x, w, T, scratch=None):
     return _quadratic(x, x, w) - s * s / T, s
 
 
-def path_time_average(path):
-    """Trapezoidal approximation of (1/T) int_0^T X(u) du."""
-    w = trapezoid_weights(path.values.size, path.dt)
-    return float(_linear(path.values, w)) / path.horizon
-
-
 def variance_functional(x, dt, scratch=None):
     """Centered functional Y_aa of paths of shape (..., n_nodes): the Y11 of
     `functionals` bit for bit, without a second path."""
@@ -121,12 +115,6 @@ def rate_estimate(y_aa, horizon_T):
 def correlation(y11, y22, y12):
     """rho = Y12/sqrt(Y11 Y22), for scalars or arrays."""
     return y12 / (np.sqrt(y11) * np.sqrt(y22))
-
-
-def empirical_cov_functional(path_a, path_b):
-    """The centered product functional Y_ab; symmetric and bilinear."""
-    _require_same_grid(path_a, path_b)
-    return float(functionals(path_a.values, path_b.values, path_a.dt)[2])
 
 
 def _check_not_constant(path):

@@ -17,9 +17,11 @@ deterministically).  The field test applies the rule to each Fourier
 mode k at theta = k^2 and rejects on any mode; it lives in
 `mc.spde_family_rejections`, beside the engine that simulates the modes.
 
-Both type-II bounds are one formula, sqrt(2/pi) (c/sigma)
-exp(-((c - shift)/sigma)^2/2) + berry * rate(T), at each test's
-threshold c, centre shift under the alternative and approximation rate.
+The two known-rate variants have a type-II bound, one formula
+sqrt(2/pi) (c/sigma) exp(-((c - shift)/sigma)^2/2) + berry * rate(T) at
+each test's threshold c, centre shift under the alternative and
+approximation rate; `calibrate_berry_constant` names its test by the
+TestVariant, as every other entry point does.
 """
 
 import math
@@ -161,28 +163,28 @@ def sidak_level(alpha, n_modes):
 # Type-II error bounds
 # ---------------------------------------------------------------------------
 
-def _type2_bound(kind, theta, r, alpha, horizon_T, berry_constant):
-    """(bound, rate) of the kind's miss-probability bound
+def _type2_bound(variant, theta, r, alpha, horizon_T, berry_constant):
+    """(bound, rate) of the variant's miss-probability bound
 
         sqrt(2/pi) (c/sigma) exp(-((c - shift)/sigma)^2 / 2) + berry_constant * rate,
 
     with c the test's threshold, shift the centre of its statistic under
-    the alternative and rate that of its normal approximation.
+    the alternative and rate that of its normal approximation.  Only the
+    known-rate variants have one.
     """
+    variant = TestVariant(variant)
     if r == 0.0:
         raise ParameterError("bound is defined under the alternative (r != 0)")
-    if kind == "rho":
+    if variant is TestVariant.RHO_KNOWN_THETA:
         check_positive(horizon_T=horizon_T)
-        variant, shift = TestVariant.RHO_KNOWN_THETA, abs(r) * math.sqrt(horizon_T)
-        rate = horizon_T ** -0.25
-    elif kind == "numerator":
+        shift, rate = abs(r) * math.sqrt(horizon_T), horizon_T ** -0.25
+    elif variant is TestVariant.NUMERATOR_KNOWN_THETA:
         if not math.e < horizon_T < math.inf:
             raise ParameterError("horizon_T must exceed e and be finite")
-        variant = TestVariant.NUMERATOR_KNOWN_THETA
         shift = abs(r) * math.sqrt(horizon_T) / (2.0 * theta)
         rate = math.log(horizon_T) / math.sqrt(horizon_T)
     else:
-        raise ParameterError(f"unknown bound kind {kind!r}")
+        raise ParameterError(f"{variant.value} has no type-II bound")
     if not 0.0 <= berry_constant < math.inf:
         raise ParameterError("berry_constant must be nonnegative and finite")
     sigma = chaos_constants(theta, r).sigma
@@ -194,16 +196,20 @@ def _type2_bound(kind, theta, r, alpha, horizon_T, berry_constant):
 
 def type2_bound_rho(theta, r, alpha, horizon_T, berry_constant):
     """Bound on the miss probability of the known-rate rho test: the tail at
-    c = q_{alpha/2}/sqrt(theta) and shift |r| sqrt(T), plus berry_constant * T^{-1/4}."""
-    return _type2_bound("rho", theta, r, alpha, horizon_T, berry_constant)[0]
+    c = q_{alpha/2}/sqrt(theta) and shift |r| sqrt(T), plus berry_constant * T^{-1/4}.
+    A bound of 1 or more is vacuous; it is returned as computed."""
+    return _type2_bound(TestVariant.RHO_KNOWN_THETA, theta, r, alpha, horizon_T,
+                        berry_constant)[0]
 
 
 def type2_bound_numerator(theta, r, alpha, horizon_T, berry_constant):
     """Bound on the miss probability of the numerator test: the tail at
     c = q_{alpha/2}/(2 theta^{3/2}) and shift |r| sqrt(T)/(2 theta), plus
     berry_constant * ln(T)/sqrt(T).  Requires T > e so the log factor exceeds one.
+    A bound of 1 or more is vacuous; it is returned as computed.
     """
-    return _type2_bound("numerator", theta, r, alpha, horizon_T, berry_constant)[0]
+    return _type2_bound(TestVariant.NUMERATOR_KNOWN_THETA, theta, r, alpha, horizon_T,
+                        berry_constant)[0]
 
 
 def numerator_bound_valid_from(theta, r, alpha):
@@ -214,16 +220,21 @@ def numerator_bound_valid_from(theta, r, alpha):
     return 4.0 * theta * theta * c * c / (r * r)
 
 
-def calibrate_berry_constant(kind, theta, r, alpha, horizon_T, empirical_beta):
+def calibrate_berry_constant(variant, theta, r, alpha, horizon_T, empirical_beta):
     """Fit berry_constant from one empirical miss rate at a small horizon.
 
     Solves tail(T) + berry * rate(T) = empirical_beta for berry, floored at 0.
-    kind is "rho" (rate T^{-1/4}) or "numerator" (rate ln(T)/sqrt(T)).
-    empirical_beta is a miss rate, so it must lie in [0, 1].
+    variant is "rho_known_theta" (rate T^{-1/4}) or "numerator_known_theta"
+    (rate ln(T)/sqrt(T)).  empirical_beta is a miss rate, so it must lie in
+    [0, 1].  A horizon whose tail alone is 1 or more is refused: there the
+    bound is vacuous and every miss rate would floor the constant at 0.
     """
     if not 0.0 <= empirical_beta <= 1.0:
         raise ParameterError(f"empirical_beta must lie in [0, 1], got {empirical_beta}")
-    tail, rate = _type2_bound(kind, theta, r, alpha, horizon_T, 0.0)
+    tail, rate = _type2_bound(variant, theta, r, alpha, horizon_T, 0.0)
+    if not tail < 1.0:
+        raise ParameterError(f"the tail term alone is {tail:.6g} >= 1 at horizon_T = "
+                             f"{horizon_T}: the bound is vacuous there")
     return max(0.0, (empirical_beta - tail) / rate)
 
 

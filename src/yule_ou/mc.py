@@ -27,8 +27,8 @@ import numpy as np
 
 from . import hypothesis as hyp
 from . import sde, theory
-from .errors import (InsufficientDataError, ParameterError, YuleOuError, check_level,
-                     check_positive)
+from .errors import (InsufficientDataError, ParameterError, YuleOuError, check_integer,
+                     check_level, check_positive)
 from .estimators import (YuleStatistics, check_functionals, correlation, functionals,
                          rate_estimate, variance_functional)
 from .gaussian import norm_cdf, upper_quantile
@@ -176,15 +176,17 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
 
 
 def _check_replications(replications):
-    """Reject a replication count outside [1, 2**32].  A cell holds five
-    float64 arrays with one entry per replication, 160 GiB at 2**32, so a
-    larger count could never run."""
+    """Reject a replication count that is not an integer in [1, 2**32].  A
+    cell holds five float64 arrays with one entry per replication, 160 GiB
+    at 2**32, so a larger count could never run."""
+    check_integer(replications=replications)
     if not 1 <= replications <= 2 ** 32:
         raise ParameterError(f"replications must lie in [1, 2**32], got {replications}")
 
 
 def _check_jobs(jobs):
-    """Reject a worker count below one."""
+    """Reject a worker count that is not an integer of at least one."""
+    check_integer(jobs=jobs)
     if not jobs >= 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
 
@@ -431,6 +433,7 @@ def spde_mode_samples(n_modes, r, horizon_T, replications, base_seed, jobs=1):
     one pair_sample call, so with jobs > 1 each mode of more than one
     block runs on its own thread pool, in turn.
     """
+    check_integer(n_modes=n_modes)
     if n_modes < 1:
         raise ParameterError("n_modes must be >= 1")
     sde.grid_size(horizon_T, sde.default_dt(float(n_modes * n_modes), horizon_T))

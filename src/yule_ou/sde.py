@@ -19,12 +19,13 @@ alone and safe to generate from parallel workers.
 
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_correlation, check_positive
+from .errors import ParameterError, check_correlation, check_integer, check_positive
 from .estimators import PathPair
 
 #: Cap on theta*dt.  At the cap the exact quadrature bias of the mean and
@@ -61,7 +62,7 @@ def stream(seed, *key):
     Stream identity is purely the integer tuple, so any worker can recreate
     any stream without shared state.
     """
-    ints = [int(part) for part in (seed, *key)]
+    ints = [operator.index(part) for part in (seed, *key)]
     if min(ints) < 0:
         raise ParameterError("stream key parts must be nonnegative")
     return np.random.Generator(np.random.Philox(
@@ -383,7 +384,9 @@ def read_pair_csv(fileobj):
 
 
 def check_pair_inputs(r, seed):
-    """Reject |r| > 1 (NaN included) and a seed outside 64 unsigned bits."""
+    """Reject |r| > 1 (NaN included) and a seed that is not an integer in 64
+    unsigned bits."""
     check_correlation(r)
+    check_integer(seed=seed)
     if not 0 <= int(seed) < 2 ** 64:
         raise ParameterError(f"seed must fit in 64 unsigned bits, got {seed}")

@@ -5,6 +5,8 @@ sigma of the scaled cross functional, the limiting variance of the
 correlation statistic, cumulant constants and their convolution inner
 products, the finite-horizon second moment of the chaos term, kernel
 norms, the Edgeworth tail correction, and auxiliary deviation bounds.
+Each is a function of plain parameters (theta, r, horizon_T, ...) that
+checks its own domain.
 """
 
 import math
@@ -30,19 +32,6 @@ class ChaosConstants:
     sigma: float
     theta: float
     r: float
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Parameters of the exponential second-chaos kernels h_T and g_T."""
-
-    theta: float
-    r: float
-    horizon_T: float
-
-    def __post_init__(self):
-        check_positive(theta=self.theta, horizon_T=self.horizon_T)
-        check_correlation(self.r)
 
 
 def chaos_constants(theta, r):
@@ -176,45 +165,19 @@ def exact_second_moment_Ar(theta, r, horizon_T):
 
 
 # ---------------------------------------------------------------------------
-# Kernel values and norms
+# Kernel norms
 # ---------------------------------------------------------------------------
 
-def kernel_h_value(spec, t, s):
-    """h_T(t, s): exponential kernel on the two diagonal squares.
+def kernel_h_norm(theta, r, horizon_T):
+    """L2 norm of the kernel h_T,
 
-    (1/(2 theta sqrt(T))) * [c1 on [0,T]^2 + c2 on [-T,0]^2] * e^{-theta|t-s|}.
-    """
-    cc = chaos_constants(spec.theta, spec.r)
-    T = spec.horizon_T
-    base = math.exp(-spec.theta * abs(t - s)) / (2.0 * spec.theta * math.sqrt(T))
-    if 0.0 <= t <= T and 0.0 <= s <= T:
-        return cc.c1 * base
-    if -T <= t <= 0.0 and -T <= s <= 0.0:
-        return cc.c2 * base
-    return 0.0
+        (1/(2 theta sqrt(T))) * [c1 on [0,T]^2 + c2 on [-T,0]^2] * e^{-theta|t-s|};
 
-
-def kernel_g_value(spec, t, s):
-    """g_T(t, s): the boundary remainder kernel.
-
-    (1/(2 theta sqrt(T))) * [c1 on [0,T]^2 + c2 on [-T,0]^2]
-        * e^{-2 theta T} * e^{theta(|t|+|s|)}.
-    """
-    cc = chaos_constants(spec.theta, spec.r)
-    T = spec.horizon_T
-    base = math.exp(-2.0 * spec.theta * T + spec.theta * (abs(t) + abs(s)))
-    base /= 2.0 * spec.theta * math.sqrt(T)
-    if 0.0 <= t <= T and 0.0 <= s <= T:
-        return cc.c1 * base
-    if -T <= t <= 0.0 and -T <= s <= 0.0:
-        return cc.c2 * base
-    return 0.0
-
-
-def kernel_h_norm(spec):
-    """L2 norm of h_T; increases to kernel_h_norm_limit as T grows."""
-    th, T = spec.theta, spec.horizon_T
-    csq = (1.0 + spec.r ** 2) / 2.0
+    increases to kernel_h_norm_limit as T grows."""
+    check_positive(theta=theta, horizon_T=horizon_T)
+    check_correlation(r)
+    th, T = theta, horizon_T
+    csq = (1.0 + r ** 2) / 2.0
     x = 2.0 * th * T
     if x < 3e-4:  # the closed form cancels to noise; its series is T (1 - x/3 + x^2/12)
         integral = T * (1.0 - x / 3.0 + x * x / 12.0)
@@ -230,10 +193,14 @@ def kernel_h_norm_limit(theta, r):
     return math.sqrt(1.0 + r * r) / (2.0 * math.sqrt(2.0) * theta ** 1.5)
 
 
-def kernel_g_norm(spec):
-    """L2 norm sqrt(r^2+1) * (1 - e^{-2 theta T}) / (4 sqrt(2) theta^2 sqrt(T))."""
-    th, T = spec.theta, spec.horizon_T
-    return (math.sqrt(spec.r ** 2 + 1.0) * -math.expm1(-2.0 * th * T)
+def kernel_g_norm(theta, r, horizon_T):
+    """L2 norm sqrt(r^2+1) * (1 - e^{-2 theta T}) / (4 sqrt(2) theta^2 sqrt(T)) of
+    the boundary remainder kernel g_T, h_T with e^{-theta|t-s|} replaced by
+    e^{-2 theta T} e^{theta(|t|+|s|)}."""
+    check_positive(theta=theta, horizon_T=horizon_T)
+    check_correlation(r)
+    th, T = theta, horizon_T
+    return (math.sqrt(r ** 2 + 1.0) * -math.expm1(-2.0 * th * T)
             / (4.0 * math.sqrt(2.0) * th * th * math.sqrt(T)))
 
 

@@ -8,8 +8,8 @@ import pytest
 
 from yule_ou.errors import (DegenerateStatisticError, GridMismatchError,
                             InsufficientDataError)
-from yule_ou.estimators import (PathPair, check_functionals, empirical_cov_functional,
-                                path_time_average, rate_estimate, theta_estimator, yule_rho)
+from yule_ou.estimators import (PathPair, check_functionals, functionals, rate_estimate,
+                                theta_estimator, trapezoid_weights, yule_rho)
 from yule_ou.sde import (CorrelatedPairConfig, SamplePath, mean_functional_variance,
                          simulate_correlated_pair, stream)
 
@@ -23,18 +23,29 @@ def _random_pair(seed, theta=1.0, r=0.3, T=20.0, dt=0.05):
     return simulate_correlated_pair(cfg)
 
 
+def _time_average(path):
+    """(1/T) int_0^T X(u) du by the trapezoid weights the functionals use."""
+    return float(trapezoid_weights(path.values.size, path.dt) @ path.values) / path.horizon
+
+
+def _cross(path_a, path_b):
+    """The centered product functional Y_ab of two paths on one grid."""
+    pair = PathPair(path_a, path_b)  # refuses paths on different grids
+    return float(functionals(pair.x1.values, pair.x2.values, pair.x1.dt)[2])
+
+
 # ---------------------------------------------------------------------------
 # Time average
 # ---------------------------------------------------------------------------
 
 def test_time_average_constant():
-    assert path_time_average(_path([3.25] * 11)) == pytest.approx(3.25, rel=1e-14)
+    assert _time_average(_path([3.25] * 11)) == pytest.approx(3.25, rel=1e-14)
 
 
 def test_time_average_linear_ramp():
     # trapezoid is exact on affine functions
     path = _path(np.linspace(0.0, 1.0, 11))
-    assert path_time_average(path) == pytest.approx(0.5, rel=1e-14)
+    assert _time_average(path) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_an_integer_step_weights_the_end_nodes_by_half():
@@ -42,12 +53,12 @@ def test_an_integer_step_weights_the_end_nodes_by_half():
     x = stream(12).standard_normal((2, 6))
     pair = lambda dt: PathPair(_path(x[0], dt), _path(x[1], dt))
     assert yule_rho(pair(1)) == yule_rho(pair(1.0))
-    assert path_time_average(_path(np.linspace(0.0, 1.0, 11), dt=1)) == pytest.approx(0.5)
+    assert _time_average(_path(np.linspace(0.0, 1.0, 11), dt=1)) == pytest.approx(0.5)
 
 
 def test_time_average_needs_two_nodes():
     with pytest.raises(InsufficientDataError):
-        path_time_average(_path([1.0]))
+        _time_average(_path([1.0]))
 
 
 def test_time_average_squared_matches_closed_form():
@@ -73,27 +84,27 @@ def test_time_average_squared_matches_closed_form():
 
 def test_cov_functional_self_nonnegative():
     pair = _random_pair(1)
-    y11 = empirical_cov_functional(pair.x1, pair.x1)
+    y11 = _cross(pair.x1, pair.x1)
     assert y11 > 0.0
 
 
 def test_cov_functional_negation():
     pair = _random_pair(2)
-    y11 = empirical_cov_functional(pair.x1, pair.x1)
+    y11 = _cross(pair.x1, pair.x1)
     neg = SamplePath(t0=0.0, dt=pair.x1.dt, values=-pair.x1.values)
-    assert empirical_cov_functional(pair.x1, neg) == pytest.approx(-y11, rel=1e-12)
+    assert _cross(pair.x1, neg) == pytest.approx(-y11, rel=1e-12)
 
 
 def test_cov_functional_constants_vanish():
     a = _path([2.0] * 21)
     b = _path([-7.5] * 21)
-    assert empirical_cov_functional(a, b) == pytest.approx(0.0, abs=1e-12)
+    assert _cross(a, b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cov_functional_symmetry():
     pair = _random_pair(3)
-    ab = empirical_cov_functional(pair.x1, pair.x2)
-    ba = empirical_cov_functional(pair.x2, pair.x1)
+    ab = _cross(pair.x1, pair.x2)
+    ba = _cross(pair.x2, pair.x1)
     assert ab == pytest.approx(ba, rel=1e-14)
 
 
@@ -101,10 +112,10 @@ def test_cov_functional_grid_mismatch():
     a = _path(np.arange(5.0), dt=0.1)
     b = _path(np.arange(5.0), dt=0.2)
     with pytest.raises(GridMismatchError):
-        empirical_cov_functional(a, b)
+        _cross(a, b)
     c = _path(np.arange(6.0), dt=0.1)
     with pytest.raises(GridMismatchError):
-        empirical_cov_functional(a, c)
+        _cross(a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +226,7 @@ def test_rho_grid_refinement_stability():
 
 def test_theta_estimator_formula_inversion():
     pair = _random_pair(8)
-    y11 = empirical_cov_functional(pair.x1, pair.x1)
+    y11 = _cross(pair.x1, pair.x1)
     T = pair.x1.horizon
     scale = math.sqrt(0.5 * T / y11)  # makes Y11/T exactly 0.5
     scaled = SamplePath(0.0, pair.x1.dt, scale * pair.x1.values)
@@ -244,13 +255,13 @@ def test_pooled_theta_estimate():
 
 def test_numerator_zero_paths():
     zero = _path(np.zeros(11))
-    assert empirical_cov_functional(zero, zero) == 0.0
+    assert _cross(zero, zero) == 0.0
 
 
 def test_numerator_perfect_pair_limit():
     # x2 = x1: Y12/T = Y11/T -> 1/(2 theta); fixed seed, generous band
     pair = _random_pair(10, theta=1.0, r=0.0, T=200.0)
-    value = empirical_cov_functional(pair.x1, pair.x1) / pair.x1.horizon
+    value = _cross(pair.x1, pair.x1) / pair.x1.horizon
     assert abs(value - 0.5) < 0.15
 
 

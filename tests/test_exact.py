@@ -5,10 +5,7 @@ below Monte Carlo noise."""
 
 import importlib.util
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -110,15 +107,6 @@ def test_engine_moments_agree_with_the_exact_ones():
         assert abs(y.mean() - mean) < 4.0 * math.sqrt(var / reps)
         var_se = np.std((y - y.mean()) ** 2, ddof=1) / math.sqrt(reps)
         assert abs(y.var(ddof=1) - var) < 4.0 * var_se
-
-
-def test_exact_imports_no_scipy():
-    code = ("import sys; import yule_ou.exact; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
-                          timeout=120)
-    assert proc.stdout.strip() == "[]"
 
 
 def test_readme_quotes_the_step_cap():

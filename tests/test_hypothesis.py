@@ -291,29 +291,48 @@ def test_type2_numerator_values():
         type2_bound_numerator(1.0, 0.5, 0.05, 2.0, 0.0)  # T <= e
 
 
-@pytest.mark.parametrize("kind,bound", [("rho", type2_bound_rho),
-                                        ("numerator", type2_bound_numerator)])
-def test_calibrated_constant_inverts_its_bound(kind, bound):
+@pytest.mark.parametrize("variant,bound", [
+    pytest.param("rho_known_theta", type2_bound_rho, id="rho-type2_bound_rho"),
+    pytest.param("numerator_known_theta", type2_bound_numerator,
+                 id="numerator-type2_bound_numerator")])
+def test_calibrated_constant_inverts_its_bound(variant, bound):
+    vacuous = []
     for theta, r, alpha, T in ((1.0, 0.5, 0.05, 50.0), (2.0, -0.3, 0.01, 20.0),
                                (0.5, 0.8, 0.1, 5.0)):
         tail = bound(theta, r, alpha, T, 0.0)
-        # a miss rate is at most 1, so a tail of 1 or more has none to invert
+        if tail >= 1.0:
+            # a vacuous tail has no constant to fit: refused, naming the tail
+            vacuous.append((theta, r, alpha, T))
+            for beta in (0.0, 0.5, 1.0):
+                with pytest.raises(ParameterError, match=f"tail term alone is {tail:.6g}"):
+                    calibrate_berry_constant(variant, theta, r, alpha, T, beta)
+            continue
         for beta in (b for b in (tail + 1e-3, tail + 0.3, 1.0) if tail < b <= 1.0):
-            berry = calibrate_berry_constant(kind, theta, r, alpha, T, beta)
+            berry = calibrate_berry_constant(variant, theta, r, alpha, T, beta)
             assert berry > 0
             assert bound(theta, r, alpha, T, berry) == pytest.approx(beta, rel=0, abs=1e-12)
         # a miss rate under the tail alone floors the constant at zero
-        assert calibrate_berry_constant(kind, theta, r, alpha, T, 0.5 * tail) == 0.0
-    with pytest.raises(ParameterError, match="unknown bound kind"):
-        calibrate_berry_constant("bogus", 1.0, 0.5, 0.05, 50.0, 0.5)
+        assert calibrate_berry_constant(variant, theta, r, alpha, T, 0.5 * tail) == 0.0
+    # the numerator's tail at theta=2, r=-0.3, alpha=0.01, T=20 is 1.594
+    assert vacuous == ([(2.0, -0.3, 0.01, 20.0)] if bound is type2_bound_numerator else [])
+    # the test is named by its TestVariant, as at every other entry point;
+    # the plug-in variant has no bound
+    assert calibrate_berry_constant(TestVariant(variant), 1.0, 0.5, 0.05, 50.0, 0.9) == \
+        calibrate_berry_constant(variant, 1.0, 0.5, 0.05, 50.0, 0.9)
+    with pytest.raises(ParameterError, match="unknown test variant 'rho'"):
+        calibrate_berry_constant("rho", 1.0, 0.5, 0.05, 50.0, 0.5)
+    with pytest.raises(ParameterError, match="rho_estimated_theta has no type-II bound"):
+        calibrate_berry_constant("rho_estimated_theta", 1.0, 0.5, 0.05, 50.0, 0.5)
     # a miss rate outside [0, 1] is refused, not floored to 0 or fitted
     for beta in (math.nan, 7.0, -0.1, math.inf):
         with pytest.raises(ParameterError, match="empirical_beta"):
-            calibrate_berry_constant(kind, 1.0, 0.5, 0.05, 50.0, beta)
+            calibrate_berry_constant(variant, 1.0, 0.5, 0.05, 50.0, beta)
 
 
 def test_type2_bounds_dominate_empirical_beta():
-    # calibrate at T=50, check domination at larger horizons (r=0.5 and 0.3)
+    # calibrate on the engine's miss rate at one horizon, check domination at
+    # larger ones: the rho test at T=50, the numerator test at T=100, where
+    # its tail (0.912) is below 1; at T=50 its tail is 1.480 and refused
     from yule_ou.mc import pair_sample, rejections
     theta, alpha, reps = 1.0, 0.05, 2000
 
@@ -321,15 +340,15 @@ def test_type2_bounds_dominate_empirical_beta():
         s = pair_sample(theta, r, T, replications=reps, base_seed=303)
         return 1.0 - rejections(s, variant, alpha).mean()
 
-    for r, variant, kind in ((0.5, "rho_known_theta", "rho"),
-                             (0.3, "numerator_known_theta", "numerator")):
-        beta50 = beta_hat(r, 50.0, variant)
-        berry = calibrate_berry_constant(kind, theta, r, alpha, 50.0, beta50)
-        for T in (100.0, 200.0):
-            bound = (type2_bound_rho(theta, r, alpha, T, berry) if kind == "rho"
-                     else type2_bound_numerator(theta, r, alpha, T, berry))
-            emp = beta_hat(r, T, variant)
-            assert emp <= bound + 2 * math.sqrt(0.25 / reps), (r, T, emp, bound)
+    with pytest.raises(ParameterError, match="tail term alone is 1.48"):
+        calibrate_berry_constant("numerator_known_theta", theta, 0.3, alpha, 50.0,
+                                 beta_hat(0.3, 50.0, "numerator_known_theta"))
+    for r, variant, bound, T0 in ((0.5, "rho_known_theta", type2_bound_rho, 50.0),
+                                  (0.3, "numerator_known_theta", type2_bound_numerator, 100.0)):
+        berry = calibrate_berry_constant(variant, theta, r, alpha, T0, beta_hat(r, T0, variant))
+        for T in (2 * T0, 4 * T0):
+            emp, b = beta_hat(r, T, variant), bound(theta, r, alpha, T, berry)
+            assert emp <= b + 2 * math.sqrt(0.25 / reps), (r, T, emp, b)
 
 
 def test_spde_type2_bound_products():

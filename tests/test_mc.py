@@ -437,6 +437,38 @@ def test_replications_beyond_32_bits_are_refused_before_simulating(monkeypatch):
             pair_sample(1.0, 0.0, 10.0, replications=reps)
 
 
+def test_seeds_counts_and_workers_must_be_integers(monkeypatch):
+    # int() used to truncate a float seed to another seed's numbers, and a
+    # float count failed in range() with a TypeError; numpy integers pass
+    want = pair_sample(1.0, 0.0, 5.0, replications=10, base_seed=2)
+    got = pair_sample(1.0, 0.0, 5.0, replications=np.int64(10), base_seed=np.uint64(2),
+                      jobs=np.int32(2))
+    assert all(np.array_equal(getattr(want, k), getattr(got, k)) for k in ("y11", "y12"))
+
+    def stream(*args):
+        raise AssertionError("drew random numbers before refusing the input")
+    monkeypatch.setattr(sde, "stream", stream)
+    good = dict(replications=10, base_seed=2)
+    grid = dict(thetas=(1.0,), rs=(0.0,), horizons=(5.0,))
+    for key, bad in (("base_seed", 2.5), ("base_seed", np.float64(2.0)),
+                     ("replications", 2.5), ("replications", 10.0)):
+        name = key.removeprefix("base_")
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            pair_sample(1.0, 0.0, 5.0, **{**good, key: bad})
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            ExperimentGrid(**grid, **{**good, key: bad})
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            spde_mode_samples(2, 0.0, 5.0, **{**good, key: bad})
+    with pytest.raises(ParameterError, match="jobs must be an integer"):
+        pair_sample(1.0, 0.0, 5.0, jobs=2.5, **good)
+    with pytest.raises(ParameterError, match="jobs must be an integer"):
+        run_grid(ExperimentGrid(**grid, **good), jobs=2.5)
+    with pytest.raises(ParameterError, match="n_modes must be an integer"):
+        spde_mode_samples(2.5, 0.0, 5.0, 10, 1)
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        sde.CorrelatedPairConfig(theta=1.0, r=0.0, horizon_T=5.0, dt=0.1, seed=2.5)
+
+
 def test_run_grid_basic_and_deterministic():
     grid = ExperimentGrid(thetas=(1.0,), rs=(0.0,), horizons=(20.0,),
                           replications=400, base_seed=3,

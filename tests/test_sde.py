@@ -104,15 +104,6 @@ def test_stream_refuses_negative_key_parts_and_index_arrays():
         stream(1, 0, np.arange(2), 0)
 
 
-def test_import_leaves_scipy_signal_and_stats_unloaded():
-    src = Path(sde.__file__).resolve().parents[1]
-    code = ("import sys; import yule_ou; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    assert proc.stdout.strip() == "[]"
-
-
 def test_first_filter_calls_on_two_pool_threads_at_once(tmp_path):
     # a fresh interpreter runs its first blocks on two pool threads at once
     # and must match jobs=1 bit for bit; simulate and spde then run without
@@ -141,13 +132,15 @@ print(same, codes, sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # a fresh interpreter runs every command that reaches the normal CDF,
-    # the quantile or the convolution constant: none may import scipy
+    # a fresh interpreter imports the package and its exact module, then
+    # runs every command that reaches the normal CDF, the quantile or the
+    # convolution constant: none may import scipy
     src = Path(sde.__file__).resolve().parents[1]
     pair = str(tmp_path / "pair.csv")
     code = f"""
 import contextlib, io, sys
 import yule_ou
+import yule_ou.exact
 from yule_ou import cli
 argvs = [
     ['simulate', '--theta', '1', '--r', '0.5', '--T', '5', '--dt', '0.01', '--seed', '1',

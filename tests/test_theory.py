@@ -12,14 +12,13 @@ from scipy.signal import fftconvolve
 
 from yule_ou.errors import ParameterError
 from yule_ou.sde import ou_covariance
-from yule_ou.theory import (MAX_CONVOLUTION_ORDER, KernelSpec, asymptotic_cumulant,
+from yule_ou.theory import (MAX_CONVOLUTION_ORDER, asymptotic_cumulant,
                             chaos_base_variance, chaos_constants, clt_variance_rho,
                             clt_variance_rho_delta, cumulant_bound_constants,
                             delta_convolution_inner,
                             edgeworth_kolmogorov_bound, edgeworth_tail,
                             eta_constant, exact_second_moment_Ar, kernel_g_norm,
-                            kernel_g_value, kernel_h_norm, kernel_h_norm_limit,
-                            kernel_h_value, major_tail_bound,
+                            kernel_h_norm, kernel_h_norm_limit, major_tail_bound,
                             denominator_lp_bound, wasserstein_scale_bound)
 
 
@@ -204,8 +203,11 @@ def test_rate_and_correlation_checked_at_entry(fn):
                      (math.inf, 0.5), (0.0, 0.5)):
         with pytest.raises(ParameterError):
             fn(theta, r)
-    with pytest.raises(ParameterError):
-        KernelSpec(1.0, math.nan, 1.0)
+    for norm in (kernel_h_norm, kernel_g_norm):
+        for theta, r, T in ((1.0, math.nan, 1.0), (1.0, 2.0, 1.0), (0.0, 0.5, 1.0),
+                            (1.0, 0.5, 0.0), (1.0, 0.5, math.inf)):
+            with pytest.raises(ParameterError):
+                norm(theta, r, T)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +302,40 @@ def test_second_moment_standardized_tends_to_one():
 # Kernel norms
 # ---------------------------------------------------------------------------
 
-def _kernel_norm_quadrature(value_fn, spec):
+def kernel_h_value(theta, r, T, t, s):
+    """h_T(t, s): exponential kernel on the two diagonal squares.
+
+    (1/(2 theta sqrt(T))) * [c1 on [0,T]^2 + c2 on [-T,0]^2] * e^{-theta|t-s|}.
+    """
+    return _on_diagonal_squares(theta, r, T, t, s, math.exp(-theta * abs(t - s)))
+
+
+def kernel_g_value(theta, r, T, t, s):
+    """g_T(t, s): the boundary remainder kernel.
+
+    (1/(2 theta sqrt(T))) * [c1 on [0,T]^2 + c2 on [-T,0]^2]
+        * e^{-2 theta T} * e^{theta(|t|+|s|)}.
+    """
+    return _on_diagonal_squares(theta, r, T, t, s,
+                                math.exp(-2.0 * theta * T + theta * (abs(t) + abs(s))))
+
+
+def _on_diagonal_squares(theta, r, T, t, s, factor):
+    cc = chaos_constants(theta, r)
+    base = factor / (2.0 * theta * math.sqrt(T))
+    if 0.0 <= t <= T and 0.0 <= s <= T:
+        return cc.c1 * base
+    if -T <= t <= 0.0 and -T <= s <= 0.0:
+        return cc.c2 * base
+    return 0.0
+
+
+def _kernel_norm_quadrature(value_fn, theta, r, T):
     # both kernels are symmetric in (t, s); integrate the s < t triangle of
     # each diagonal square and double, keeping the |t-s| kink off the domain
-    T = spec.horizon_T
-    pos, _ = dblquad(lambda s, t: value_fn(spec, t, s) ** 2,
+    pos, _ = dblquad(lambda s, t: value_fn(theta, r, T, t, s) ** 2,
                      0, T, 0, lambda t: t, epsabs=1e-13, epsrel=1e-12)
-    neg, _ = dblquad(lambda s, t: value_fn(spec, t, s) ** 2,
+    neg, _ = dblquad(lambda s, t: value_fn(theta, r, T, t, s) ** 2,
                      -T, 0, -T, lambda t: t, epsabs=1e-13, epsrel=1e-12)
     return math.sqrt(2.0 * (pos + neg))
 
@@ -328,15 +357,15 @@ def test_kernel_h_norm_monotone_below_limit():
         limit = kernel_h_norm_limit(theta, r)
         prev = 0.0
         for T in (1.0, 2.0, 5.0, 20.0, 100.0):
-            val = kernel_h_norm(KernelSpec(theta, r, T))
+            val = kernel_h_norm(theta, r, T)
             assert prev < val < limit
             prev = val
 
 
 def test_kernel_h_norm_against_quadrature():
-    for spec in (KernelSpec(1.0, 0.0, 2.0), KernelSpec(0.5, 0.6, 4.0)):
-        want = _kernel_norm_quadrature(kernel_h_value, spec)
-        assert kernel_h_norm(spec) == pytest.approx(want, rel=1e-8)
+    for spec in ((1.0, 0.0, 2.0), (0.5, 0.6, 4.0)):
+        want = _kernel_norm_quadrature(kernel_h_value, *spec)
+        assert kernel_h_norm(*spec) == pytest.approx(want, rel=1e-8)
 
 
 def test_kernel_h_norm_small_theta_T():
@@ -344,26 +373,26 @@ def test_kernel_h_norm_small_theta_T():
     # closed form cancels and can turn negative
     for theta in (1e-12, 3.9e-54):
         want = math.sqrt((1.0 + 0.3 ** 2) / 2.0 * 9.0 / (4.0 * theta * theta))
-        assert kernel_h_norm(KernelSpec(theta, 0.3, 9.0)) == pytest.approx(want, rel=1e-10)
+        assert kernel_h_norm(theta, 0.3, 9.0) == pytest.approx(want, rel=1e-10)
     # continuous across the switch to the series at 2 theta T = 3e-4
-    below, above = (kernel_h_norm(KernelSpec(1.5e-4 * f, 0.3, 1.0)) for f in (1 - 1e-9, 1 + 1e-9))
+    below, above = (kernel_h_norm(1.5e-4 * f, 0.3, 1.0) for f in (1 - 1e-9, 1 + 1e-9))
     assert below == pytest.approx(above, rel=1e-8)
 
 
 def test_kernel_g_norm_value_and_quadrature():
-    spec = KernelSpec(1.0, 0.0, 1.0)
-    assert kernel_g_norm(spec) == pytest.approx((1 - math.exp(-2)) / (4 * math.sqrt(2)),
-                                                rel=1e-12)
-    assert kernel_g_norm(spec) == pytest.approx(0.152853, abs=1e-6)
-    for s in (spec, KernelSpec(2.0, -0.4, 1.5)):
-        want = _kernel_norm_quadrature(kernel_g_value, s)
-        assert kernel_g_norm(s) == pytest.approx(want, rel=1e-8)
+    spec = (1.0, 0.0, 1.0)
+    assert kernel_g_norm(*spec) == pytest.approx((1 - math.exp(-2)) / (4 * math.sqrt(2)),
+                                                 rel=1e-12)
+    assert kernel_g_norm(*spec) == pytest.approx(0.152853, abs=1e-6)
+    for s in (spec, (2.0, -0.4, 1.5)):
+        want = _kernel_norm_quadrature(kernel_g_value, *s)
+        assert kernel_g_norm(*s) == pytest.approx(want, rel=1e-8)
 
 
 def test_kernel_g_norm_large_T_scaling():
     theta, r = 1.0, 0.3
     for T in (1e3, 1e5):
-        val = kernel_g_norm(KernelSpec(theta, r, T))
+        val = kernel_g_norm(theta, r, T)
         assert math.sqrt(T) * val == pytest.approx(
             math.sqrt(r * r + 1) / (4 * math.sqrt(2) * theta ** 2), rel=1e-9)
 
