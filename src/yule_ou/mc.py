@@ -2,12 +2,11 @@
 
 The engine simulates many independent pairs per grid cell and reduces
 each replication to its path functionals on the fly.  Replication j of
-cell c draws its two noise processes from the Philox keys of
-SeedSequence(base_seed, spawn_key=(c, 0)) and (c, 1): the replications
-are cut into fixed groups of consecutive rows, group g is the key's
-Philox with its counter started at [0, 0, g, 0], and its rows draw from
-it in order (see sde.draw_group).  Blocks are fixed runs of whole groups
-(the last one ragged), never functions of the worker count.  With
+cell c draws its two noise processes p = 0, 1 from keys (base_seed, c, p):
+the replications are cut into fixed groups of consecutive rows, group g
+is the SFC64 stream sde.stream(base_seed, c, p, g), and its rows draw
+from it in order (see sde.draw_group).  Blocks are fixed runs of whole
+groups (the last one ragged), never functions of the worker count.  With
 jobs > 1 a cell's blocks run on a pool of worker threads in the calling
 process; no block shares state with another, and each result is put
 back in block order.  So results are bit-identical for a given grid
@@ -142,14 +141,13 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
     """Functionals (Y11, Y22, Y12) as a (3, m) array for replications
     [start, stop) of one cell; with paths=1, Y11 alone as a (1, m) array.
 
-    `start` starts a row group (_cell_blocks).  Each process keys its
-    stream once per block, and the block is computed one row group at a
-    time: the group's rows are drawn whole, one draw per path
-    (sde.draw_group), into one C-contiguous (G, n+1) array per path, and
-    sde.correlated_paths (or sde.ou_paths) turns nodes 1..n into the path
-    in place and sets node 0 to zero.  One more (G, n+1) scratch holds the
-    noise mix and the reductions' products, so a block allocates no
-    group-sized array after its first group.  A one-path block keys
+    `start` starts a row group (_cell_blocks).  The block is computed one
+    row group at a time: the group's rows are drawn whole from its stream,
+    one draw per path (sde.draw_group), into one C-contiguous (G, n+1)
+    array per path, and sde.correlated_paths (or sde.ou_paths) turns nodes
+    1..n into the path in place and sets node 0 to zero.  One more (G, n+1)
+    scratch holds the noise mix and the reductions' products, so a block
+    allocates no group-sized array after its first group.  A one-path block keys
     process 0 only; x1 and Y11 come from the same sde.ou_paths and
     reduction as in the pair, so they keep their bits.  Rows never
     interact, so neither blocks nor groups change any bit.
@@ -157,15 +155,14 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
     n_steps = sde.grid_size(horizon_T, dt)
     m = stop - start
     group = min(m, sde.group_rows(n_steps + 1))
-    streams = [sde.stream(base_seed, cell_index, process_offset + p) for p in range(paths)]
     buffers = np.empty((paths + 1, group, n_steps + 1))  # the paths, then the scratch
     out = np.empty((3 if paths == 2 else 1, m))
     with np.errstate(over="ignore", invalid="ignore"):  # pair_sample refuses the overflow
         for a in range(0, m, group):
             b = min(a + group, m)
             *x, scratch = buffers[:, :b - a]
-            for s, path in zip(streams, x):
-                sde.draw_group(s, start + a, path)
+            for p, path in enumerate(x, process_offset):
+                sde.draw_group(start + a, path, base_seed, cell_index, p)
             if paths == 2:
                 sde.correlated_paths(theta, r, dt, *x, scratch=scratch)
                 out[:, a:b] = functionals(*x, dt, scratch=scratch)

@@ -9,12 +9,12 @@ uniform grid through its exact Gaussian transition
 so the discrete skeleton has zero time-discretization bias; downstream
 statistics are only approximate through the quadrature of path integrals.
 
-Randomness is drawn from counter-based Philox streams.  A stream is keyed
-by SeedSequence(seed, spawn_key=key).  The Monte Carlo replications of key
-(cell, process) are cut into groups of consecutive rows; group g is that
-key's Philox with its counter started at [0, 0, g, 0], and its rows draw
-from it in order (draw_group).  Every path is reproducible from integers
-alone and safe to generate from parallel workers.
+Randomness is drawn from SFC64 streams, each keyed by
+SeedSequence(seed, spawn_key=key).  The Monte Carlo replications of key
+(cell, process) are cut into groups of consecutive rows; group g is the
+stream of key (cell, process, g), and its rows draw from it in order
+(draw_group).  Every path is reproducible from integers alone and safe to
+generate from parallel workers.
 """
 
 import io
@@ -57,7 +57,7 @@ _CHUNK_STEPS = 2 ** 14
 
 def stream(seed, *key):
     """Return the generator of stream (seed, *key),
-    Generator(Philox(SeedSequence(seed, spawn_key=key))).
+    Generator(SFC64(SeedSequence(seed, spawn_key=key))).
 
     Stream identity is purely the integer tuple, so any worker can recreate
     any stream without shared state.
@@ -65,7 +65,7 @@ def stream(seed, *key):
     ints = [operator.index(part) for part in (seed, *key)]
     if min(ints) < 0:
         raise ParameterError("stream key parts must be nonnegative")
-    return np.random.Generator(np.random.Philox(
+    return np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(ints[0], spawn_key=ints[1:])))
 
 
@@ -80,17 +80,14 @@ def group_rows(width):
     return max(1, _GROUP_ELEMS // width)
 
 
-def draw_group(gen, first, out):
-    """Write rows first, first+1, ... of stream `gen` to `out`, a C-contiguous
-    (rows, w) array, and return it.
+def draw_group(first, out, seed, *key):
+    """Write rows first, first+1, ... of key (seed, *key) to `out`, a
+    C-contiguous (rows, w) array, and return it.
 
     Rows of w normals are cut into groups of G = group_rows(w) consecutive
-    row indices.  Group g is gen's Philox with its counter set to
-    [0, 0, g, 0] and an empty buffer, which is Philox(...).advance(g << 128),
-    and row g*G + i draws normals i*w .. (i+1)*w - 1 of it.  Groups are
-    2^128 counter steps apart, far more than one draws, so no two rows
-    share a number.  `first` must start a group and `out` hold at most
-    its G rows, so the rows are one draw.
+    row indices.  Group g is stream(seed, *key, g), and row g*G + i draws
+    normals i*w .. (i+1)*w - 1 of it.  `first` must start a group and
+    `out` hold at most its G rows, so the rows are one draw.
     """
     rows, width = out.shape
     per_group = group_rows(width)
@@ -98,11 +95,7 @@ def draw_group(gen, first, out):
         raise ParameterError(f"cannot draw {rows} rows of width {width} from row {first}: "
                              f"a group draw starts a group of {per_group} rows, holds at "
                              f"most one group and fills a C-contiguous array")
-    state = gen.bit_generator.state
-    state["state"]["counter"] = [0, 0, first // per_group, 0]
-    state["buffer_pos"] = state["buffer"].size  # an empty buffer
-    gen.bit_generator.state = state
-    return gen.standard_normal(out.shape, out=out)
+    return stream(seed, *key, first // per_group).standard_normal(out.shape, out=out)
 
 
 # ---------------------------------------------------------------------------

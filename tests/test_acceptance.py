@@ -20,6 +20,7 @@ of the library's own constants:
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -52,38 +53,42 @@ def _criterion(num, desc, ok, detail=""):
 # Shared sample sets (session fixtures, all seeded)
 # ---------------------------------------------------------------------------
 
+# jobs changes no bit (criterion 13), so the fixtures use a second core
+_JOBS = min(2, os.cpu_count() or 1)
+
+
 @pytest.fixture(scope="session")
 def cell_r0_T500():
-    return pair_sample(1.0, 0.0, 500.0, replications=10000, base_seed=1101)
+    return pair_sample(1.0, 0.0, 500.0, replications=10000, base_seed=1101, jobs=_JOBS)
 
 
 @pytest.fixture(scope="session")
 def cell_r05_T500():
-    return pair_sample(1.0, 0.5, 500.0, replications=10000, base_seed=1102)
+    return pair_sample(1.0, 0.5, 500.0, replications=10000, base_seed=1102, jobs=_JOBS)
 
 
 @pytest.fixture(scope="session")
 def decay_cells():
     horizons = (25.0, 50.0, 100.0, 200.0, 400.0)
     return {T: pair_sample(1.0, 0.5, T, replications=20000, base_seed=1103,
-                           cell_index=i) for i, T in enumerate(horizons)}
+                           cell_index=i, jobs=_JOBS) for i, T in enumerate(horizons)}
 
 
 @pytest.fixture(scope="session")
 def null_cell_T200():
-    return pair_sample(1.0, 0.0, 200.0, replications=10000, base_seed=1104)
+    return pair_sample(1.0, 0.0, 200.0, replications=10000, base_seed=1104, jobs=_JOBS)
 
 
 @pytest.fixture(scope="session")
 def power_cells():
     horizons = (50.0, 100.0, 200.0, 400.0)
     return {T: pair_sample(1.0, 0.3, T, replications=5000, base_seed=1105,
-                           cell_index=i) for i, T in enumerate(horizons)}
+                           cell_index=i, jobs=_JOBS) for i, T in enumerate(horizons)}
 
 
 @pytest.fixture(scope="session")
 def spde_cells():
-    kwargs = dict(replications=5000, base_seed=1106)
+    kwargs = dict(replications=5000, base_seed=1106, jobs=_JOBS)
     return {"ha": spde_mode_samples(3, 0.3, 50.0, **kwargs),
             "h0": spde_mode_samples(3, 0.0, 50.0, **kwargs)}
 

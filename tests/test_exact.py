@@ -1,7 +1,7 @@
 """Exact moments of the discrete functionals (yule_ou.exact): the O(n)
 traces against dense linear algebra, the benchmark's independent oracle
-and the engine, and the step cap's claim that quadrature bias stays
-below Monte Carlo noise."""
+and the engine, the step cap's claim that quadrature bias stays below
+Monte Carlo noise, and the figures the README quotes."""
 
 import importlib.util
 import math
@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yule_ou import exact, sde
+from yule_ou import cli, exact, sde
 from yule_ou.estimators import trapezoid_weights
 from yule_ou.mc import pair_sample
 
@@ -112,3 +112,17 @@ def test_engine_moments_agree_with_the_exact_ones():
 def test_readme_quotes_the_step_cap():
     quoted = re.findall(r"STEP_CAP = ([0-9.]+)", (ROOT / "README.md").read_text())
     assert quoted and all(float(v) == sde.STEP_CAP for v in quoted), quoted
+
+
+def test_readme_quotes_the_mc_example_as_it_prints_now(capsys):
+    # the README's change-in-numbers paragraphs quote one mc run; the mean
+    # and var it "reports ... now" are those this code prints, to the
+    # quoted digits
+    text = " ".join((ROOT / "README.md").read_text().split())
+    (argv, mean, var), = re.findall(r"`(mc [^`]*)`[^`]* reports (\S+) and (\S+) now", text)
+    assert cli.main(argv.split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    row = dict(zip(lines[1].split(","), map(float, lines[2].split(","))))
+    for quoted, name in ((mean, "mean"), (var, "var")):
+        digits = len(quoted.partition(".")[2])
+        assert f"{row[name]:.{digits}f}" == quoted, name

@@ -215,7 +215,7 @@ def test_multimode_reject_any_logic(field):
     assert (per_mode[1:].any(axis=0) & ~per_mode[0]).any()
 
 
-@pytest.mark.parametrize("n_modes", [0, -1, 2.5, math.nan])
+@pytest.mark.parametrize("n_modes", [0, -1, 2.5, math.nan, 2.0, np.float64(3.0)])
 def test_sidak_level_refuses_a_mode_count_that_is_not_a_positive_integer(n_modes):
     with pytest.raises(ParameterError, match="n_modes"):
         sidak_level(0.05, n_modes)

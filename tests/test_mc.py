@@ -508,13 +508,14 @@ def test_run_grid_rows_equal_the_pair_summary(statistic):
 
 
 def test_y11_grids_never_key_the_second_process(monkeypatch):
-    # (cell, process) of every stream a grid keys, one per process and block
+    # (cell, process) of every stream a grid keys, one per process and group
     keys = []
     keyed = mc.sde.stream
 
-    def recording(seed, cell, process):
+    def recording(seed, cell, process, group):
+        assert group == 0  # 30 replications are one group
         keys.append((cell, process))
-        return keyed(seed, cell, process)
+        return keyed(seed, cell, process, group)
     monkeypatch.setattr(mc.sde, "stream", recording)
     for statistic, expected in (("ybar_centered", [(0, 0), (1, 0)]),
                                 ("theta_hat_centered", [(0, 0), (1, 0)]),

@@ -14,7 +14,7 @@ import pytest
 
 from yule_ou import sde
 from yule_ou.errors import ParameterError
-from yule_ou.mc import pair_sample, spde_mode_samples
+from yule_ou.mc import kolmogorov_distance, pair_sample, spde_mode_samples
 from yule_ou.sde import (MAX_STEPS, CorrelatedPairConfig, SamplePath,
                          ar1_paths, correlated_paths, default_dt, grid_size,
                          innovation_variance, mean_functional_variance, ou_covariance,
@@ -41,7 +41,7 @@ def _endpoint_matrix(theta, horizon_T, dt, reps, seed):
 # ---------------------------------------------------------------------------
 
 def _seed_sequence_stream(seed, *key):
-    return np.random.Generator(np.random.Philox(
+    return np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(seed, spawn_key=key)))
 
 
@@ -51,17 +51,18 @@ _REPS = (0, 1, 17, 2 ** 32 - 1)
 
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_row_streams_are_the_key_stream_advanced_by_the_row_index(seed):
-    # row j is row j % G of group j // G, the key's Philox advanced by the
-    # group; one generator draws the groups in any order
+    # row j is row j % G of group j // G, the stream of the key extended by
+    # the group index; the groups are drawn in any order
     w = 41  # groups of 1598 rows
     per_group = sde.group_rows(w)
     for cell in (0, 7, 2 ** 32 + 5):
         for process in (0, 1, 5):
-            gen = stream(seed, cell, process)
             for rep in _REPS:
                 g, i = divmod(rep, per_group)
-                rows = sde.draw_group(gen, g * per_group, np.empty((i + 1, w)))
+                rows = sde.draw_group(g * per_group, np.empty((i + 1, w)), seed, cell, process)
                 assert np.array_equal(rows[i], row_normals(seed, cell, process, [rep], w)[0])
+                group = _seed_sequence_stream(seed, cell, process, g)
+                assert np.array_equal(rows, group.standard_normal((i + 1, w)))
 
 
 def test_stream_draws_the_seed_sequence_numbers():
@@ -75,26 +76,49 @@ def test_row_streams_draw_each_row_from_its_own_stream_over_ragged_tiles():
     # 18, or 9*477218585, the group of the last rows below 2**32) are two
     # whole groups and a ragged one of 7 rows, drawn last group first
     seed, cell, process, w = 2 ** 40 + 3, 7, 1, 6554
-    gen = stream(seed, cell, process)
     for first in (0, 18, 9 * 477218585):
         drawn = np.empty((25, w))
         for a in (18, 9, 0):
-            sde.draw_group(gen, first + a, drawn[a:a + 9])
+            sde.draw_group(first + a, drawn[a:a + 9], seed, cell, process)
         reps = range(first, first + 25)
         assert np.array_equal(drawn, row_normals(seed, cell, process, reps, w)), first
 
 
 def test_group_draw_refuses_a_mid_group_start_more_than_a_group_or_a_strided_buffer():
-    gen, w = stream(3, 0, 0), 20_000  # groups of 3 rows
+    key, w = (3, 0, 0), 20_000  # groups of 3 rows
     buf = np.empty((4, w))
     for first in (1, 2, 4, 2 ** 32):
         with pytest.raises(ParameterError):  # a start inside a group
-            sde.draw_group(gen, first, buf[:1])
+            sde.draw_group(first, buf[:1], *key)
     with pytest.raises(ParameterError):  # four rows are more than one group
-        sde.draw_group(gen, 3, buf)
+        sde.draw_group(3, buf, *key)
     with pytest.raises(ParameterError):  # rows must be whole and contiguous
-        sde.draw_group(gen, 3, np.empty((3, w + 1))[:, 1:])
-    assert np.shares_memory(sde.draw_group(gen, 3, buf[:3]), buf)  # a whole group
+        sde.draw_group(3, np.empty((3, w + 1))[:, 1:], *key)
+    assert np.shares_memory(sde.draw_group(3, buf[:3], *key), buf)  # a whole group
+
+
+@pytest.mark.parametrize("key", [(0, 0, 0), (1, 0, 1), (7, 3, 0), (7, 3, 1), (2 ** 40 + 3, 7, 5),
+                                 (2 ** 64 - 1, 0, 0), (2 ** 64 - 1, 2 ** 32 - 1, 1),
+                                 (91, 0, 2 ** 32 - 1)])
+def test_first_group_of_a_key_is_standard_normal(key):
+    # 2**16 normals, one group of one row; tolerances fixed before the run:
+    # |z| < 5 for the mean and the variance, and the Kolmogorov distance
+    # below the DKW bound sqrt(log(2/level) / (2N)) at level 1e-6
+    n = 2 ** 16
+    z = sde.draw_group(0, np.empty((1, n)), *key)[0]
+    assert abs(z.mean() * math.sqrt(n)) < 5.0
+    assert abs((z.var(ddof=1) - 1.0) / math.sqrt(2.0 / n)) < 5.0
+    assert kolmogorov_distance(z) < math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+
+
+def test_group_streams_of_a_key_and_its_neighbours_start_apart():
+    # the first 4 normals of groups 0-999 of key (seed, 1, 1) and of its
+    # neighbours in cell and process are 20 000 distinct numbers
+    seed, per_group, firsts = 2 ** 40 + 3, sde.group_rows(4), []
+    for cell, process in ((1, 1), (0, 1), (2, 1), (1, 0), (1, 2)):
+        for g in range(1000):
+            firsts.append(sde.draw_group(g * per_group, np.empty((1, 4)), seed, cell, process))
+    assert np.unique(np.concatenate(firsts)).size == 5 * 1000 * 4
 
 
 def test_stream_refuses_negative_key_parts_and_index_arrays():
