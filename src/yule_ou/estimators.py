@@ -24,7 +24,9 @@ class PathPair:
     x2: object
 
     def __post_init__(self):
-        _require_same_grid(self.x1, self.x2)
+        a, b = self.x1, self.x2
+        if a.dt != b.dt or a.t0 != b.t0 or a.values.size != b.values.size:
+            raise GridMismatchError("paths are not on the same grid")
 
 
 @dataclass(frozen=True)
@@ -43,12 +45,6 @@ class YuleStatistics:
     def to_dict(self):
         return {"y11": self.y11, "y22": self.y22, "y12": self.y12,
                 "rho": self.rho, "theta_hat": self.theta_hat, "T": self.horizon_T}
-
-
-def _require_same_grid(path_a, path_b):
-    if (path_a.dt != path_b.dt or path_a.t0 != path_b.t0
-            or path_a.values.size != path_b.values.size):
-        raise GridMismatchError("paths are not on the same grid")
 
 
 def trapezoid_weights(n_nodes, dt):

@@ -94,9 +94,15 @@ def critical_value(variant, alpha, theta=None):
     if theta is None:
         raise ParameterError("theta must be given for this variant")
     check_positive(theta=theta)
-    if variant is TestVariant.RHO_KNOWN_THETA:
-        return q / math.sqrt(theta)
-    return q / (2.0 * theta ** 1.5)
+    try:  # theta**1.5 underflows to 0 or overflows at an extreme rate
+        threshold = q / (math.sqrt(theta) if variant is TestVariant.RHO_KNOWN_THETA
+                         else 2.0 * theta ** 1.5)
+    except ArithmeticError:
+        threshold = 0.0
+    if not 0.0 < threshold < math.inf:
+        raise ParameterError(f"theta={theta} puts the {variant.value} threshold "
+                             "outside the float range")
+    return threshold
 
 
 def decide(statistic, variant, alpha, theta=None):
@@ -247,10 +253,7 @@ def spde_type2_bound(per_mode_bounds):
         raise ParameterError("empty bound sequence")
     if not all(0.0 <= b < math.inf for b in bounds):
         raise ParameterError("bounds must be nonnegative and finite")
-    product = 1.0
-    for b in bounds:
-        product *= min(b, 1.0)
-    return product
+    return math.prod(min(b, 1.0) for b in bounds)
 
 
 def write_outcomes_csv(fileobj, columns):

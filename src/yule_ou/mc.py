@@ -26,8 +26,8 @@ import numpy as np
 
 from . import hypothesis as hyp
 from . import sde, theory
-from .errors import (InsufficientDataError, ParameterError, YuleOuError, check_integer,
-                     check_level, check_positive)
+from .errors import (InsufficientDataError, ParameterError, YuleOuError, check_correlation,
+                     check_integer, check_level, check_positive)
 from .estimators import (YuleStatistics, check_functionals, correlation, functionals,
                          rate_estimate, variance_functional)
 from .gaussian import norm_cdf, upper_quantile
@@ -311,8 +311,9 @@ class ExperimentGrid:
             check_positive(theta=theta, horizon_T=horizon_T)
         if self.dt_policy is not None:
             check_positive(dt=self.dt_policy)
+        sde.check_seed(self.base_seed)
         for r in self.rs:
-            sde.check_pair_inputs(r, self.base_seed)
+            check_correlation(r)
         if self.statistic not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.statistic!r}")
         check_level(self.alpha)

@@ -9,12 +9,11 @@ uniform grid through its exact Gaussian transition
 so the discrete skeleton has zero time-discretization bias; downstream
 statistics are only approximate through the quadrature of path integrals.
 
-Randomness is drawn from SFC64 streams, each keyed by
-SeedSequence(seed, spawn_key=key).  The Monte Carlo replications of key
-(cell, process) are cut into groups of consecutive rows; group g is the
-stream of key (cell, process, g), and its rows draw from it in order
-(draw_group).  Every path is reproducible from integers alone and safe to
-generate from parallel workers.
+Every path is drawn by draw_group: the rows of key (cell, process) are
+cut into groups, group g is the SFC64 stream keyed by SeedSequence(seed,
+spawn_key=(cell, process, g)), and its rows draw from it in order.  A
+single pair is row 0 of keys (seed, 0, 0) and (seed, 0, 1), the engine's
+replication 0 of cell 0.  Every path is reproducible from integers alone.
 """
 
 import io
@@ -192,7 +191,8 @@ class CorrelatedPairConfig:
 
     def __post_init__(self):
         check_positive(theta=self.theta)
-        check_pair_inputs(self.r, self.seed)
+        check_correlation(self.r)
+        check_seed(self.seed)
         if not self.horizon_T >= self.dt > 0:
             raise ParameterError("need horizon_T >= dt > 0")
         if self.dt > STEP_CAP / self.theta * (1.0 + 1e-12):
@@ -216,15 +216,14 @@ class CorrelatedPairConfig:
 def grid_size(horizon_T, dt):
     """Number of steps n with n*dt == horizon_T (within 1e-9 relative),
     at most MAX_STEPS."""
-    if dt <= 0 or horizon_T < dt:
-        raise ParameterError("need horizon_T >= dt > 0")
+    if not 0 < dt <= horizon_T < math.inf:
+        raise ParameterError(f"need a finite horizon_T >= dt > 0, got {horizon_T} and {dt}")
+    if horizon_T / dt > MAX_STEPS + 0.5:  # inf when the quotient overflows
+        raise ParameterError(f"the grid has {horizon_T / dt:.15g} steps, more than "
+                             f"MAX_STEPS={MAX_STEPS}")
     n = int(round(horizon_T / dt))
-    if n < 1 or abs(n * dt - horizon_T) > _GRID_RTOL * max(1.0, horizon_T):
-        raise ParameterError(
-            f"horizon_T={horizon_T} is not an integer multiple of dt={dt}"
-        )
-    if n > MAX_STEPS:
-        raise ParameterError(f"the grid has {n} steps, more than MAX_STEPS={MAX_STEPS}")
+    if abs(n * dt - horizon_T) > _GRID_RTOL * max(1.0, horizon_T):
+        raise ParameterError(f"horizon_T={horizon_T} is not an integer multiple of dt={dt}")
     return n
 
 
@@ -271,13 +270,12 @@ def ar1_paths(factor, x):
     return x
 
 
-def simulate_ou(theta, horizon_T, dt, generator):
-    """Simulate one path by the exact transition on the grid covering [0, T],
-    drawing its steps from `generator`."""
+def simulate_ou(theta, horizon_T, dt, seed):
+    """Simulate one path by the exact transition on the grid covering [0, T]
+    from row 0 of key (seed, 0, 0): the x1 of a pair simulated at `seed`."""
     check_positive(theta=theta, dt=dt)
-    n = grid_size(horizon_T, dt)
-    x = np.empty(n + 1)
-    generator.standard_normal(n, out=x[1:])
+    check_seed(seed)
+    x = draw_group(0, np.empty((1, grid_size(horizon_T, dt) + 1)), seed, 0, 0)[0]
     return SamplePath(t0=0.0, dt=dt, values=ou_paths(theta, dt, x))
 
 
@@ -323,13 +321,12 @@ def correlated_paths(theta, r, dt, z1, z0, scratch=None):
 def simulate_correlated_pair(config):
     """Simulate a pair of paths with driving-noise correlation config.r.
 
-    x1 is driven by stream (config.seed, 0) and the auxiliary noise by
-    stream (config.seed, 1).
+    Process p (x1's noise, then the auxiliary noise) is row 0 of key
+    (config.seed, 0, p), so the pair is the engine's replication 0 of cell 0.
     """
-    n = config.n_steps
-    z = np.empty((2, n + 1))
+    z = np.empty((2, config.n_steps + 1))
     for p in range(2):
-        stream(config.seed, p).standard_normal(n, out=z[p, 1:])
+        draw_group(0, z[p:p + 1], config.seed, 0, p)
     x1, x2 = correlated_paths(config.theta, config.r, config.dt, *z)
     return PathPair(x1=SamplePath(0.0, config.dt, x1), x2=SamplePath(0.0, config.dt, x2))
 
@@ -376,10 +373,8 @@ def read_pair_csv(fileobj):
     return data[:, 0], data[:, 1], data[:, 2]
 
 
-def check_pair_inputs(r, seed):
-    """Reject |r| > 1 (NaN included) and a seed that is not an integer in 64
-    unsigned bits."""
-    check_correlation(r)
+def check_seed(seed):
+    """Reject a seed that is not an integer in 64 unsigned bits."""
     check_integer(seed=seed)
     if not 0 <= int(seed) < 2 ** 64:
         raise ParameterError(f"seed must fit in 64 unsigned bits, got {seed}")

@@ -40,7 +40,12 @@ def chaos_constants(theta, r):
     root = math.sqrt(1.0 - r * r)
     c1 = 0.5 * (r * math.sqrt(2.0) + root)
     c2 = 0.5 * (r * math.sqrt(2.0) - root)
-    sigma = math.sqrt((1.0 + r * r) / (4.0 * theta ** 3))
+    try:
+        sigma = math.sqrt((1.0 + r * r) / (4.0 * theta ** 3))
+    except ArithmeticError:  # theta**3 underflows to 0 or overflows
+        sigma = 0.0
+    if not 0.0 < sigma < math.inf:
+        raise ParameterError(f"theta={theta} puts sigma outside the float range")
     return ChaosConstants(c1=c1, c2=c2, sigma=sigma, theta=theta, r=r)
 
 

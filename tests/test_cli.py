@@ -253,6 +253,23 @@ def test_spde_csv_reproduces_the_json_rates(tmp_path, capsys, flags):
     assert 0 < flags_by_rep.sum() < flags_by_rep.size  # both outcomes occur
 
 
+def test_test_on_a_simulated_pair_is_the_first_spde_row(tmp_path, capsys):
+    # simulate draws replication 0 of cell 0, and spde mode 1 is that cell at
+    # theta = 1 on the default grid, dt = 0.1 at T = 10
+    pair, modes = tmp_path / "pair.csv", tmp_path / "modes.csv"
+    assert run_cli(capsys, "simulate", "--theta", "1", "--r", "0.3", "--T", "10", "--dt", "0.1",
+                   "--seed", "5", "--out", str(pair))[0] == 0
+    code, out, _ = run_cli(capsys, "test", "--variant", "rho", "--theta", "1",
+                           "--input", str(pair))
+    assert code == 0
+    assert run_cli(capsys, "spde", "--N", "1", "--r", "0.3", "--T", "10", "--reps", "3",
+                   "--seed", "5", "--csv", str(modes))[0] == 0
+    first = modes.read_text().splitlines()[2].split(",")
+    outcome = json.loads(out)
+    assert (outcome["statistic"], outcome["threshold"], outcome["reject"]) == \
+        (float(first[5]), float(first[6]), first[7] == "1")
+
+
 @pytest.mark.parametrize("block_elems", [None, 6300, 900])
 def test_spde_bytes_do_not_depend_on_jobs_or_blocks(tmp_path, capsys, monkeypatch,
                                                     block_elems):
@@ -577,6 +594,22 @@ def test_theory_refuses_non_finite_inputs_and_results(capsys, argv):
     code, out, err = run_cli(capsys, "theory", "--quantity", *argv.split())
     assert code == 2 and out == ""
     assert _one_error_line(err)
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("theory --quantity sigma --theta 1e-110 --r 0", "theta=1e-110"),
+    ("theory --quantity type2_bound_numerator --theta 1e-110 --r 0.5 --alpha 0.05 --T 10 "
+     "--berry 1", "theta=1e-110"),
+    ("test --variant num --theta 1e-300", "theta=1e-300"),
+    ("simulate --theta 1 --r 0.5 --T inf --dt 0.1 --seed 1", "horizon_T"),
+])
+def test_extreme_inputs_exit_2_naming_the_input(pair_csv, capsys, argv, name):
+    # these printed Python's "float division by zero" or "cannot convert
+    # float infinity to integer"
+    argv = argv.split() + (["--input", str(pair_csv)] if argv.startswith("test") else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) and name in err, err
 
 
 _EDGE_FLOATS = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,

@@ -126,3 +126,15 @@ def test_readme_quotes_the_mc_example_as_it_prints_now(capsys):
     for quoted, name in ((mean, "mean"), (var, "var")):
         digits = len(quoted.partition(".")[2])
         assert f"{row[name]:.{digits}f}" == quoted, name
+
+
+def test_readme_quotes_the_simulate_row_as_it_writes_now(tmp_path):
+    # the README's change-in-numbers paragraphs quote one simulate run's row
+    # at t = 0.01; the row it "is ... now" is the one this code writes
+    text = " ".join((ROOT / "README.md").read_text().split())
+    (argv, t, row), = re.findall(r"`(simulate [^`]*)`, its row at `t = ([^`]*)`, was `[^`]*` "
+                                 r"and is `([^`]*)` now", text)
+    out = tmp_path / "pair.csv"
+    assert cli.main([*argv.split(), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[2:]
+    assert [line for line in rows if line.split(",")[0] == t] == [f"{t},{row}"]

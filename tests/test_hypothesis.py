@@ -4,6 +4,7 @@ the explicit type-II bounds."""
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ def test_numerator_test_threshold():
     out = numerator_test(0.1, theta=1.0, alpha=0.05)
     assert out.threshold == pytest.approx(0.979982, abs=1e-6)
     assert not numerator_test(0.0, theta=2.0, alpha=0.05).reject
+
+
+def test_a_numerator_threshold_outside_the_float_range_is_refused():
+    # theta**1.5 underflows to 0 at 1e-300 and overflows at 1e300; these used
+    # to raise ZeroDivisionError and OverflowError, and 1e-210 gave inf
+    for theta in (1e-300, 1e-210, 1e300):
+        with pytest.raises(ParameterError, match=re.escape(f"theta={theta}")):
+            critical_value("numerator_known_theta", 0.05, theta)
+    with pytest.raises(ParameterError, match="theta=1e-110"):  # its sigma underflows
+        type2_bound_numerator(1e-110, 0.5, 0.05, 10.0, 1.0)
+    assert critical_value("numerator_known_theta", 0.05, 1e200) == pytest.approx(
+        Q975 / 2e300, rel=1e-14)
 
 
 @pytest.mark.parametrize("variant", list(TestVariant))

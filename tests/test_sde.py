@@ -14,13 +14,14 @@ import pytest
 
 from yule_ou import sde
 from yule_ou.errors import ParameterError
+from yule_ou.estimators import yule_rho
 from yule_ou.mc import kolmogorov_distance, pair_sample, spde_mode_samples
 from yule_ou.sde import (MAX_STEPS, CorrelatedPairConfig, SamplePath,
                          ar1_paths, correlated_paths, default_dt, grid_size,
                          innovation_variance, mean_functional_variance, ou_covariance,
                          read_pair_csv, simulate_correlated_pair, simulate_ou,
                          stream, transition_factor, write_pair_csv)
-from row_oracle import row_normals
+from row_oracle import row_normals, simulated_pair
 
 
 def _nodes(xi, node0=0.0):
@@ -328,7 +329,7 @@ def test_mean_functional_variance_bound_and_limit():
 # ---------------------------------------------------------------------------
 
 def test_simulate_ou_grid_and_start():
-    path = simulate_ou(1.0, 2.0, 0.05, stream(3))
+    path = simulate_ou(1.0, 2.0, 0.05, 3)
     assert path.values.size == 41
     assert path.values[0] == 0.0
     assert path.horizon == pytest.approx(2.0, rel=1e-12)
@@ -336,11 +337,37 @@ def test_simulate_ou_grid_and_start():
 
 def test_simulate_ou_domain_errors():
     with pytest.raises(ParameterError):
-        simulate_ou(-1.0, 1.0, 0.1, stream(0))
+        simulate_ou(-1.0, 1.0, 0.1, 0)
     with pytest.raises(ParameterError):
-        simulate_ou(1.0, 1.0, -0.1, stream(0))
+        simulate_ou(1.0, 1.0, -0.1, 0)
     with pytest.raises(ParameterError):
-        simulate_ou(1.0, 1.0, 0.3, stream(0))  # 0.3 does not divide 1.0
+        simulate_ou(1.0, 1.0, 0.3, 0)  # 0.3 does not divide 1.0
+    for seed in (-1, 2 ** 64, 2.0, "1"):  # a seed as CorrelatedPairConfig takes it
+        with pytest.raises(ParameterError, match="seed"):
+            simulate_ou(1.0, 1.0, 0.1, seed)
+
+
+#: (theta, T, dt) of a grid of 101 nodes, and of one of 66 001 nodes, whose
+#: rows are more than 2**16 normals, so each row group is one row
+_PAIR_GRIDS = [(1.0, 5.0, 0.05), (1.0, 6600.0, 0.1)]
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("r", [-1.0, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("theta, horizon_T, dt", _PAIR_GRIDS, ids=["101-nodes", "one-row-groups"])
+def test_a_simulated_pair_is_replication_0_of_cell_0(theta, horizon_T, dt, r, seed):
+    # simulate draws the engine's row 0 of cell 0, so stat gives pair_sample's
+    # first entry, simulate_ou gives x1, and the paths are the numpy oracle's
+    config = CorrelatedPairConfig(theta=theta, r=r, horizon_T=horizon_T, dt=dt, seed=seed)
+    pair = simulate_correlated_pair(config)
+    stats = yule_rho(pair)
+    cell = pair_sample(theta, r, horizon_T, dt, replications=3, base_seed=seed)
+    for name in ("y11", "y22", "y12", "rho", "theta_hat"):
+        assert getattr(stats, name) == getattr(cell, name)[0], name
+    assert np.array_equal(simulate_ou(theta, horizon_T, dt, seed).values, pair.x1.values)
+    oracle = simulated_pair(theta, r, dt, config.n_steps, seed)
+    paths = np.stack([pair.x1.values, pair.x2.values])
+    assert float(np.max(np.abs(paths - oracle))) <= 1e-12 * float(np.sqrt(np.mean(oracle ** 2)))
 
 
 def test_marginal_variance_mc():
@@ -490,6 +517,17 @@ def test_grid_size_refuses_grids_beyond_max_steps():
         grid_size((MAX_STEPS + 1) * 0.5, 0.5)
     with pytest.raises(ParameterError, match="MAX_STEPS"):
         CorrelatedPairConfig(theta=1.0, r=0.0, horizon_T=1e9, dt=0.01, seed=0)
+
+
+def test_grid_size_refuses_an_infinite_or_undefined_grid():
+    # int(round(T / dt)) used to raise OverflowError or ValueError here
+    for horizon_T, dt in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan)):
+        with pytest.raises(ParameterError, match="horizon_T"):
+            grid_size(horizon_T, dt)
+    with pytest.raises(ParameterError, match="MAX_STEPS"):  # T / dt overflows to inf
+        grid_size(1e300, 1e-300)
+    with pytest.raises(ParameterError, match="horizon_T"):
+        CorrelatedPairConfig(theta=1.0, r=0.0, horizon_T=math.inf, dt=0.1, seed=0)
 
 
 def test_default_dt_policy():

@@ -3,6 +3,7 @@ convolution, 2-d quadrature of kernels, and algebraic identities."""
 
 import decimal
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -208,6 +209,15 @@ def test_rate_and_correlation_checked_at_entry(fn):
                             (1.0, 0.5, 0.0), (1.0, 0.5, math.inf)):
             with pytest.raises(ParameterError):
                 norm(theta, r, T)
+
+
+def test_chaos_constants_refuse_a_rate_whose_sigma_leaves_the_float_range():
+    # theta**3 underflows to 0 at 1e-110 and overflows at 1e110; the first
+    # used to raise ZeroDivisionError, the second OverflowError
+    for theta in (1e-110, 1e-105, 1e110):
+        with pytest.raises(ParameterError, match=re.escape(f"theta={theta}")):
+            chaos_constants(theta, 0.0)
+    assert chaos_constants(1e-100, 0.0).sigma == pytest.approx(0.5e150, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
