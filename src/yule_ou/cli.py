@@ -257,7 +257,10 @@ def _cmd_theory(args):
     params = {key: float(getattr(args, key)) for key in needed}
     if not all(map(math.isfinite, params.values())):
         raise ParameterError(f"every parameter must be finite, got {params}")
-    value = fn(*params.values())
+    try:
+        value = fn(*params.values())
+    except ArithmeticError:  # an intermediate left the float range
+        raise ParameterError(f"{name} is out of the float range at {params}") from None
     if not np.all(np.isfinite(value)):
         raise ParameterError(f"{name} is not a finite number here: {value}")
     payload = {"quantity": name, "params": params, "value": value}

@@ -76,15 +76,9 @@ def _variance_and_linear(x, w, T, scratch=None):
     return _quadratic(x, x, w) - s * s / T, s
 
 
-def variance_functional(x, dt, scratch=None):
-    """Centered functional Y_aa of paths of shape (..., n_nodes): the Y11 of
-    `functionals` bit for bit, without a second path."""
-    w = trapezoid_weights(x.shape[-1], dt)
-    return _variance_and_linear(x, w, (x.shape[-1] - 1) * dt, scratch)[0]
-
-
-def functionals(x1, x2, dt, scratch=None):
-    """Centered functionals (Y11, Y22, Y12) of paths of shape (..., n_nodes).
+def functionals(x1, x2=None, dt=None, scratch=None):
+    """Centered functionals (Y11, Y22, Y12) of paths of shape (..., n_nodes),
+    or (Y11,) of x1 alone when x2 is omitted, with the pair's Y11 bits.
 
     Rows are reduced one by one, so a row's bits do not depend on the
     block it sits in; a single pair is a batch of one.  A C-contiguous
@@ -94,6 +88,8 @@ def functionals(x1, x2, dt, scratch=None):
     w = trapezoid_weights(x1.shape[-1], dt)
     T = (x1.shape[-1] - 1) * dt
     y11, s1 = _variance_and_linear(x1, w, T, scratch)
+    if x2 is None:
+        return (y11,)
     y22, s2 = _variance_and_linear(x2, w, T, scratch)
     return y11, y22, _quadratic(x1, x2, w) - s1 * s2 / T
 
@@ -131,7 +127,7 @@ def theta_estimator(path):
     """Rate estimate theta_tilde = (1/2) * (Y_xx/T)^{-1}."""
     _check_not_constant(path)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = float(variance_functional(path.values, path.dt))
+        y = float(functionals(path.values, dt=path.dt)[0])
     check_functionals(y)
     return rate_estimate(y, path.horizon)
 

@@ -29,7 +29,7 @@ from . import sde, theory
 from .errors import (InsufficientDataError, ParameterError, YuleOuError, check_correlation,
                      check_integer, check_level, check_positive)
 from .estimators import (YuleStatistics, check_functionals, correlation, functionals,
-                         rate_estimate, variance_functional)
+                         rate_estimate)
 from .gaussian import norm_cdf, upper_quantile
 
 _BLOCK_ELEMS = 4_000_000  # target innovations per simulated block
@@ -142,33 +142,29 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
     [start, stop) of one cell; with paths=1, Y11 alone as a (1, m) array.
 
     `start` starts a row group (_cell_blocks).  The block is computed one
-    row group at a time: the group's rows are drawn whole from its stream,
-    one draw per path (sde.draw_group), into one C-contiguous (G, n+1)
-    array per path, and sde.correlated_paths (or sde.ou_paths) turns nodes
-    1..n into the path in place and sets node 0 to zero.  One more (G, n+1)
-    scratch holds the noise mix and the reductions' products, so a block
-    allocates no group-sized array after its first group.  A one-path block keys
-    process 0 only; x1 and Y11 come from the same sde.ou_paths and
-    reduction as in the pair, so they keep their bits.  Rows never
-    interact, so neither blocks nor groups change any bit.
+    row group at a time in three steps: the group's rows are drawn whole
+    from its stream, one draw per path (sde.draw_group), into one
+    C-contiguous (G, n+1) array per path; sde.correlated_paths turns them
+    into the paths in place, node 0 set to zero; and estimators.functionals
+    reduces them.  One more (G, n+1) scratch holds the noise mix and the
+    reductions' products, so a block allocates no group-sized array after
+    its first group.  A one-path block keys process 0 only and runs the
+    same two calls on x1 alone, so x1 and Y11 keep the pair's bits.  Rows
+    never interact, so neither blocks nor groups change any bit.
     """
     n_steps = sde.grid_size(horizon_T, dt)
     m = stop - start
     group = min(m, sde.group_rows(n_steps + 1))
     buffers = np.empty((paths + 1, group, n_steps + 1))  # the paths, then the scratch
-    out = np.empty((3 if paths == 2 else 1, m))
+    out = np.empty((paths * (paths + 1) // 2, m))  # one functional per pair of paths
     with np.errstate(over="ignore", invalid="ignore"):  # pair_sample refuses the overflow
         for a in range(0, m, group):
             b = min(a + group, m)
             *x, scratch = buffers[:, :b - a]
             for p, path in enumerate(x, process_offset):
                 sde.draw_group(start + a, path, base_seed, cell_index, p)
-            if paths == 2:
-                sde.correlated_paths(theta, r, dt, *x, scratch=scratch)
-                out[:, a:b] = functionals(*x, dt, scratch=scratch)
-            else:
-                sde.ou_paths(theta, dt, x[0])
-                out[0, a:b] = variance_functional(x[0], dt, scratch=scratch)
+            sde.correlated_paths(theta, r, dt, *x, scratch=scratch)
+            out[:, a:b] = functionals(*x, dt=dt, scratch=scratch)
     return out
 
 
@@ -355,9 +351,9 @@ def summarize_cell(sample, statistic, alpha):
     """Aggregate one cell into an McReport of its _STATISTICS row, refusing an overflow."""
     if statistic not in _STATISTICS:
         raise ParameterError(f"unknown statistic {statistic!r}")
-    paths, test, standardize = _STATISTICS[statistic]
-    if paths == 2 and sample.rho is None:
-        raise ParameterError(f"{statistic} reads x2, which a one-path sample lacks")
+    _, test, standardize = _STATISTICS[statistic]
+    # a test row's flags come first: variant_statistic refuses a one-path sample
+    flags = None if test is None else rejections(sample, test, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(standardize(sample))
         n = values.size
@@ -368,9 +364,7 @@ def summarize_cell(sample, statistic, alpha):
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(k))):
         raise ParameterError(f"{statistic} or its k-statistics are not finite")
     k2, k3, k4 = k + (float("nan"),) * (3 - len(k))  # NaN flags an undefined one
-    if test is not None:
-        flags = rejections(sample, test, alpha)
-    else:
+    if flags is None:
         flags = np.abs(values) > upper_quantile(alpha / 2.0)
     rate, lo, hi = error_rates(flags)
     return McReport(theta=sample.theta, r=sample.r, horizon_T=sample.horizon_T,

@@ -120,13 +120,14 @@ def innovation_variance(theta, dt):
 def ou_covariance(theta, s, t):
     """Covariance of the zero-start process at times s and t.
 
-    Equals (exp(-theta*|t-s|) - exp(-theta*(t+s))) / (2*theta), which is the
-    overflow-safe form of exp(-theta(s+t)) * (exp(2*theta*min(s,t)) - 1) / (2*theta).
+    Equals exp(-theta*|t-s|) * (1 - exp(-2*theta*min(s,t))) / (2*theta), the
+    overflow-safe form of exp(-theta(s+t)) * (exp(2*theta*min(s,t)) - 1) / (2*theta);
+    expm1 keeps it accurate where theta*min(s,t) is small.
     """
     check_positive(theta=theta)
     if not (0.0 <= s < math.inf and 0.0 <= t < math.inf):
         raise ParameterError("times must be nonnegative and finite")
-    return (math.exp(-theta * abs(t - s)) - math.exp(-theta * (t + s))) / (2.0 * theta)
+    return math.exp(-theta * abs(t - s)) * -math.expm1(-2.0 * theta * min(s, t)) / (2.0 * theta)
 
 
 def mean_functional_variance(theta, horizon_T):
@@ -275,47 +276,36 @@ def simulate_ou(theta, horizon_T, dt, seed):
     from row 0 of key (seed, 0, 0): the x1 of a pair simulated at `seed`."""
     check_positive(theta=theta, dt=dt)
     check_seed(seed)
-    x = draw_group(0, np.empty((1, grid_size(horizon_T, dt) + 1)), seed, 0, 0)[0]
-    return SamplePath(t0=0.0, dt=dt, values=ou_paths(theta, dt, x))
+    z = draw_group(0, np.empty((1, grid_size(horizon_T, dt) + 1)), seed, 0, 0)[0]
+    x, = correlated_paths(theta, 0.0, dt, z)
+    return SamplePath(t0=0.0, dt=dt, values=x)
 
 
-def _innovations(theta, dt, z):
-    """Scale the standard normals in nodes 1..n of z (float64, shape
-    (..., n+1)) in place to the exact innovations sd*z and return z."""
-    z[..., 1:] *= math.sqrt(innovation_variance(theta, dt))
-    return z
+def correlated_paths(theta, r, dt, z1, z0=None, scratch=None):
+    """Turn z1, and z0 if given, of shape (..., n+1) with standard normals
+    in nodes 1..n, into exact paths in place and return (z1,) or (z1, z0).
 
-
-def ou_paths(theta, dt, z):
-    """Turn z, of shape (..., n+1) with standard normals in nodes 1..n, into
-    exact paths in place and return it.
-
-    Each leading index is one independent path, and every row gets the
-    same bits as it would alone.
-    """
-    return ar1_paths(transition_factor(theta, dt), _innovations(theta, dt, z))
-
-
-def correlated_paths(theta, r, dt, z1, z0, scratch=None):
-    """Turn z1 and z0, of shape (..., n+1) with standard normals in nodes
-    1..n, into an exact pair of paths in place and return (z1, z0).
-
-    The second path's driving noise is r*W1 + sqrt(1-r^2)*W0, so its exact
+    The first path is filtered from the exact innovations sd*z1.  The
+    second path's driving noise is r*W1 + sqrt(1-r^2)*W0, so its exact
     innovation is the same combination of the per-process innovations.
-    Each leading index is one independent pair; a single pair is a batch
-    of one, and every row gets the same bits as it would alone.  The first
-    path is ou_paths(theta, dt, z1), so it has the bits of a one-path draw.
+    Each leading index is one independent path or pair; a single pair is
+    a batch of one, and every row gets the same bits as it would alone.
+    Without z0 the first path is that of the pair, bit for bit.
 
-    The product r*(sd*z1) is formed in `scratch`, an array of z1's shape
-    (one is allocated if None); products and sums only trade operands, so
-    z0's innovations have the bits of r*(sd*z1) + sqrt(1-r^2)*(sd*z0).
+    Node 0 must be finite: every step acts on whole rows, node 0 included,
+    before ar1_paths sets node 0 to the zero start.  The product r*(sd*z1) is formed
+    in `scratch`, an array of z1's shape (one is allocated if None);
+    products and sums only trade operands, so z0's innovations have the
+    bits of r*(sd*z1) + sqrt(1-r^2)*(sd*z0).
     """
-    xi1 = _innovations(theta, dt, z1)[..., 1:]
-    xi0 = _innovations(theta, dt, z0)[..., 1:]
-    xi0 *= math.sqrt(1.0 - r * r)
-    xi0 += np.multiply(r, xi1, out=None if scratch is None else scratch[..., 1:])
+    sd = math.sqrt(innovation_variance(theta, dt))
+    z1 *= sd
+    if z0 is not None:
+        z0 *= sd
+        z0 *= math.sqrt(1.0 - r * r)
+        z0 += np.multiply(r, z1, out=scratch)
     factor = transition_factor(theta, dt)
-    return ar1_paths(factor, z1), ar1_paths(factor, z0)
+    return tuple(ar1_paths(factor, z) for z in (z1, z0) if z is not None)
 
 
 def simulate_correlated_pair(config):

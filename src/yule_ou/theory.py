@@ -30,8 +30,6 @@ class ChaosConstants:
     c1: float
     c2: float
     sigma: float
-    theta: float
-    r: float
 
 
 def chaos_constants(theta, r):
@@ -46,7 +44,7 @@ def chaos_constants(theta, r):
         sigma = 0.0
     if not 0.0 < sigma < math.inf:
         raise ParameterError(f"theta={theta} puts sigma outside the float range")
-    return ChaosConstants(c1=c1, c2=c2, sigma=sigma, theta=theta, r=r)
+    return ChaosConstants(c1=c1, c2=c2, sigma=sigma)
 
 
 def clt_variance_rho(theta, r):

@@ -612,6 +612,25 @@ def test_extreme_inputs_exit_2_naming_the_input(pair_csv, capsys, argv, name):
     assert _one_error_line(err) and name in err, err
 
 
+@pytest.mark.parametrize("argv", [
+    "cumulant_bounds --theta 1e-70 --r 0.5",
+    "h_norm --theta 1e-200 --r 0.5 --T 1e-200",
+    "g_norm --theta 1e-200 --r 0.5 --T 1",
+    "h_norm_limit --theta 1e250 --r 0.5",
+    "eta --theta 1e100 --r 0.5",
+    "edgeworth_tail --z 1 --theta 1e100 --r 0.5 --T 10",
+    "asymptotic_cumulant --p 3 --theta 1e-100 --r 0.5 --T 10",
+    "delta_inner --p 3 --theta 1e-200",
+])
+def test_theory_arithmetic_errors_exit_2_naming_the_quantity(capsys, argv):
+    # these printed Python's "float division by zero" or "(34, 'Numerical
+    # result out of range')"
+    code, out, err = run_cli(capsys, "theory", "--quantity", *argv.split())
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) and argv.split()[0] in err, err
+    assert "division" not in err and "Numerical result" not in err, err
+
+
 _EDGE_FLOATS = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
                 0.0, 0.5, 1.0, -1.0, 2.0, 3.0, 9.0, 170.0, 171.0)
 

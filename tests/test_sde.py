@@ -270,6 +270,32 @@ def test_ou_covariance_values():
     assert ou_covariance(1.0, 1.0, 2.0) == pytest.approx(0.159046, abs=1e-6)
 
 
+@pytest.mark.parametrize("theta", [1e-14, 1e-10, 1e-320])
+def test_ou_covariance_keeps_its_digits_at_a_small_rate(theta):
+    # Var X(1) is (1 - exp(-2 theta)) / (2 theta), 1 - theta + ... for a
+    # small rate; the difference of exponentials lost it to cancellation
+    # (0.9992 at theta = 1e-14, 0 at 1e-320)
+    assert ou_covariance(theta, 1.0, 1.0) == pytest.approx(
+        -math.expm1(-2.0 * theta) / (2.0 * theta), rel=1e-15)
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_correlated_paths_act_on_whole_rows_and_ignore_a_finite_node_0(pair):
+    # every step of the filter acts on whole rows, node 0 included, and
+    # ar1_paths then zeroes node 0: any finite node 0 gives the same paths
+    theta, r, dt = 0.8, 0.4, 0.05
+    z = stream(11, 0).standard_normal((1 + pair, 4, 300))
+    paths = []
+    for node0 in (0.0, 1e300, -3.5):
+        nodes = _nodes(z, node0)
+        scratch = np.full(nodes.shape[1:], node0)
+        paths.append(correlated_paths(theta, r, dt, *nodes, scratch=scratch))
+    for got in paths[1:]:
+        assert len(got) == 1 + pair
+        for x, want in zip(got, paths[0]):
+            assert np.array_equal(x, want) and not np.any(x[:, 0])
+
+
 def test_correlated_paths_mixes_in_place_with_the_formula_bits():
     # z1 and z0 become the paths filtered from the innovations sd*z1 and
     # r*(sd*z1) + sqrt(1-r^2)*(sd*z0) bit for bit, with or without a scratch,
