@@ -32,6 +32,14 @@ class ConfigError(Exception):
     """Invalid or missing configuration."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ConfigError, which main prints as
+    one `error:` line; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parse_float_list(text):
     """A comma list of numbers; an empty item is refused, not skipped."""
     try:
@@ -41,8 +49,15 @@ def _parse_float_list(text):
 
 
 def _merge_config(args, parser):
-    """Overlay config-file values under explicitly passed flags; each value
-    is converted and checked as the flag's command-line text would be."""
+    """Overlay config-file values under explicitly passed flags.
+
+    The file is one JSON object keyed by flag names; an unknown key is
+    refused.  Each value is parsed by `parser` as the flag's command-line
+    text: a string or a number as `--flag=value`, and true or false as the
+    bare on/off `--flag` (the JSON boolean is kept).  A nonempty JSON list
+    of numbers for thetas, rs or Ts is joined into a comma list first;
+    null, any other list and an object are refused.
+    """
     if not args.config:
         return
     try:
@@ -54,37 +69,24 @@ def _merge_config(args, parser):
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         raise ConfigError("config file must hold a single JSON object")
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, value in payload.items():
         dest = key.replace("-", "_")
         if dest not in vars(args):
             raise ConfigError(f"unknown config key {key!r}")
         if getattr(args, dest) is not None:  # flags override file values
             continue
-        setattr(args, dest, _config_value(key, value, actions[dest]))
-
-
-def _config_value(key, value, action):
-    """A config value as its flag's text gives it: a string or a number, true or
-    false for an on/off flag, and also a list of numbers for a number list."""
-    if action.const is not None:  # an on/off flag
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r}: {value!r} is not true or false")
-        return value
-    if (isinstance(value, list) and action.dest in ("thetas", "rs", "Ts") and value
-            and all(type(v) in (int, float) for v in value)):  # a bool is no number here
-        value = ",".join(map(str, value))
-    if type(value) not in (str, int, float):  # a bool, null, list or object
-        raise ConfigError(f"config key {key!r}: invalid value {value!r}")
-    try:
-        value = str(value) if action.type is None else action.type(str(value))
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: invalid value {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-    return value
+        if (isinstance(value, list) and dest in ("thetas", "rs", "Ts") and value
+                and all(type(v) in (int, float) for v in value)):  # a bool is no number here
+            value = ",".join(map(str, value))
+        if type(value) not in (str, int, float, bool):  # null, a list or an object
+            raise ConfigError(f"config key {key!r}: invalid value {value!r}")
+        flag = "--" + dest.replace("_", "-")
+        argv = [args.command, flag if type(value) is bool else f"{flag}={value}"]
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except ConfigError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
+        setattr(args, dest, value if type(value) is bool else parsed[dest])
 
 
 def _require(args, *names):
@@ -277,7 +279,7 @@ def _add_common(sub):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="yule-ou",
         description="Simulation and independence testing for coupled "
                     "mean-reverting paths.")
@@ -365,8 +367,8 @@ def _check_outputs(args):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _merge_config(args, parser)
         _check_outputs(args)
         outputs = _DISPATCH[args.command](args)

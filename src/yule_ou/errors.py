@@ -31,13 +31,15 @@ def check_positive(**named):
             raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
-def check_integer(**named):
-    """Reject each value that is not an integer; Python and numpy integers pass."""
-    for name, value in named.items():
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+def check_count(name, value, low, high=math.inf):
+    """Reject a count that is not an integer in [low, high].  Python and
+    numpy integers pass; a float, even an integral one, is refused."""
+    try:
+        if low <= operator.index(value) <= high:
+            return
+    except TypeError:
+        pass
+    raise ParameterError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
 def check_correlation(r):

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (DegenerateStatisticError, ParameterError, check_integer, check_level,
+from .errors import (DegenerateStatisticError, ParameterError, check_count, check_level,
                      check_positive)
 from .gaussian import upper_quantile
 from .theory import chaos_constants
@@ -161,9 +161,7 @@ def confidence_interval_r(stats, alpha, theta=None):
 def sidak_level(alpha, n_modes):
     """Per-mode level 1 - (1-alpha)^(1/N) equalizing the family rate to alpha."""
     check_level(alpha)
-    check_integer(n_modes=n_modes)
-    if n_modes < 1:
-        raise ParameterError(f"n_modes must be an integer >= 1, got {n_modes}")
+    check_count("n_modes", n_modes, 1)
     return 1.0 - (1.0 - alpha) ** (1.0 / n_modes)
 
 

@@ -27,12 +27,15 @@ import numpy as np
 from . import hypothesis as hyp
 from . import sde, theory
 from .errors import (InsufficientDataError, ParameterError, YuleOuError, check_correlation,
-                     check_integer, check_level, check_positive)
+                     check_count, check_level, check_positive)
 from .estimators import (YuleStatistics, check_functionals, correlation, functionals,
                          rate_estimate)
 from .gaussian import norm_cdf, upper_quantile
 
 _BLOCK_ELEMS = 4_000_000  # target innovations per simulated block
+# a cell holds five float64 arrays with one entry per replication, 160 GiB
+# at 2**32, so a larger count could never run
+_MAX_REPLICATIONS = 2 ** 32
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +171,6 @@ def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
     return out
 
 
-def _check_replications(replications):
-    """Reject a replication count that is not an integer in [1, 2**32].  A
-    cell holds five float64 arrays with one entry per replication, 160 GiB
-    at 2**32, so a larger count could never run."""
-    check_integer(replications=replications)
-    if not 1 <= replications <= 2 ** 32:
-        raise ParameterError(f"replications must lie in [1, 2**32], got {replications}")
-
-
-def _check_jobs(jobs):
-    """Reject a worker count that is not an integer of at least one."""
-    check_integer(jobs=jobs)
-    if not jobs >= 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
-
-
 def _cell_blocks(replications, n_steps):
     """Blocks of the most whole row groups of n+1 normals a row within
     _BLOCK_ELEMS innovations (at least one group), the last one ragged;
@@ -231,8 +218,8 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
     theta_hat equal the pair's bit for bit and whose rho, y22 and y12 are
     None.
     """
-    _check_replications(replications)
-    _check_jobs(jobs)
+    check_count("replications", replications, 1, _MAX_REPLICATIONS)
+    check_count("jobs", jobs, 1)
     if paths not in (1, 2):
         raise ParameterError(f"paths must be 1 or 2, got {paths}")
     if dt is None:
@@ -301,13 +288,13 @@ class ExperimentGrid:
             if not seq:
                 raise ParameterError(f"{name} must be nonempty")
             object.__setattr__(self, name, seq)
-        _check_replications(self.replications)
+        check_count("replications", self.replications, 1, _MAX_REPLICATIONS)
         # grid-wide inputs fail here; run_grid skips only cell-specific failures
         for theta, horizon_T in itertools.product(self.thetas, self.horizons):
             check_positive(theta=theta, horizon_T=horizon_T)
         if self.dt_policy is not None:
             check_positive(dt=self.dt_policy)
-        sde.check_seed(self.base_seed)
+        check_count("seed", self.base_seed, 0, sde.MAX_SEED)
         for r in self.rs:
             check_correlation(r)
         if self.statistic not in STATISTICS:
@@ -383,7 +370,7 @@ def run_grid(grid, jobs=1, progress=None):
     reported on stderr and skipped; other cells proceed.  A grid whose every cell is
     skipped raises ParameterError.
     """
-    _check_jobs(jobs)  # grid-wide: a bad count must not skip every cell
+    check_count("jobs", jobs, 1)  # grid-wide: a bad count must not skip every cell
     progress = (lambda msg: print(msg, file=sys.stderr)) if progress is None else progress
     reports = []
     cells = grid.cells()
@@ -425,9 +412,7 @@ def spde_mode_samples(n_modes, r, horizon_T, replications, base_seed, jobs=1):
     one pair_sample call, so with jobs > 1 each mode of more than one
     block runs on its own thread pool, in turn.
     """
-    check_integer(n_modes=n_modes)
-    if n_modes < 1:
-        raise ParameterError("n_modes must be >= 1")
+    check_count("n_modes", n_modes, 1)
     sde.grid_size(horizon_T, sde.default_dt(float(n_modes * n_modes), horizon_T))
     samples = []
     for k in range(1, n_modes + 1):

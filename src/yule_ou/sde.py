@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_correlation, check_integer, check_positive
+from .errors import ParameterError, check_correlation, check_count, check_positive
 from .estimators import PathPair
 
 #: Cap on theta*dt.  At the cap the exact quadrature bias of the mean and
@@ -41,6 +41,9 @@ STEP_CAP = 0.1
 MAX_STEPS = 2 ** 24
 
 _GRID_RTOL = 1e-9
+
+#: Largest seed: a seed is an integer in 64 unsigned bits.
+MAX_SEED = 2 ** 64 - 1
 
 #: ar1_paths filters a row in chunks over which the weights factor**j decay
 #: by at most exp(-_CHUNK_DECAY), and of at most _CHUNK_STEPS steps.  The
@@ -127,7 +130,8 @@ def ou_covariance(theta, s, t):
     check_positive(theta=theta)
     if not (0.0 <= s < math.inf and 0.0 <= t < math.inf):
         raise ParameterError("times must be nonnegative and finite")
-    return math.exp(-theta * abs(t - s)) * -math.expm1(-2.0 * theta * min(s, t)) / (2.0 * theta)
+    x = math.exp(-theta * abs(t - s)) * -math.expm1(-2.0 * theta * min(s, t))
+    return 0.5 * (x / theta)  # 2*theta overflows above theta = 9e307
 
 
 def mean_functional_variance(theta, horizon_T):
@@ -193,9 +197,7 @@ class CorrelatedPairConfig:
     def __post_init__(self):
         check_positive(theta=self.theta)
         check_correlation(self.r)
-        check_seed(self.seed)
-        if not self.horizon_T >= self.dt > 0:
-            raise ParameterError("need horizon_T >= dt > 0")
+        check_count("seed", self.seed, 0, MAX_SEED)
         if self.dt > STEP_CAP / self.theta * (1.0 + 1e-12):
             raise ParameterError(
                 f"dt={self.dt} exceeds step cap {STEP_CAP}/theta={STEP_CAP / self.theta:g}"
@@ -275,7 +277,7 @@ def simulate_ou(theta, horizon_T, dt, seed):
     """Simulate one path by the exact transition on the grid covering [0, T]
     from row 0 of key (seed, 0, 0): the x1 of a pair simulated at `seed`."""
     check_positive(theta=theta, dt=dt)
-    check_seed(seed)
+    check_count("seed", seed, 0, MAX_SEED)
     z = draw_group(0, np.empty((1, grid_size(horizon_T, dt) + 1)), seed, 0, 0)[0]
     x, = correlated_paths(theta, 0.0, dt, z)
     return SamplePath(t0=0.0, dt=dt, values=x)
@@ -361,10 +363,3 @@ def read_pair_csv(fileobj):
     if data.shape[1] != 3:
         raise ValueError(f"expected 3 fields per row, got {data.shape[1]}")
     return data[:, 0], data[:, 1], data[:, 2]
-
-
-def check_seed(seed):
-    """Reject a seed that is not an integer in 64 unsigned bits."""
-    check_integer(seed=seed)
-    if not 0 <= int(seed) < 2 ** 64:
-        raise ParameterError(f"seed must fit in 64 unsigned bits, got {seed}")

@@ -226,8 +226,10 @@ def eta_constant(theta, r):
 def edgeworth_tail(z, theta, r, horizon_T):
     """Leading CDF correction eta * (1 - z^2) * e^{-z^2/2} / sqrt(T) at fixed z."""
     check_positive(horizon_T=horizon_T)
-    return eta_constant(theta, r) * (1.0 - z * z) * math.exp(-0.5 * z * z) \
-        / math.sqrt(horizon_T)
+    eta, tail = eta_constant(theta, r), math.exp(-0.5 * z * z)
+    if tail == 0.0:  # then 1 - z^2 < 0, perhaps -inf: the product is -0.0*eta, not NaN
+        return -0.0 * eta
+    return eta * (1.0 - z * z) * tail / math.sqrt(horizon_T)
 
 
 def edgeworth_kolmogorov_bound(theta, r, horizon_T):

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, config merging, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from yule_ou import hypothesis as hyp
 from yule_ou import mc, sde, theory
-from yule_ou.cli import _THEORY, main
+from yule_ou.cli import _THEORY, build_parser, main
 
 
 #: steps of theta=1, T=5 on the default grid, the grid of the T=5 cells and
@@ -584,7 +585,6 @@ def test_theory_order_above_the_bound_exits_2(capsys, order):
     "ou_covariance --theta 1 --s nan --t 1",
     "wasserstein_scale_bound --sigma-scale 1e200",
     "denominator_lp_bound --p inf --theta 1",
-    "edgeworth_tail --z 1e300 --theta 1 --r 0.5 --T 10",
     "asymptotic_cumulant --p 2000 --theta 1 --r 0.5 --T 10",
     "c1 --theta 1e-300 --r 0.5",
     "major_tail_bound --n 1e6 --norm 1 --x 1 --prefactor 1",
@@ -878,6 +878,44 @@ def test_config_on_off_flag_takes_booleans(tmp_path, capsys, pair_csv):
         assert code == code_want, value
         if code == 0:
             assert json.loads(out)["config"]["pooled_theta"] is value
+
+
+@pytest.mark.parametrize("argv, text, code_want", [
+    ("stat --input", None, 1),
+    ("stat --input", "t,x1,x2\n0,1,2\n", 1),
+    ("stat --input", "t,x1,x2\n0,1,2\n1,1,2\n3,1,2\n", 1),
+    ("mc --config", None, 2),
+    ("mc --config", "{", 2),
+    ("mc --config", "[1]", 2),
+], ids=["missing input", "one-row input", "non-uniform input", "missing config",
+        "invalid JSON config", "JSON array config"])
+def test_an_unusable_input_or_config_file_exits_with_one_error_line(tmp_path, capsys, argv,
+                                                                     text, code_want):
+    path = tmp_path / "file"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, *argv.split(), str(path))
+    assert code == code_want and out == "" and _one_error_line(err), err
+
+
+def test_flags_are_named_by_their_dest_and_every_parse_error_is_one_line(tmp_path, capsys):
+    # _merge_config parses a config key as "--" + dest.replace("_", "-")
+    subparsers, = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest != "help":
+                flag = "--" + action.dest.replace("_", "-")
+                assert flag in action.option_strings, (command, action.option_strings)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reps": True}))
+    for argv in ("mc --reps x".split(), "mc --statistic nope".split(), ["bogus"], [],
+                 "test --variant rho --bogus 1".split(), ["mc", "--config", str(cfg)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and _one_error_line(err), (argv, err)
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--help"])
+    assert exc.value.code == 0 and "--jobs" in capsys.readouterr().out
 
 
 def test_console_entry_point_runs():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from yule_ou import cli, exact, sde
+from yule_ou.errors import ParameterError
 from yule_ou.estimators import trapezoid_weights
 from yule_ou.mc import pair_sample
 
@@ -138,3 +139,9 @@ def test_readme_quotes_the_simulate_row_as_it_writes_now(tmp_path):
     assert cli.main([*argv.split(), "--out", str(out)]) == 0
     rows = out.read_text().splitlines()[2:]
     assert [line for line in rows if line.split(",")[0] == t] == [f"{t},{row}"]
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_traces_refuse_a_grid_without_steps(n_steps):
+    with pytest.raises(ParameterError, match="at least one step"):
+        exact.traces(1.0, 0.1, n_steps)

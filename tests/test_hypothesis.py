@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from yule_ou.errors import ParameterError
+from yule_ou.errors import DegenerateStatisticError, ParameterError
 from yule_ou.estimators import PathPair, YuleStatistics, yule_rho
 from yule_ou.hypothesis import (TestVariant, calibrate_berry_constant,
                                 confidence_interval_r, critical_value, decide,
@@ -401,3 +401,18 @@ def test_outcomes_csv_of_a_sample_is_the_rows_of_its_replications(field):
             write_outcomes_csv(rows, [(sample.theta, 0.1, 10.0, one)])
     header = "variant,alpha,theta,r,T,statistic,threshold,reject\n"
     assert batch.getvalue() == header + rows.getvalue().replace(header, "")
+
+
+_ZERO_RATE = YuleStatistics(y11=1.0, y22=1.0, y12=0.2, rho=0.2, theta_hat=0.0, horizon_T=100.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: critical_value("rho_known_theta", 0.05), ParameterError),
+    (lambda: numerator_bound_valid_from(1.0, 0.0, 0.05), ParameterError),
+    (lambda: variant_statistic(_ZERO_RATE, "rho_estimated_theta"), DegenerateStatisticError),
+    (lambda: confidence_interval_r(_ZERO_RATE, 0.05), DegenerateStatisticError),
+], ids=["critical value without theta", "numerator bound at r=0",
+        "estimated-rate statistic at theta_hat=0", "interval at theta_hat=0"])
+def test_a_missing_rate_or_a_degenerate_estimate_is_refused(call, error):
+    with pytest.raises(error):
+        call()

@@ -582,3 +582,12 @@ def test_spde_mode_samples_rates_and_family():
     outcomes, family = spde_family_rejections(samples, 0.05)
     assert [out.reject.shape for out in outcomes] == [(150,), (150,)]
     np.testing.assert_array_equal(family, outcomes[0].reject | outcomes[1].reject)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: kolmogorov_distance([]), InsufficientDataError),
+    (lambda: wilson_interval(0, 0), ParameterError),
+], ids=["empty sample", "no trials"])
+def test_diagnostics_refuse_an_empty_sample(call, error):
+    with pytest.raises(error):
+        call()

@@ -621,3 +621,22 @@ def test_sample_path_validation():
         SamplePath(t0=0.0, dt=0.1, values=np.array([0.0, np.inf]))
     with pytest.raises(ParameterError):
         SamplePath(t0=0.0, dt=0.1, values=np.empty(0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: transition_factor(1.0, -0.1),
+    lambda: innovation_variance(1.0, -0.1),
+    lambda: ou_covariance(1.0, -1.0, 1.0),
+    lambda: ou_covariance(1.0, 1.0, math.inf),
+    lambda: SamplePath(t0=-1.0, dt=0.1, values=np.zeros(3)),
+], ids=["transition over dt<0", "innovation over dt<0", "covariance at s<0",
+        "covariance at t=inf", "path from t0<0"])
+def test_a_negative_step_or_time_is_refused(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+@pytest.mark.parametrize("theta", [9e307, 1e308, 1.7e308])
+def test_ou_covariance_keeps_its_value_where_twice_the_rate_overflows(theta):
+    # Var X(1) is 1/(2 theta) to double precision here; 2*theta is inf
+    assert math.isclose(ou_covariance(theta, 1.0, 1.0), 0.5 / theta, rel_tol=1e-12)

@@ -432,6 +432,21 @@ def test_edgeworth_tail_structure():
         eta_constant(theta, r) / math.sqrt(T), rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [0.5, -0.5])
+def test_edgeworth_tail_is_a_signed_zero_where_z_squared_overflows(r):
+    theta, T = 1.0, 10.0
+    eta = eta_constant(theta, r)
+    # finite values keep the bits of the formula's own order of operations
+    for z in (0.0, 0.5, 2.0, -2.0, 5.0, 38.6, -38.6, 38.7, 1e3, 1e150, -1e150, 1.3e154):
+        want = eta * (1.0 - z * z) * math.exp(-0.5 * z * z) / math.sqrt(T)
+        assert edgeworth_tail(z, theta, r, T).hex() == want.hex(), z
+    # beyond z*z's overflow, the signed zero it gives just below
+    below = edgeworth_tail(1.3e154, theta, r, T)
+    assert below == 0.0
+    for z in (1e200, -1e200, 1e300):
+        assert edgeworth_tail(z, theta, r, T).hex() == below.hex(), z
+
+
 def test_edgeworth_kolmogorov_bound_dominates():
     theta, r, T = 1.0, 0.5, 50.0
     eta = eta_constant(theta, r)
