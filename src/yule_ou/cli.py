@@ -52,11 +52,12 @@ def _merge_config(args, parser):
     """Overlay config-file values under explicitly passed flags.
 
     The file is one JSON object keyed by flag names; an unknown key is
-    refused.  Each value is parsed by `parser` as the flag's command-line
-    text: a string or a number as `--flag=value`, and true or false as the
-    bare on/off `--flag` (the JSON boolean is kept).  A nonempty JSON list
-    of numbers for thetas, rs or Ts is joined into a comma list first;
-    null, any other list and an object are refused.
+    refused, and so are `command` and `config`, which name no flag.  Each
+    value is parsed by `parser` as the flag's command-line text: a string
+    or a number as `--flag=value`, and true or false as the bare on/off
+    `--flag` (the JSON boolean is kept).  A nonempty JSON list of numbers
+    for thetas, rs or Ts is joined into a comma list first; null, any
+    other list and an object are refused.
     """
     if not args.config:
         return
@@ -71,7 +72,7 @@ def _merge_config(args, parser):
         raise ConfigError("config file must hold a single JSON object")
     for key, value in payload.items():
         dest = key.replace("-", "_")
-        if dest not in vars(args):
+        if dest not in vars(args) or dest in ("command", "config"):
             raise ConfigError(f"unknown config key {key!r}")
         if getattr(args, dest) is not None:  # flags override file values
             continue
@@ -317,7 +318,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, help="test level for reject_rate (default 0.05)")
     p.add_argument("--dt", type=float, help="fixed step (default: step-cap rule)")
     p.add_argument("--jobs", type=int,
-                   help="worker threads for a cell's blocks (default 1; any value "
+                   help="worker threads for a (theta, T) group's blocks (default 1; any value "
                         "gives the same bytes)")
     p.add_argument("--jsonl", help="also mirror reports to this JSON-lines file")
 

@@ -76,22 +76,32 @@ def _variance_and_linear(x, w, T, scratch=None):
     return _quadratic(x, x, w) - s * s / T, s
 
 
-def functionals(x1, x2=None, dt=None, scratch=None):
-    """Centered functionals (Y11, Y22, Y12) of paths of shape (..., n_nodes),
-    or (Y11,) of x1 alone when x2 is omitted, with the pair's Y11 bits.
+def cross_functionals(x1, dt, scratch=None):
+    """Y11 of paths x1 of shape (..., n_nodes), and a function giving
+    (Y22, Y12) of any paths x2 of the same shape beside them.
 
-    Rows are reduced one by one, so a row's bits do not depend on the
-    block it sits in; a single pair is a batch of one.  A C-contiguous
-    `scratch` of the paths' shape holds the linear terms' products, which
-    are otherwise allocated; the sums have the same bits either way.
+    x1's linear term is computed once, for every x2 it is given.  Rows are
+    reduced one by one, so a row's bits do not depend on the block it sits
+    in; a single pair is a batch of one.  A C-contiguous `scratch` of the
+    paths' shape holds the linear terms' products, which are otherwise
+    allocated; the sums have the same bits either way.
     """
     w = trapezoid_weights(x1.shape[-1], dt)
     T = (x1.shape[-1] - 1) * dt
     y11, s1 = _variance_and_linear(x1, w, T, scratch)
-    if x2 is None:
-        return (y11,)
-    y22, s2 = _variance_and_linear(x2, w, T, scratch)
-    return y11, y22, _quadratic(x1, x2, w) - s1 * s2 / T
+
+    def against(x2):
+        y22, s2 = _variance_and_linear(x2, w, T, scratch)
+        return y22, _quadratic(x1, x2, w) - s1 * s2 / T
+    return y11, against
+
+
+def functionals(x1, x2=None, dt=None, scratch=None):
+    """Centered functionals (Y11, Y22, Y12) of paths of shape (..., n_nodes),
+    or (Y11,) of x1 alone when x2 is omitted, with the pair's Y11 bits; the
+    reduction of cross_functionals."""
+    y11, against = cross_functionals(x1, dt, scratch)
+    return (y11,) if x2 is None else (y11, *against(x2))
 
 
 def rate_estimate(y_aa, horizon_T):

@@ -1,18 +1,22 @@
 """Replication engine and empirical-distribution diagnostics.
 
-The engine simulates many independent pairs per grid cell and reduces
-each replication to its path functionals on the fly.  Replication j of
-cell c draws its two noise processes p = 0, 1 from keys (base_seed, c, p):
-the replications are cut into fixed groups of consecutive rows, group g
+The engine simulates many independent pairs per (theta, T) group and
+reduces each replication to its path functionals on the fly, for every
+correlation r of the group at once.  Replication j of group c draws its
+two noise processes p = 0, 1 from keys (base_seed, c, p): the
+replications are cut into fixed groups of consecutive rows, row group g
 is the SFC64 stream sde.stream(base_seed, c, p, g), and its rows draw
-from it in order (see sde.draw_group).  Blocks are fixed runs of whole
-groups (the last one ragged), never functions of the worker count.  With
-jobs > 1 a cell's blocks run on a pool of worker threads in the calling
-process; no block shares state with another, and each result is put
-back in block order.  So results are bit-identical for a given grid
-whatever `jobs` is and in whichever order blocks complete.  A statistic
-that reads only Y11 draws process 0 alone, and its numbers are those of
-the full pair.
+from it in order (see sde.draw_group).  x1 and the auxiliary path x0 are
+filtered once, and each r's x2 = r*x1 + sqrt(1-r^2)*x0 is mixed from
+them (sde.mix_paths), so the cells of one group that differ only in r
+share their draws (common random numbers).  Blocks are fixed runs of
+whole row groups (the last one ragged), never functions of the worker
+count.  With jobs > 1 a group's blocks run on a pool of worker threads
+in the calling process; no block shares state with another, and each
+result is put back in block order.  So results are bit-identical for a
+given grid whatever `jobs` is and in whichever order blocks complete.  A
+statistic that reads only Y11 draws process 0 alone, and its numbers are
+those of the full pair.
 """
 
 import collections
@@ -26,15 +30,17 @@ import numpy as np
 
 from . import hypothesis as hyp
 from . import sde, theory
-from .errors import (InsufficientDataError, ParameterError, YuleOuError, check_correlation,
-                     check_count, check_level, check_positive)
-from .estimators import (YuleStatistics, check_functionals, correlation, functionals,
-                         rate_estimate)
+from .errors import (DegenerateStatisticError, InsufficientDataError, ParameterError,
+                     YuleOuError, check_correlation, check_count, check_level,
+                     check_positive)
+from .estimators import (YuleStatistics, check_functionals, correlation,
+                         cross_functionals, rate_estimate)
 from .gaussian import norm_cdf, upper_quantile
 
 _BLOCK_ELEMS = 4_000_000  # target innovations per simulated block
 # a cell holds five float64 arrays with one entry per replication, 160 GiB
-# at 2**32, so a larger count could never run
+# at 2**32 (each further r of a group three more), so a larger count could
+# never run
 _MAX_REPLICATIONS = 2 ** 32
 
 
@@ -139,35 +145,52 @@ class PairSample(YuleStatistics):
     dt: float
 
 
-def _simulate_block(theta, r, horizon_T, dt, base_seed, cell_index, start, stop,
+def _simulate_block(theta, rs, horizon_T, dt, base_seed, cell_index, start, stop,
                     process_offset=0, paths=2):
-    """Functionals (Y11, Y22, Y12) as a (3, m) array for replications
-    [start, stop) of one cell; with paths=1, Y11 alone as a (1, m) array.
+    """Functionals of replications [start, stop) of one (theta, T) group: a
+    (1 + 2*len(rs), m) array of Y11, then Y22 and Y12 of each r in turn;
+    with paths=1, Y11 alone as a (1, m) array.
 
     `start` starts a row group (_cell_blocks).  The block is computed one
-    row group at a time in three steps: the group's rows are drawn whole
-    from its stream, one draw per path (sde.draw_group), into one
-    C-contiguous (G, n+1) array per path; sde.correlated_paths turns them
-    into the paths in place, node 0 set to zero; and estimators.functionals
-    reduces them.  One more (G, n+1) scratch holds the noise mix and the
-    reductions' products, so a block allocates no group-sized array after
-    its first group.  A one-path block keys process 0 only and runs the
-    same two calls on x1 alone, so x1 and Y11 keep the pair's bits.  Rows
-    never interact, so neither blocks nor groups change any bit.
+    row group at a time: the group's rows are drawn whole from its stream,
+    one draw per process (sde.draw_group), into one C-contiguous (G, n+1)
+    array per process; sde.filtered_paths turns them into x1 and x0 in
+    place, node 0 set to zero; Y11 and x1's linear term are reduced once
+    (estimators.cross_functionals); and for each r sde.mix_paths forms x2,
+    which is reduced against x1.  x2 is mixed in one more (G, n+1) array,
+    except for the last r, which mixes into x0's array in place, so a
+    one-r group holds no such array.  A last (G, n+1) scratch holds the
+    mix's product and the reductions' products, so a block allocates no
+    group-sized array after its first group.  A one-path block keys
+    process 0 only and runs the same calls on x1 alone, so x1 and Y11 keep
+    the pair's bits.  Rows never interact, so neither blocks nor groups
+    change any bit, and each r's rows are those of a group run with that r
+    alone.
     """
     n_steps = sde.grid_size(horizon_T, dt)
     m = stop - start
     group = min(m, sde.group_rows(n_steps + 1))
-    buffers = np.empty((paths + 1, group, n_steps + 1))  # the paths, then the scratch
-    out = np.empty((paths * (paths + 1) // 2, m))  # one functional per pair of paths
+    # x1, then for a pair x0 and, for more than one r, x2; then the scratch
+    mixed = paths == 2 and len(rs) > 1
+    buffers = np.empty((paths + mixed + 1, group, n_steps + 1))
+    out = np.empty((1 + 2 * len(rs) if paths == 2 else 1, m))
     with np.errstate(over="ignore", invalid="ignore"):  # pair_sample refuses the overflow
         for a in range(0, m, group):
             b = min(a + group, m)
-            *x, scratch = buffers[:, :b - a]
-            for p, path in enumerate(x, process_offset):
+            tiles = buffers[:, :b - a]
+            x1, scratch = tiles[0], tiles[-1]
+            for p, path in enumerate(tiles[:paths], process_offset):
                 sde.draw_group(start + a, path, base_seed, cell_index, p)
-            sde.correlated_paths(theta, r, dt, *x, scratch=scratch)
-            out[:, a:b] = functionals(*x, dt=dt, scratch=scratch)
+            sde.filtered_paths(theta, dt, *tiles[:paths])
+            y11, against = cross_functionals(x1, dt, scratch)
+            out[0, a:b] = y11
+            if paths == 2:
+                x0 = tiles[1]
+                for k, r in enumerate(rs):
+                    # the last r mixes into x0 itself, which no later r reads
+                    x2 = x0 if k == len(rs) - 1 else tiles[2]
+                    sde.mix_paths(r, x1, x0, x2, scratch)
+                    out[1 + 2 * k:3 + 2 * k, a:b] = against(x2)
     return out
 
 
@@ -208,39 +231,64 @@ def _run_blocks(tasks, jobs):
 
 def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
                 cell_index=0, jobs=1, process_offset=0, paths=2):
-    """Simulate a cell and return its PairSample of per-replication arrays.
+    """Simulate a cell and return its PairSample of per-replication arrays;
+    given a tuple of correlations r, simulate the (theta, T) group once and
+    return a list of one PairSample per r, in order.
+
+    Every r of a tuple shares the group's draws, x1 and x0 (common random
+    numbers), and each r's sample equals that of pair_sample with that r
+    alone, bit for bit; a scalar r is the one-element tuple.  An error that
+    concerns the whole group (an invalid parameter, a dt over the step
+    cap, a Y11 or rate that overflows) is raised.  An r whose own Y22 or
+    Y12 is degenerate gets its DegenerateStatisticError in its place in
+    the list, so the other r keep their samples; a scalar r raises it.
 
     dt=None resolves to the largest exact divisor of T with theta*dt <=
     sde.STEP_CAP.  The result is invariant to `jobs`: with jobs > 1 the
-    cell's fixed blocks run on a pool of at most one worker thread per
+    group's fixed blocks run on a pool of at most one worker thread per
     block, in this process, and jobs == 1 runs them inline.  paths=1 draws
-    only process 0 (x1) and returns a one-path sample, whose y11 and
+    only process 0 (x1) and returns one-path samples, whose y11 and
     theta_hat equal the pair's bit for bit and whose rho, y22 and y12 are
     None.
     """
+    rs = r if isinstance(r, tuple) else (r,)
+    if not rs:
+        raise ParameterError("need at least one correlation r")
     check_count("replications", replications, 1, _MAX_REPLICATIONS)
     check_count("jobs", jobs, 1)
     if paths not in (1, 2):
         raise ParameterError(f"paths must be 1 or 2, got {paths}")
     if dt is None:
         dt = sde.default_dt(theta, horizon_T)
-    # validates every cell parameter, including the step cap
-    n_steps = sde.CorrelatedPairConfig(theta=theta, r=r, horizon_T=horizon_T, dt=dt,
-                                       seed=base_seed).n_steps
+    for each in rs:  # validates every cell parameter, including the step cap
+        config = sde.CorrelatedPairConfig(theta=theta, r=each, horizon_T=horizon_T, dt=dt,
+                                          seed=base_seed)
+    n_steps = config.n_steps
     blocks = _cell_blocks(replications, n_steps)
-    tasks = [(theta, r, horizon_T, dt, base_seed, cell_index, a, b, process_offset, paths)
+    tasks = [(theta, rs, horizon_T, dt, base_seed, cell_index, a, b, process_offset, paths)
              for a, b in blocks]
-    results = _run_blocks(tasks, jobs)
-
-    y11, *cross = (np.concatenate(parts) for parts in zip(*results))
-    check_functionals(y11, *cross)  # the rule yule_rho applies to one pair
+    y11, *cross = np.concatenate(_run_blocks(tasks, jobs), axis=1)
+    check_functionals(y11)  # the rule yule_rho applies to one pair
     T = n_steps * dt
-    y22 = y12 = rho = None
-    if cross:
-        y22, y12 = cross
-        rho = correlation(y11, y22, y12)
-    return PairSample(y11=y11, y22=y22, y12=y12, rho=rho, theta_hat=rate_estimate(y11, T),
-                      horizon_T=T, theta=theta, r=r, dt=dt)
+    theta_hat = rate_estimate(y11, T)
+    samples = []
+    for k, each in enumerate(rs):
+        y22 = y12 = rho = None
+        if cross:
+            y22, y12 = cross[2 * k], cross[2 * k + 1]
+            try:
+                check_functionals(y11, y22, y12)
+            except DegenerateStatisticError as exc:
+                samples.append(exc)
+                continue
+            rho = correlation(y11, y22, y12)
+        samples.append(PairSample(y11=y11, y22=y22, y12=y12, rho=rho, theta_hat=theta_hat,
+                                  horizon_T=T, theta=theta, r=each, dt=dt))
+    if isinstance(r, tuple):
+        return samples
+    if isinstance(samples[0], DegenerateStatisticError):
+        raise samples[0]
+    return samples[0]
 
 
 def rejections(sample, variant, alpha):
@@ -360,32 +408,53 @@ def summarize_cell(sample, statistic, alpha):
                     ci_lo=lo, ci_hi=hi)
 
 
+# a cell failing with one of these exits 2 as a command; run_grid skips it
+_CELL_ERRORS = (YuleOuError, ArithmeticError, MemoryError)
+
+
 def run_grid(grid, jobs=1, progress=None):
     """Run every cell of the grid and aggregate; deterministic in base_seed.
 
-    Each cell simulates only the paths its statistic reads (_STATISTICS):
-    theta_hat_centered and ybar_centered draw process 0 alone, and their
-    reports equal those of the full pair.  A cell failing as a command exits
-    2 (a fixed dt over the step cap for a large theta, an overflow) is
-    reported on stderr and skipped; other cells proceed.  A grid whose every cell is
-    skipped raises ParameterError.
+    Each (theta, T) group is simulated once for all of its r, by one
+    pair_sample call keyed by the group's index in product(thetas,
+    horizons): its cells share their draws, so estimates across r are
+    dependent (common random numbers), while each keeps its own law.  For
+    a one-r grid the group index is the cell index.  Each group simulates
+    only the paths its statistic reads (_STATISTICS): theta_hat_centered
+    and ybar_centered draw process 0 alone, and their reports equal those
+    of the full pair.  A cell failing as a command exits 2 is reported on
+    stderr as its group finishes and skipped; a group's failure (a fixed
+    dt over the step cap for a large theta, an overflow of Y11) skips each
+    of its cells, an overflow or a summary refusal of one r only that
+    cell.  Reports come in cell order.  A grid whose every cell is skipped
+    raises ParameterError.
     """
     check_count("jobs", jobs, 1)  # grid-wide: a bad count must not skip every cell
     progress = (lambda msg: print(msg, file=sys.stderr)) if progress is None else progress
-    reports = []
-    cells = grid.cells()
-    for index, (theta, r, T) in enumerate(cells):
+    n_rs, n_Ts = len(grid.rs), len(grid.horizons)
+    n_cells = len(grid.thetas) * n_rs * n_Ts
+    reports = [None] * n_cells
+    groups = itertools.product(enumerate(grid.thetas), enumerate(grid.horizons))
+    for group, ((i, theta), (k, T)) in enumerate(groups):
         try:
-            sample = pair_sample(theta, r, T, dt=grid.dt_policy,
-                                 replications=grid.replications,
-                                 base_seed=grid.base_seed, cell_index=index, jobs=jobs,
-                                 paths=_STATISTICS[grid.statistic][0])
-            reports.append(summarize_cell(sample, grid.statistic, grid.alpha))
-        except (YuleOuError, ArithmeticError, MemoryError) as exc:
-            progress(f"cell {index + 1}/{len(cells)} theta={theta} r={r} T={T}: "
-                     f"skipped ({exc or type(exc).__name__})")
-            continue
-        progress(f"cell {index + 1}/{len(cells)} theta={theta} r={r} T={T}: done")
+            samples = pair_sample(theta, grid.rs, T, dt=grid.dt_policy,
+                                  replications=grid.replications,
+                                  base_seed=grid.base_seed, cell_index=group, jobs=jobs,
+                                  paths=_STATISTICS[grid.statistic][0])
+        except _CELL_ERRORS as exc:
+            samples = [exc] * n_rs
+        for j, (r, sample) in enumerate(zip(grid.rs, samples)):
+            index = (i * n_rs + j) * n_Ts + k
+            try:
+                if isinstance(sample, Exception):
+                    raise sample
+                reports[index] = summarize_cell(sample, grid.statistic, grid.alpha)
+            except _CELL_ERRORS as exc:
+                progress(f"cell {index + 1}/{n_cells} theta={theta} r={r} T={T}: "
+                         f"skipped ({exc or type(exc).__name__})")
+                continue
+            progress(f"cell {index + 1}/{n_cells} theta={theta} r={r} T={T}: done")
+    reports = [rep for rep in reports if rep is not None]
     if not reports:
         raise ParameterError("every cell of the grid was skipped")
     return reports

@@ -14,6 +14,11 @@ cut into groups, group g is the SFC64 stream keyed by SeedSequence(seed,
 spawn_key=(cell, process, g)), and its rows draw from it in order.  A
 single pair is row 0 of keys (seed, 0, 0) and (seed, 0, 1), the engine's
 replication 0 of cell 0.  Every path is reproducible from integers alone.
+
+A pair is two filtered paths mixed by one rule (mix_paths): x1 and the
+auxiliary x0 are filtered from their own noise, and x2 = r*x1 +
+sqrt(1-r^2)*x0, exact because the AR(1) filter is linear.  So every r
+at one (theta, T, dt) can share x1 and x0.
 """
 
 import io
@@ -34,10 +39,12 @@ from .estimators import PathPair
 STEP_CAP = 0.1
 
 #: Largest grid, in steps, that is simulated.  One path of this many steps
-#: is 128 MiB of float64, and a simulated pair holds three such arrays at
-#: once (the two paths, each filtered in place over its own draws, and one
-#: scratch for the noise mix and the reductions), so a larger grid is
-#: refused before anything is allocated.
+#: is 128 MiB of float64.  A simulated pair holds three such arrays at once
+#: (x1 and x0, each filtered in place over its own draws, x2 then mixed
+#: into x0's array, and one scratch for the mix and the reductions), and an
+#: engine block of a pair with more than one r four (one more for the x2
+#: that every r but the last reuses), so a larger grid is refused before
+#: anything is allocated.
 MAX_STEPS = 2 ** 24
 
 _GRID_RTOL = 1e-9
@@ -130,6 +137,8 @@ def ou_covariance(theta, s, t):
     check_positive(theta=theta)
     if not (0.0 <= s < math.inf and 0.0 <= t < math.inf):
         raise ParameterError("times must be nonnegative and finite")
+    if min(s, t) == 0.0:  # the zero start; 2*theta*0 is inf*0 above theta = 9e307
+        return 0.0
     x = math.exp(-theta * abs(t - s)) * -math.expm1(-2.0 * theta * min(s, t))
     return 0.5 * (x / theta)  # 2*theta overflows above theta = 9e307
 
@@ -279,35 +288,57 @@ def simulate_ou(theta, horizon_T, dt, seed):
     check_positive(theta=theta, dt=dt)
     check_count("seed", seed, 0, MAX_SEED)
     z = draw_group(0, np.empty((1, grid_size(horizon_T, dt) + 1)), seed, 0, 0)[0]
-    x, = correlated_paths(theta, 0.0, dt, z)
+    x, = filtered_paths(theta, dt, z)
     return SamplePath(t0=0.0, dt=dt, values=x)
+
+
+def filtered_paths(theta, dt, *z):
+    """Turn each z, of shape (..., n+1) with standard normals in nodes
+    1..n, into the exact path filtered from the innovations sd*z, in place,
+    and return z.
+
+    Each leading index is one independent path, and every row gets the
+    bits it would get alone.  Node 0 may hold any number: it is scaled
+    with its row, then set to the zero start by ar1_paths.
+    """
+    sd = math.sqrt(innovation_variance(theta, dt))
+    factor = transition_factor(theta, dt)
+    for x in z:
+        x *= sd
+        ar1_paths(factor, x)
+    return z
+
+
+def mix_paths(r, x1, x0, out, scratch=None):
+    """Write x2 = r*x1 + sqrt(1-r^2)*x0 to `out` and return it.
+
+    This is the one mixing rule of a pair: the second path's driving noise
+    is r*W1 + sqrt(1-r^2)*W0, and the filter is linear, so the mix of the
+    filtered paths is the path filtered from the mixed noise.  `out` may be
+    x0 itself; the product r*x1 is formed in `scratch`, an array of x1's
+    shape (one is allocated if None).  At r = 1, 0 and -1, x2 equals x1,
+    x0 and -x1 exactly.
+    """
+    np.multiply(x0, math.sqrt(1.0 - r * r), out=out)
+    out += np.multiply(r, x1, out=scratch)
+    return out
 
 
 def correlated_paths(theta, r, dt, z1, z0=None, scratch=None):
     """Turn z1, and z0 if given, of shape (..., n+1) with standard normals
     in nodes 1..n, into exact paths in place and return (z1,) or (z1, z0).
 
-    The first path is filtered from the exact innovations sd*z1.  The
-    second path's driving noise is r*W1 + sqrt(1-r^2)*W0, so its exact
-    innovation is the same combination of the per-process innovations.
-    Each leading index is one independent path or pair; a single pair is
-    a batch of one, and every row gets the same bits as it would alone.
-    Without z0 the first path is that of the pair, bit for bit.
-
-    Node 0 must be finite: every step acts on whole rows, node 0 included,
-    before ar1_paths sets node 0 to the zero start.  The product r*(sd*z1) is formed
-    in `scratch`, an array of z1's shape (one is allocated if None);
-    products and sums only trade operands, so z0's innovations have the
-    bits of r*(sd*z1) + sqrt(1-r^2)*(sd*z0).
+    Both are filtered (filtered_paths), then z0, the auxiliary path x0,
+    becomes x2 = r*x1 + sqrt(1-r^2)*x0 in place (mix_paths, with
+    `scratch`).  Each leading index is one independent path or pair; a
+    single pair is a batch of one, and every row gets the same bits as it
+    would alone.  Without z0 the first path is that of the pair, bit for
+    bit.
     """
-    sd = math.sqrt(innovation_variance(theta, dt))
-    z1 *= sd
-    if z0 is not None:
-        z0 *= sd
-        z0 *= math.sqrt(1.0 - r * r)
-        z0 += np.multiply(r, z1, out=scratch)
-    factor = transition_factor(theta, dt)
-    return tuple(ar1_paths(factor, z) for z in (z1, z0) if z is not None)
+    if z0 is None:
+        return filtered_paths(theta, dt, z1)
+    filtered_paths(theta, dt, z1, z0)
+    return z1, mix_paths(r, z1, z0, z0, scratch)
 
 
 def simulate_correlated_pair(config):

@@ -333,15 +333,20 @@ def test_a_failed_block_stops_its_pool(tmp_path, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert _one_error_line(err) and "block 2 of 4" in err
     assert sorted(started) == [(0, 0), (0, 10)]  # blocks 3 and 4 never ran
-    # mc skips the failed cell and runs the next one (cell 1, 4 blocks)
+    # mc skips both cells of the failed (theta, T) group and runs the next
+    # group (group 1, T = 10: 8 blocks of 5 rows) for both r
     started.clear()
-    code, _, err = run_cli(capsys, "mc", "--thetas", "1", "--rs", "0,0.5", "--Ts", "5",
+    code, _, err = run_cli(capsys, "mc", "--thetas", "1", "--rs", "0,0.5", "--Ts", "5,10",
                            "--reps", "40", "--seed", "1", "--statistic", "rho_centered",
                            "--jobs", "2", "--out", str(tmp_path / "mc.csv"))
     assert code == 0
-    assert "cell 1/2" in err and "skipped (block 2 of 4)" in err and "cell 2/2" in err
-    assert sorted(started) == [(0, 0), (0, 10), (1, 0), (1, 10), (1, 20), (1, 30)]
-    assert len((tmp_path / "mc.csv").read_text().splitlines()) == 3
+    lines = err.splitlines()
+    for cell in ("cell 1/4 theta=1.0 r=0.0 T=5.0", "cell 3/4 theta=1.0 r=0.5 T=5.0"):
+        assert f"{cell}: skipped (block 2 of 4)" in lines
+    for cell in ("cell 2/4 theta=1.0 r=0.0 T=10.0", "cell 4/4 theta=1.0 r=0.5 T=10.0"):
+        assert f"{cell}: done" in lines
+    assert sorted(started) == [(0, 0), (0, 10)] + [(1, a) for a in range(0, 40, 5)]
+    assert len((tmp_path / "mc.csv").read_text().splitlines()) == 4
 
 
 def test_theory_clt_var_rho_delta(capsys):
@@ -757,6 +762,18 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
     assert code == 2
     assert "bogus_key" in err
+
+
+@pytest.mark.parametrize("key, value", [("command", "simulate"), ("config", "nope.json")])
+def test_config_keys_that_name_no_flag_are_refused(tmp_path, capsys, monkeypatch, key, value):
+    # the subcommand and the config path are always set, so the "flags
+    # override file values" rule used to skip them silently: mc ran, exit 0
+    _refuse_streams(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_MC_CONFIG, key: value}))
+    code, out, err = run_cli(capsys, "mc", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and f"unknown config key {key!r}" in err
 
 
 @pytest.mark.parametrize("payload", [{"theta": "abc"}, {"seed": 2.5}, {"theta": True},

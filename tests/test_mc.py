@@ -1,6 +1,7 @@
 """Replication engine and diagnostics: k-statistics, Kolmogorov distance,
 Wilson intervals, rate fits, grid runs, and reproducibility."""
 
+import collections
 import dataclasses
 import math
 import multiprocessing
@@ -12,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from yule_ou.errors import InsufficientDataError, ParameterError
+from yule_ou.errors import DegenerateStatisticError, InsufficientDataError, ParameterError
 from yule_ou import mc, sde
 from yule_ou.estimators import PathPair, functionals, rate_estimate, yule_rho
 from yule_ou.gaussian import upper_quantile
@@ -251,25 +252,171 @@ def test_one_path_cell_keeps_the_pair_bits(monkeypatch, jobs):
         pair_sample(**cell, paths=3)
 
 
+_SAMPLE_FIELDS = ("y11", "y22", "y12", "rho", "theta_hat")
+
+
+def _same_samples(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in _SAMPLE_FIELDS)
+
+
+@pytest.mark.parametrize("paths", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_tuple_of_r_gives_each_r_as_run_alone(monkeypatch, jobs, paths):
+    # one draw of the group serves every r: each r's sample is the one-r
+    # call's, bit for bit, over many small groups and blocks and at real
+    # sizes, in the tuple's order, repeated values included
+    rs = (0.3, -1.0, 0.0, 1.0, 0.3, -0.55)
+    cell = dict(theta=1.0, horizon_T=5.0, replications=23, base_seed=19, cell_index=4,
+                jobs=jobs, paths=paths)
+    for group_elems, block_elems in ((3 * (_STEPS_1_5 + 1), 2 * 3 * _STEPS_1_5),
+                                     (sde._GROUP_ELEMS, mc._BLOCK_ELEMS)):
+        monkeypatch.setattr(sde, "_GROUP_ELEMS", group_elems)
+        monkeypatch.setattr(mc, "_BLOCK_ELEMS", block_elems)
+        shared = pair_sample(r=rs, **cell)
+        assert [s.r for s in shared] == list(rs)
+        for r, got in zip(rs, shared):
+            alone = pair_sample(r=r, **cell)
+            assert _same_samples(got, alone) and (got.theta, got.r, got.dt) == (
+                alone.theta, alone.r, alone.dt), (group_elems, r)
+    assert pair_sample(r=(0.3,), **cell)[0].r == 0.3  # a one-element tuple gives a list
+    for bad in ((), (0.3, 1.5), (0.3, math.nan)):
+        with pytest.raises(ParameterError):
+            pair_sample(r=bad, **cell)
+
+
+def test_r_of_minus_one_zero_and_one_mixes_to_minus_x1_x0_and_x1():
+    # mix_paths is exact at the ends and the middle of [-1, 1], so the
+    # engine's functionals there follow from Y11 and x0's own Y00
+    theta, T, dt, seed, reps = 1.0, 5.0, default_dt(1.0, 5.0), 8, 6
+    n = grid_size(T, dt)
+    x1, x0 = sde.filtered_paths(theta, dt, *(row_normals(seed, 0, p, range(reps), n + 1)
+                                             for p in (0, 1)))
+    for r, want in ((-1.0, -x1), (0.0, x0), (1.0, x1)):
+        assert np.array_equal(sde.mix_paths(r, x1, x0, np.empty_like(x1)), want), r
+    minus, zero, plus = pair_sample(theta, (-1.0, 0.0, 1.0), T, replications=reps,
+                                    base_seed=seed)
+    y11, = functionals(x1, dt=dt)
+    y00, = functionals(x0, dt=dt)
+    assert np.array_equal(minus.y11, y11) and np.array_equal(zero.y22, y00)
+    assert np.array_equal(minus.y22, y11) and np.array_equal(minus.y12, -y11)
+    assert np.array_equal(plus.y22, y11) and np.array_equal(plus.y12, y11)
+
+
+def test_a_simulated_pair_is_replication_0_of_each_r_of_group_0():
+    # a pair simulated at r is entry 0 of that r's sample in a group of
+    # several r, as it is of a one-r cell 0
+    theta, T, dt, seed, rs = 1.0, 5.0, 0.05, 7, (0.0, -0.4, 0.8)
+    samples = pair_sample(theta, rs, T, dt, replications=3, base_seed=seed)
+    for r, sample in zip(rs, samples):
+        pair = sde.simulate_correlated_pair(sde.CorrelatedPairConfig(
+            theta=theta, r=r, horizon_T=T, dt=dt, seed=seed))
+        _assert_same_bits(sample, 0, yule_rho(pair))
+
+
+@pytest.mark.parametrize("statistic", mc.STATISTICS)
+def test_draws_and_filters_do_not_grow_with_the_r_axis(monkeypatch, statistic):
+    # a grid draws and filters each (theta, T) group once, however many r
+    # it has
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(sde, name, call)
+    counted("draw_group", sde.draw_group)
+    counted("ar1_paths", sde.ar1_paths)
+    grid = ExperimentGrid(thetas=(1.0, 2.0), rs=(0.0,), horizons=(5.0, 10.0),
+                          replications=40, base_seed=5, statistic=statistic)
+    run_grid(grid, progress=lambda m: None)
+    once = dict(counts)
+    counts.clear()
+    run_grid(dataclasses.replace(grid, rs=(0.0, 0.3, 0.5)), progress=lambda m: None)
+    assert dict(counts) == once and once["draw_group"] == 4 * mc._STATISTICS[statistic][0]
+
+
+@pytest.mark.parametrize("statistic", mc.STATISTICS)
+def test_a_multi_r_grid_reports_each_r_as_its_one_r_grid(statistic):
+    # the stream key is the (theta, T) group, so a cell's report does not
+    # depend on the other r of its grid, nor on the worker count
+    grid = ExperimentGrid(thetas=(1.0, 4.0), rs=(0.5, -1.0, 0.0), horizons=(5.0, 2.5),
+                          replications=60, base_seed=23, statistic=statistic)
+    quiet = lambda msg: None
+    serial = run_grid(grid, progress=quiet)
+    assert [(rep.theta, rep.r, rep.horizon_T) for rep in serial] == grid.cells()
+    assert [rep.csv_row() for rep in run_grid(grid, jobs=2, progress=quiet)] == [
+        rep.csv_row() for rep in serial]
+    for r in grid.rs:
+        alone = run_grid(dataclasses.replace(grid, rs=(r,)), progress=quiet)
+        assert [rep.csv_row() for rep in alone] == [
+            rep.csv_row() for rep in serial if rep.r == r], r
+
+
+def test_a_group_failure_skips_its_cells_and_an_r_failure_only_its_cell(monkeypatch):
+    # dt = 0.05 breaks the step cap at theta = 9, so all three of its cells
+    # are skipped; at theta = 1 the r = 0.3 mix overflows (its Y22 is inf)
+    # and the r = 0.5 summary is refused, and only r = 0 is reported
+    mix = sde.mix_paths
+
+    def overflowing(r, x1, x0, out, scratch=None):
+        mix(r, x1, x0, out, scratch)
+        if r == 0.3:
+            out *= 1e300
+        return out
+    real_summary = mc.summarize_cell
+
+    def refusing(sample, statistic, alpha):
+        if sample.r == 0.5:
+            raise ParameterError("refused here")
+        return real_summary(sample, statistic, alpha)
+    monkeypatch.setattr(sde, "mix_paths", overflowing)
+    monkeypatch.setattr(mc, "summarize_cell", refusing)
+    grid = ExperimentGrid(thetas=(1.0, 9.0), rs=(0.0, 0.3, 0.5), horizons=(5.0,),
+                          replications=20, base_seed=2, dt_policy=0.05,
+                          statistic="rho_centered")
+    messages = []
+    reports = run_grid(grid, progress=messages.append)
+    assert [(rep.theta, rep.r) for rep in reports] == [(1.0, 0.0)]
+    assert reports[0].csv_row() == run_grid(dataclasses.replace(
+        grid, rs=(0.0,), thetas=(1.0,)), progress=lambda m: None)[0].csv_row()
+    assert messages[:3] == [
+        "cell 1/6 theta=1.0 r=0.0 T=5.0: done",
+        "cell 2/6 theta=1.0 r=0.3 T=5.0: skipped (degenerate or non-finite functional)",
+        "cell 3/6 theta=1.0 r=0.5 T=5.0: skipped (refused here)"]
+    assert [m.split(":")[0] for m in messages[3:]] == [
+        f"cell {i}/6 theta=9.0 r={r} T=5.0" for i, r in ((4, 0.0), (5, 0.3), (6, 0.5))]
+    assert all("skipped (dt=0.05 exceeds step cap" in m for m in messages[3:])
+    shared = pair_sample(1.0, grid.rs, 5.0, dt=0.05, replications=20, base_seed=2)
+    assert isinstance(shared[1], DegenerateStatisticError)
+    assert [type(s) for s in (shared[0], shared[2])] == [mc.PairSample] * 2
+    with pytest.raises(DegenerateStatisticError, match="non-finite functional"):
+        pair_sample(1.0, 0.3, 5.0, dt=0.05, replications=20, base_seed=2)
+
+
 @pytest.mark.parametrize("paths", [1, 2])
 def test_a_block_holds_one_tile_array_per_path_plus_one_scratch(paths):
     # over four row groups of 32 rows (the last ragged) a block's traced
-    # peak stays below (paths + 1) arrays of (32, n+1) float64, its (3, m)
+    # peak stays below one array of (32, n+1) float64 per path (x1; x1 and
+    # x0 of a pair, and the mixed x2 when there is more than one r,
+    # whatever their number) and one scratch, its (1 + 2*len(rs), m)
     # output and a slack for the iteration buffers numpy's ufuncs take on
     # strided views
     n_steps, m = 2000, 120  # theta=1, T=100 at dt 0.05
     tile = sde.group_rows(n_steps + 1)
-    block = (1.0, 0.5, 100.0, 0.05, 7, 0, 0, m, 0, paths)
-    mc._simulate_block(*block)  # warm-up
-    tracemalloc.start()
-    try:
-        out = mc._simulate_block(*block)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (3 if paths == 2 else 1, m)
-    tile_bytes, slack = 8 * tile * (n_steps + 1), 2 ** 19
-    assert peak < (paths + 1) * tile_bytes + 8 * 3 * m + slack, peak / tile_bytes
+    for rs in ((0.5,), (0.0, 0.5, 1.0)):
+        block = (1.0, rs, 100.0, 0.05, 7, 0, 0, m, 0, paths)
+        mc._simulate_block(*block)  # warm-up
+        tracemalloc.start()
+        try:
+            out = mc._simulate_block(*block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 1 + 2 * len(rs) if paths == 2 else 1
+        assert out.shape == (rows, m)
+        tile_bytes, slack = 8 * tile * (n_steps + 1), 2 ** 19
+        tiles = paths + (paths == 2 and len(rs) > 1) + 1
+        assert peak < tiles * tile_bytes + 8 * rows * m + slack, (rs, peak / tile_bytes)
 
 
 @pytest.mark.parametrize("paths", [1, 2])
@@ -278,7 +425,7 @@ def test_each_draw_names_the_shape_it_fills(monkeypatch, paths):
     # every draw passes size == out.shape, over whole C-contiguous rows.  A
     # block of 93 rows from group 1 is one draw per group and path, and
     # its generators write exactly 93 rows of n+1 normals each: none is
-    # drawn and dropped
+    # drawn and dropped, and a second r draws nothing more
     n_steps, start, stop = 2000, 32, 125  # groups of 32 rows of 2001
     draws, written, keyed = [], [], sde.stream
 
@@ -294,7 +441,7 @@ def test_each_draw_names_the_shape_it_fills(monkeypatch, paths):
             written.append(out.size)
             return self._gen.standard_normal(size, out=out)
     monkeypatch.setattr(sde, "stream", lambda *key: Recording(keyed(*key)))
-    mc._simulate_block(1.0, 0.5, 100.0, 0.05, 7, 0, start, stop, 0, paths)
+    mc._simulate_block(1.0, (0.0, 0.5), 100.0, 0.05, 7, 0, start, stop, 0, paths)
     assert draws == [((k, n_steps + 1), (k, n_steps + 1), True)
                      for k in (32, 32, 29) for _ in range(paths)]
     assert sum(written) == paths * (stop - start) * (n_steps + 1)

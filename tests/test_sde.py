@@ -297,22 +297,22 @@ def test_correlated_paths_act_on_whole_rows_and_ignore_a_finite_node_0(pair):
 
 
 def test_correlated_paths_mixes_in_place_with_the_formula_bits():
-    # z1 and z0 become the paths filtered from the innovations sd*z1 and
-    # r*(sd*z1) + sqrt(1-r^2)*(sd*z0) bit for bit, with or without a scratch,
-    # and node 0 (here NaN) is never read
+    # z1 and z0 become the paths x1 and x0 filtered from the innovations
+    # sd*z1 and sd*z0, and z0 then becomes x2 = sqrt(1-r^2)*x0 + r*x1 bit
+    # for bit, with or without a scratch; node 0 (here NaN) is set to zero
     theta, r, dt = 1.3, -0.7, 0.02
     gen = stream(5, 0)
     z1, z0 = gen.standard_normal((3, 400)), gen.standard_normal((3, 400))
     sd = math.sqrt(innovation_variance(theta, dt))
-    xi1 = sd * z1
-    xi2 = r * xi1 + math.sqrt(1.0 - r * r) * (sd * z0)
     factor = transition_factor(theta, dt)
+    want1, want0 = (ar1_paths(factor, _nodes(sd * z)) for z in (z1, z0))
+    want2 = math.sqrt(1.0 - r * r) * want0 + r * want1
     for scratch in (None, np.full((3, 401), math.nan)):
         b1, b0 = _nodes(z1, math.nan), _nodes(z0, math.nan)
         x1, x2 = correlated_paths(theta, r, dt, b1, b0, scratch=scratch)
         assert x1 is b1 and x2 is b0
-        assert np.array_equal(x1, ar1_paths(factor, _nodes(xi1)))
-        assert np.array_equal(x2, ar1_paths(factor, _nodes(xi2)))
+        assert np.array_equal(x1, want1)
+        assert np.array_equal(x2, want2)
 
 
 def test_mean_functional_variance_against_quadrature():
@@ -634,6 +634,15 @@ def test_sample_path_validation():
 def test_a_negative_step_or_time_is_refused(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("theta", [1e-320, 1.0, 9e307, 1e308, 1.7e308])
+def test_ou_covariance_is_zero_at_a_zero_time(theta):
+    # the zero start has no variance; -2*theta*0 was -inf*0, a NaN, above
+    # theta = 9e307
+    for s, t in ((0.0, 0.0), (0.0, 1.0), (2.5, 0.0)):
+        got = ou_covariance(theta, s, t)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0, (s, t)
 
 
 @pytest.mark.parametrize("theta", [9e307, 1e308, 1.7e308])
