@@ -1,6 +1,7 @@
 """Exception types shared across the package and the domain checks raising them."""
 
 import math
+import numbers
 import operator
 
 
@@ -27,7 +28,7 @@ class DegenerateStatisticError(YuleOuError, ValueError):
 def check_positive(**named):
     """Reject each value that is not a finite positive number (NaN included)."""
     for name, value in named.items():
-        if not 0.0 < value < math.inf:
+        if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
             raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
@@ -43,7 +44,9 @@ def check_count(name, value, low, high=math.inf):
 
 
 def check_correlation(r):
-    """Reject |r| > 1, NaN included."""
+    """Reject an r that is not a number, and |r| > 1, NaN included."""
+    if not isinstance(r, numbers.Real):
+        raise ParameterError(f"r must be a number, got {r!r}")
     if not abs(r) <= 1.0:
         raise ParameterError(f"|r| must be <= 1, got {r}")
 

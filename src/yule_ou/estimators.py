@@ -82,17 +82,20 @@ def cross_functionals(x1, dt, scratch=None):
 
     x1's linear term is computed once, for every x2 it is given.  Rows are
     reduced one by one, so a row's bits do not depend on the block it sits
-    in; a single pair is a batch of one.  A C-contiguous `scratch` of the
-    paths' shape holds the linear terms' products, which are otherwise
-    allocated; the sums have the same bits either way.
+    in, nor on the row length of the array the paths are a prefix view of;
+    a single pair is a batch of one.  A `scratch` array of the paths' shape
+    holds the linear terms' products, which are otherwise allocated; the
+    sums have the same bits either way.  It may be an x2 itself, which its
+    products then overwrite once its quadratic terms are summed.
     """
     w = trapezoid_weights(x1.shape[-1], dt)
     T = (x1.shape[-1] - 1) * dt
     y11, s1 = _variance_and_linear(x1, w, T, scratch)
 
     def against(x2):
-        y22, s2 = _variance_and_linear(x2, w, T, scratch)
-        return y22, _quadratic(x1, x2, w) - s1 * s2 / T
+        q22, q12 = _quadratic(x2, x2, w), _quadratic(x1, x2, w)
+        s2 = _linear(x2, w, scratch)
+        return q22 - s2 * s2 / T, q12 - s1 * s2 / T
     return y11, against
 
 

@@ -1,22 +1,24 @@
 """Replication engine and empirical-distribution diagnostics.
 
-The engine simulates many independent pairs per (theta, T) group and
+The engine simulates many independent pairs per (theta, dt) group and
 reduces each replication to its path functionals on the fly, for every
-correlation r of the group at once.  Replication j of group c draws its
-two noise processes p = 0, 1 from keys (base_seed, c, p): the
-replications are cut into fixed groups of consecutive rows, row group g
-is the SFC64 stream sde.stream(base_seed, c, p, g), and its rows draw
-from it in order (see sde.draw_group).  x1 and the auxiliary path x0 are
-filtered once, and each r's x2 = r*x1 + sqrt(1-r^2)*x0 is mixed from
-them (sde.mix_paths), so the cells of one group that differ only in r
-share their draws (common random numbers).  Blocks are fixed runs of
-whole row groups (the last one ragged), never functions of the worker
-count.  With jobs > 1 a group's blocks run on a pool of worker threads
-in the calling process; no block shares state with another, and each
-result is put back in block order.  So results are bit-identical for a
-given grid whatever `jobs` is and in whichever order blocks complete.  A
-statistic that reads only Y11 draws process 0 alone, and its numbers are
-those of the full pair.
+correlation r and horizon T of the group at once.  Replication j of
+group c draws its two noise processes p = 0, 1 from keys (base_seed, c,
+p): the replications are cut into fixed groups of consecutive rows, row
+group g is the SFC64 stream sde.stream(base_seed, c, p, g), and its rows
+draw from it in order (see sde.draw_group).  The rows are as long as the
+group's longest T; x1 and the auxiliary path x0 are filtered once, each
+T reduces the prefix of its n_T + 1 nodes (the filter gives a prefix the
+bits of the shorter path), and each r's x2 = r*x1 + sqrt(1-r^2)*x0 is
+mixed from them (sde.mix_paths).  So the cells of one group, which
+differ only in r and T, share their draws (common random numbers).
+Blocks are fixed runs of whole row groups (the last one ragged), never
+functions of the worker count.  With jobs > 1 a group's blocks run on a
+pool of worker threads in the calling process; no block shares state
+with another, and each result is put back in block order.  So results
+are bit-identical for a given grid whatever `jobs` is and in whichever
+order blocks complete.  A statistic that reads only Y11 draws process 0
+alone, and its numbers are those of the full pair.
 """
 
 import collections
@@ -145,52 +147,50 @@ class PairSample(YuleStatistics):
     dt: float
 
 
-def _simulate_block(theta, rs, horizon_T, dt, base_seed, cell_index, start, stop,
+def _simulate_block(theta, rs, steps, dt, base_seed, cell_index, start, stop,
                     process_offset=0, paths=2):
-    """Functionals of replications [start, stop) of one (theta, T) group: a
-    (1 + 2*len(rs), m) array of Y11, then Y22 and Y12 of each r in turn;
-    with paths=1, Y11 alone as a (1, m) array.
+    """Functionals of replications [start, stop) of one (theta, dt) group
+    at each step count k of `steps` (ascending): a (len(steps), 1 +
+    2*len(rs), m) array of Y11, then Y22 and Y12 of each r in turn, on the
+    grid of k steps; with paths=1, Y11 alone, a (len(steps), 1, m) array.
 
-    `start` starts a row group (_cell_blocks).  The block is computed one
-    row group at a time: the group's rows are drawn whole from its stream,
-    one draw per process (sde.draw_group), into one C-contiguous (G, n+1)
-    array per process; sde.filtered_paths turns them into x1 and x0 in
-    place, node 0 set to zero; Y11 and x1's linear term are reduced once
-    (estimators.cross_functionals); and for each r sde.mix_paths forms x2,
-    which is reduced against x1.  x2 is mixed in one more (G, n+1) array,
-    except for the last r, which mixes into x0's array in place, so a
-    one-r group holds no such array.  A last (G, n+1) scratch holds the
-    mix's product and the reductions' products, so a block allocates no
-    group-sized array after its first group.  A one-path block keys
-    process 0 only and runs the same calls on x1 alone, so x1 and Y11 keep
-    the pair's bits.  Rows never interact, so neither blocks nor groups
-    change any bit, and each r's rows are those of a group run with that r
-    alone.
+    `start` starts a row group (_cell_blocks) of rows of n+1 normals, n =
+    steps[-1].  The block is computed one row group at a time: the group's
+    rows are drawn whole from its stream, one draw per process
+    (sde.draw_group), into one C-contiguous (G, n+1) array per process,
+    and sde.filtered_paths turns them into x1 and x0 in place, node 0 set
+    to zero.  Each k then reduces the prefix view of the first k+1 nodes,
+    which holds the paths of k steps bit for bit (sde.ar1_paths): Y11 and
+    x1's linear term once (estimators.cross_functionals), then for each r
+    sde.mix_paths forms x2 in a last (G, n+1) array, which is reduced
+    against x1.  That array also holds the products of x1's linear term
+    before the first mix, and those of x2's once its quadratic terms are
+    summed, so a block holds paths + 1 such arrays whatever its r and step
+    counts, and allocates none after its first group.  A one-path block
+    keys process 0 only and runs the same calls on x1 alone, so x1 and Y11
+    keep the pair's bits.  Rows never interact, so neither blocks nor
+    groups change any bit, and each r's rows are those of a group run with
+    that r alone.
     """
-    n_steps = sde.grid_size(horizon_T, dt)
+    n_steps = steps[-1]
     m = stop - start
     group = min(m, sde.group_rows(n_steps + 1))
-    # x1, then for a pair x0 and, for more than one r, x2; then the scratch
-    mixed = paths == 2 and len(rs) > 1
-    buffers = np.empty((paths + mixed + 1, group, n_steps + 1))
-    out = np.empty((1 + 2 * len(rs) if paths == 2 else 1, m))
+    buffers = np.empty((paths + 1, group, n_steps + 1))  # x1, x0 of a pair, then x2
+    out = np.empty((len(steps), 1 + 2 * len(rs) if paths == 2 else 1, m))
     with np.errstate(over="ignore", invalid="ignore"):  # pair_sample refuses the overflow
         for a in range(0, m, group):
             b = min(a + group, m)
             tiles = buffers[:, :b - a]
-            x1, scratch = tiles[0], tiles[-1]
             for p, path in enumerate(tiles[:paths], process_offset):
                 sde.draw_group(start + a, path, base_seed, cell_index, p)
             sde.filtered_paths(theta, dt, *tiles[:paths])
-            y11, against = cross_functionals(x1, dt, scratch)
-            out[0, a:b] = y11
-            if paths == 2:
-                x0 = tiles[1]
-                for k, r in enumerate(rs):
-                    # the last r mixes into x0 itself, which no later r reads
-                    x2 = x0 if k == len(rs) - 1 else tiles[2]
-                    sde.mix_paths(r, x1, x0, x2, scratch)
-                    out[1 + 2 * k:3 + 2 * k, a:b] = against(x2)
+            for i, k in enumerate(steps):
+                x1, *x0, x2 = tiles[..., :k + 1]
+                y11, against = cross_functionals(x1, dt, x2)
+                out[i, 0, a:b] = y11
+                for j, r in enumerate(rs if x0 else ()):
+                    sde.mix_paths(r, x1, x0[0], x2)
+                    out[i, 1 + 2 * j:3 + 2 * j, a:b] = against(x2)
     return out
 
 
@@ -231,46 +231,89 @@ def _run_blocks(tasks, jobs):
 
 def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
                 cell_index=0, jobs=1, process_offset=0, paths=2):
-    """Simulate a cell and return its PairSample of per-replication arrays;
-    given a tuple of correlations r, simulate the (theta, T) group once and
-    return a list of one PairSample per r, in order.
+    """Simulate a cell and return its PairSample of per-replication arrays.
 
-    Every r of a tuple shares the group's draws, x1 and x0 (common random
-    numbers), and each r's sample equals that of pair_sample with that r
-    alone, bit for bit; a scalar r is the one-element tuple.  An error that
-    concerns the whole group (an invalid parameter, a dt over the step
-    cap, a Y11 or rate that overflows) is raised.  An r whose own Y22 or
-    Y12 is degenerate gets its DegenerateStatisticError in its place in
-    the list, so the other r keep their samples; a scalar r raises it.
+    Given a tuple of correlations r, simulate the group once and return a
+    list of one PairSample per r, in order.  Given a tuple of horizons T
+    that share one dt, return a list with one entry per T, in order, each
+    what the call with that T alone returns (a PairSample, or a list over
+    r), computed from the first n_T + 1 nodes of the rows of the longest
+    T; rows of another width draw other numbers, so only the longest T's
+    entry equals the call with that T alone.  Every r and T of a call
+    shares the group's draws, x1 and x0 (common random numbers), and each
+    r's sample equals that of the call with that r alone, bit for bit; a
+    scalar r or T is the one-element tuple.  A repeated r or T repeats its
+    numbers.
+
+    An error that concerns the whole group (an invalid parameter, a dt
+    over the step cap) is raised.  So is an error of the one T of a scalar
+    horizon (a grid that dt does not divide or that has one step, a Y11 or
+    rate that overflows); in a tuple, that T gets its error in its place
+    instead.  An r whose own Y22 or Y12 is degenerate gets its
+    DegenerateStatisticError in its place in its list, so the other r keep
+    their samples; a scalar r raises it, or puts it in the place of its T.
 
     dt=None resolves to the largest exact divisor of T with theta*dt <=
-    sde.STEP_CAP.  The result is invariant to `jobs`: with jobs > 1 the
-    group's fixed blocks run on a pool of at most one worker thread per
-    block, in this process, and jobs == 1 runs them inline.  paths=1 draws
-    only process 0 (x1) and returns one-path samples, whose y11 and
-    theta_hat equal the pair's bit for bit and whose rho, y22 and y12 are
-    None.
+    sde.STEP_CAP, which must be the same for every T.  The result is
+    invariant to `jobs`: with jobs > 1 the group's fixed blocks run on a
+    pool of at most one worker thread per block, in this process, and
+    jobs == 1 runs them inline.  paths=1 draws only process 0 (x1) and
+    returns one-path samples, whose y11 and theta_hat equal the pair's bit
+    for bit and whose rho, y22 and y12 are None.
     """
     rs = r if isinstance(r, tuple) else (r,)
-    if not rs:
-        raise ParameterError("need at least one correlation r")
+    Ts = horizon_T if isinstance(horizon_T, tuple) else (horizon_T,)
+    if not rs or not Ts:
+        raise ParameterError("need at least one correlation r and one horizon T")
     check_count("replications", replications, 1, _MAX_REPLICATIONS)
     check_count("jobs", jobs, 1)
     if paths not in (1, 2):
         raise ParameterError(f"paths must be 1 or 2, got {paths}")
+    check_positive(theta=theta)
+    for each in rs:
+        check_correlation(each)
+    for T in Ts:
+        check_positive(horizon_T=T)
+    check_count("seed", base_seed, 0, sde.MAX_SEED)
     if dt is None:
-        dt = sde.default_dt(theta, horizon_T)
-    for each in rs:  # validates every cell parameter, including the step cap
-        config = sde.CorrelatedPairConfig(theta=theta, r=each, horizon_T=horizon_T, dt=dt,
-                                          seed=base_seed)
-    n_steps = config.n_steps
-    blocks = _cell_blocks(replications, n_steps)
-    tasks = [(theta, rs, horizon_T, dt, base_seed, cell_index, a, b, process_offset, paths)
-             for a, b in blocks]
-    y11, *cross = np.concatenate(_run_blocks(tasks, jobs), axis=1)
-    check_functionals(y11)  # the rule yule_rho applies to one pair
-    T = n_steps * dt
-    theta_hat = rate_estimate(y11, T)
+        dts = {sde.default_dt(theta, T) for T in Ts}
+        if len(dts) > 1:
+            raise ParameterError(f"the horizons {Ts} have no common default dt; pass one")
+        dt, = dts
+    check_positive(dt=dt)
+    sde.check_step(theta, dt)
+    steps = []
+    for T in Ts:
+        try:
+            steps.append(sde.pair_steps(T, dt))
+        except ParameterError as exc:  # this T's own; a scalar T raises it below
+            steps.append(exc)
+    widths = sorted({n for n in steps if not isinstance(n, Exception)})
+    if widths:
+        tasks = [(theta, rs, tuple(widths), dt, base_seed, cell_index, a, b, process_offset,
+                  paths) for a, b in _cell_blocks(replications, widths[-1])]
+        reduced = dict(zip(widths, np.concatenate(_run_blocks(tasks, jobs), axis=-1)))
+    samples = [n if isinstance(n, Exception) else _samples(theta, rs, n * dt, dt, reduced[n])
+               for n in steps]
+    if not isinstance(r, tuple):
+        samples = [s if isinstance(s, Exception) else s[0] for s in samples]
+    if isinstance(horizon_T, tuple):
+        return samples
+    if isinstance(samples[0], Exception):
+        raise samples[0]
+    return samples[0]
+
+
+def _samples(theta, rs, horizon_T, dt, functionals):
+    """One PairSample per r, or its DegenerateStatisticError, from a (1 +
+    2*len(rs), m) array of functionals (a (1, m) Y11 for a one-path cell);
+    a degenerate Y11 or rate gives its error in place of the list."""
+    y11, *cross = functionals
+    try:
+        check_functionals(y11)  # the rule yule_rho applies to one pair
+        theta_hat = rate_estimate(y11, horizon_T)
+    except DegenerateStatisticError as exc:
+        return exc
     samples = []
     for k, each in enumerate(rs):
         y22 = y12 = rho = None
@@ -283,12 +326,8 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
                 continue
             rho = correlation(y11, y22, y12)
         samples.append(PairSample(y11=y11, y22=y22, y12=y12, rho=rho, theta_hat=theta_hat,
-                                  horizon_T=T, theta=theta, r=each, dt=dt))
-    if isinstance(r, tuple):
-        return samples
-    if isinstance(samples[0], DegenerateStatisticError):
-        raise samples[0]
-    return samples[0]
+                                  horizon_T=horizon_T, theta=theta, r=each, dt=dt))
+    return samples
 
 
 def rejections(sample, variant, alpha):
@@ -415,45 +454,60 @@ _CELL_ERRORS = (YuleOuError, ArithmeticError, MemoryError)
 def run_grid(grid, jobs=1, progress=None):
     """Run every cell of the grid and aggregate; deterministic in base_seed.
 
-    Each (theta, T) group is simulated once for all of its r, by one
-    pair_sample call keyed by the group's index in product(thetas,
-    horizons): its cells share their draws, so estimates across r are
-    dependent (common random numbers), while each keeps its own law.  For
-    a one-r grid the group index is the cell index.  Each group simulates
-    only the paths its statistic reads (_STATISTICS): theta_hat_centered
-    and ybar_centered draw process 0 alone, and their reports equal those
-    of the full pair.  A cell failing as a command exits 2 is reported on
-    stderr as its group finishes and skipped; a group's failure (a fixed
-    dt over the step cap for a large theta, an overflow of Y11) skips each
-    of its cells, an overflow or a summary refusal of one r only that
-    cell.  Reports come in cell order.  A grid whose every cell is skipped
-    raises ParameterError.
+    The cells are cut into (theta, dt) groups, in grid order, dt being the
+    grid's fixed dt or each T's default one.  Each group is simulated once
+    for all of its r and T, by one pair_sample call keyed by the group's
+    index: a shorter T reduces a prefix of the longest T's rows.  Its cells
+    share their draws, so estimates across r and across T are dependent
+    (common random numbers), while each keeps its own law; a repeated theta
+    or T repeats its numbers.  Group 0 holds cell 0, and when no two T
+    share a (theta, dt) the group index is the (theta, T) index.  Each group
+    simulates only the paths its statistic reads (_STATISTICS):
+    theta_hat_centered and ybar_centered draw process 0 alone, and their
+    reports equal those of the full pair.  A cell failing as a command
+    exits 2 is reported on stderr as its group finishes and skipped: a
+    group's failure (a fixed dt over the step cap for a large theta) skips
+    each of its cells; a T's failure (a T that a fixed dt does not divide
+    or leaves one step, an overflow of Y11) the cells of that T; an
+    overflow or a summary refusal of one r only that cell.  Reports come in
+    cell order.  A grid whose every cell is skipped raises ParameterError.
     """
     check_count("jobs", jobs, 1)  # grid-wide: a bad count must not skip every cell
     progress = (lambda msg: print(msg, file=sys.stderr)) if progress is None else progress
     n_rs, n_Ts = len(grid.rs), len(grid.horizons)
     n_cells = len(grid.thetas) * n_rs * n_Ts
     reports = [None] * n_cells
-    groups = itertools.product(enumerate(grid.thetas), enumerate(grid.horizons))
-    for group, ((i, theta), (k, T)) in enumerate(groups):
+    groups = {}  # (theta, dt): the (theta, T) indices of its cells, in grid order
+    for (i, theta), (k, T) in itertools.product(enumerate(grid.thetas),
+                                                enumerate(grid.horizons)):
         try:
-            samples = pair_sample(theta, grid.rs, T, dt=grid.dt_policy,
-                                  replications=grid.replications,
+            dt = sde.default_dt(theta, T) if grid.dt_policy is None else grid.dt_policy
+        except ArithmeticError:  # theta*T overflows; pair_sample raises it again
+            dt = None
+        groups.setdefault((theta, dt), []).append((i, k))
+    for group, ((theta, dt), members) in enumerate(groups.items()):
+        Ts = tuple(grid.horizons[k] for _, k in members)
+        try:
+            samples = pair_sample(theta, grid.rs, Ts, dt=dt, replications=grid.replications,
                                   base_seed=grid.base_seed, cell_index=group, jobs=jobs,
                                   paths=_STATISTICS[grid.statistic][0])
         except _CELL_ERRORS as exc:
-            samples = [exc] * n_rs
-        for j, (r, sample) in enumerate(zip(grid.rs, samples)):
-            index = (i * n_rs + j) * n_Ts + k
-            try:
-                if isinstance(sample, Exception):
-                    raise sample
-                reports[index] = summarize_cell(sample, grid.statistic, grid.alpha)
-            except _CELL_ERRORS as exc:
-                progress(f"cell {index + 1}/{n_cells} theta={theta} r={r} T={T}: "
-                         f"skipped ({exc or type(exc).__name__})")
-                continue
-            progress(f"cell {index + 1}/{n_cells} theta={theta} r={r} T={T}: done")
+            samples = [exc] * len(Ts)
+        for (i, k), per_r in zip(members, samples):
+            if isinstance(per_r, Exception):
+                per_r = [per_r] * n_rs
+            for j, (r, sample) in enumerate(zip(grid.rs, per_r)):
+                index = (i * n_rs + j) * n_Ts + k
+                T = grid.horizons[k]
+                try:
+                    if isinstance(sample, Exception):
+                        raise sample
+                    reports[index] = summarize_cell(sample, grid.statistic, grid.alpha)
+                except _CELL_ERRORS as exc:
+                    progress(f"cell {index + 1}/{n_cells} theta={theta} r={r} T={T}: "
+                             f"skipped ({exc or type(exc).__name__})")
+                    continue
+                progress(f"cell {index + 1}/{n_cells} theta={theta} r={r} T={T}: done")
     reports = [rep for rep in reports if rep is not None]
     if not reports:
         raise ParameterError("every cell of the grid was skipped")

@@ -18,7 +18,9 @@ replication 0 of cell 0.  Every path is reproducible from integers alone.
 A pair is two filtered paths mixed by one rule (mix_paths): x1 and the
 auxiliary x0 are filtered from their own noise, and x2 = r*x1 +
 sqrt(1-r^2)*x0, exact because the AR(1) filter is linear.  So every r
-at one (theta, T, dt) can share x1 and x0.
+at one (theta, dt) can share x1 and x0.  The filter gives a row's first
+k+1 nodes the bits of the row of k steps (ar1_paths), so every T at one
+(theta, dt) can share them too: a shorter T reduces a prefix of the rows.
 """
 
 import io
@@ -40,11 +42,10 @@ STEP_CAP = 0.1
 
 #: Largest grid, in steps, that is simulated.  One path of this many steps
 #: is 128 MiB of float64.  A simulated pair holds three such arrays at once
-#: (x1 and x0, each filtered in place over its own draws, x2 then mixed
-#: into x0's array, and one scratch for the mix and the reductions), and an
-#: engine block of a pair with more than one r four (one more for the x2
-#: that every r but the last reuses), so a larger grid is refused before
-#: anything is allocated.
+#: (x1 and x0, each filtered in place over its own draws, and x2, mixed in
+#: an array of its own and copied into x0's), and so does an engine block
+#: of a pair whatever its r and T (x2's array also holds the reductions'
+#: products), so a larger grid is refused before anything is allocated.
 MAX_STEPS = 2 ** 24
 
 _GRID_RTOL = 1e-9
@@ -207,14 +208,8 @@ class CorrelatedPairConfig:
         check_positive(theta=self.theta)
         check_correlation(self.r)
         check_count("seed", self.seed, 0, MAX_SEED)
-        if self.dt > STEP_CAP / self.theta * (1.0 + 1e-12):
-            raise ParameterError(
-                f"dt={self.dt} exceeds step cap {STEP_CAP}/theta={STEP_CAP / self.theta:g}"
-            )
-        if grid_size(self.horizon_T, self.dt) < 2:  # validates divisibility
-            # on a two-node grid rho is exactly +1 or -1 in every replication
-            raise ParameterError(f"dt={self.dt} leaves one step on [0, {self.horizon_T}]; "
-                                 "need at least two")
+        check_step(self.theta, self.dt)
+        pair_steps(self.horizon_T, self.dt)
 
     @property
     def n_steps(self):
@@ -239,6 +234,21 @@ def grid_size(horizon_T, dt):
     return n
 
 
+def check_step(theta, dt):
+    """Refuse a dt over the step cap STEP_CAP/theta."""
+    if dt > STEP_CAP / theta * (1.0 + 1e-12):
+        raise ParameterError(f"dt={dt} exceeds step cap {STEP_CAP}/theta={STEP_CAP / theta:g}")
+
+
+def pair_steps(horizon_T, dt):
+    """Steps n = grid_size(horizon_T, dt) of a pair's grid, refusing a grid
+    of one step: on two nodes rho is exactly +1 or -1 in every replication."""
+    n = grid_size(horizon_T, dt)
+    if n < 2:
+        raise ParameterError(f"dt={dt} leaves one step on [0, {horizon_T}]; need at least two")
+    return n
+
+
 def default_dt(theta, horizon_T):
     """Largest dt that divides horizon_T exactly and satisfies theta*dt <= STEP_CAP."""
     check_positive(theta=theta, horizon_T=horizon_T)
@@ -253,32 +263,36 @@ def ar1_paths(factor, x):
     x is a float64 array with the grid nodes on the last axis, its nodes
     1..n holding the innovations xi_1..xi_n; node 0 is set to the zero
     initial condition whatever it held.  Nodes are filtered in chunks of
-    m steps: a chunk starting from the carry c = X_a is
+    m steps, m fixed by the factor alone: a chunk starting from the carry
+    c = X_a is
 
         X_{a+k} = factor**-(m-k) * (factor**m * c + sum_{i<=k} factor**(m-i) xi_{a+i}),
 
-    one product, a running sum along the row and one more product.  The
+    one product, a running sum along the row and one more product.  A last,
+    partial chunk of k < m steps takes the first k weights of a full one.
+    So node j's bits depend only on nodes 1..j and the factor, never on the
+    row length: a row's first k+1 nodes are those of the row of k steps.  The
     chunk is short enough that its weights factor**j stay within
-    exp(-_CHUNK_DECAY), and each weight is a correctly rounded power, so
-    the error is that of the sequential recursion.  Every step acts on
-    elements or accumulates along one row, so a row's bits do not depend
-    on the rows beside it.
+    exp(-_CHUNK_DECAY), so the error is that of the sequential recursion.
+    Every step acts on elements or accumulates along one row, so a row's
+    bits do not depend on the rows beside it.
     """
     if not 0.0 <= factor <= 1.0:
         raise ParameterError(f"the AR(1) factor must lie in [0, 1], got {factor}")
     n = x.shape[-1] - 1
     x[..., 0] = 0.0
     rate = -math.log(factor) if factor > 0.0 else math.inf
-    m = max(1, min(n, _CHUNK_STEPS, int(_CHUNK_DECAY / rate) if rate else n))
-    rise = factor ** np.arange(m - 1, -1, -1.0)
+    m = max(1, min(_CHUNK_STEPS, int(_CHUNK_DECAY / rate) if rate else _CHUNK_STEPS))
+    rise = factor ** np.arange(m - 1, m - 1 - min(m, n), -1.0)
     fall = 1.0 / rise
+    carry = factor ** m
     for a in range(0, n, m):
         k = min(m, n - a)
         seg = x[..., a + 1:a + k + 1]
-        seg *= rise[m - k:]
-        seg[..., 0] += factor ** k * x[..., a]
+        seg *= rise[:k]
+        seg[..., 0] += carry * x[..., a]
         np.cumsum(seg, axis=-1, out=seg)
-        seg *= fall[m - k:]
+        seg *= fall[:k]
     return x
 
 
@@ -309,18 +323,23 @@ def filtered_paths(theta, dt, *z):
     return z
 
 
-def mix_paths(r, x1, x0, out, scratch=None):
-    """Write x2 = r*x1 + sqrt(1-r^2)*x0 to `out` and return it.
+def mix_paths(r, x1, x0, out):
+    """Write x2 = r*x1 + sqrt(1-r^2)*x0 to `out`, an array of x1's shape
+    that is neither x1 nor x0, and return it.
 
     This is the one mixing rule of a pair: the second path's driving noise
     is r*W1 + sqrt(1-r^2)*W0, and the filter is linear, so the mix of the
-    filtered paths is the path filtered from the mixed noise.  `out` may be
-    x0 itself; the product r*x1 is formed in `scratch`, an array of x1's
-    shape (one is allocated if None).  At r = 1, 0 and -1, x2 equals x1,
-    x0 and -x1 exactly.
+    filtered paths is the path filtered from the mixed noise.  It is formed
+    as c*((r/c)*x1 + x0), c = sqrt(1-r^2), three passes over `out` that
+    need no other array; at |r| = 1, where c is 0, as r*x1.  At r = 1, 0
+    and -1, x2 equals x1, x0 and -x1 exactly.
     """
-    np.multiply(x0, math.sqrt(1.0 - r * r), out=out)
-    out += np.multiply(r, x1, out=scratch)
+    c = math.sqrt(1.0 - r * r)
+    if c == 0.0:
+        return np.multiply(x1, r, out=out)
+    np.multiply(x1, r / c, out=out)
+    out += x0
+    out *= c
     return out
 
 
@@ -329,16 +348,17 @@ def correlated_paths(theta, r, dt, z1, z0=None, scratch=None):
     in nodes 1..n, into exact paths in place and return (z1,) or (z1, z0).
 
     Both are filtered (filtered_paths), then z0, the auxiliary path x0,
-    becomes x2 = r*x1 + sqrt(1-r^2)*x0 in place (mix_paths, with
-    `scratch`).  Each leading index is one independent path or pair; a
-    single pair is a batch of one, and every row gets the same bits as it
-    would alone.  Without z0 the first path is that of the pair, bit for
-    bit.
+    becomes x2 = r*x1 + sqrt(1-r^2)*x0: mix_paths writes it to `scratch`,
+    an array of z1's shape (one is allocated if None), and it is copied
+    into z0.  Each leading index is one independent path or pair; a single
+    pair is a batch of one, and every row gets the same bits as it would
+    alone.  Without z0 the first path is that of the pair, bit for bit.
     """
     if z0 is None:
         return filtered_paths(theta, dt, z1)
     filtered_paths(theta, dt, z1, z0)
-    return z1, mix_paths(r, z1, z0, z0, scratch)
+    np.copyto(z0, mix_paths(r, z1, z0, np.empty_like(z1) if scratch is None else scratch))
+    return z1, z0
 
 
 def simulate_correlated_pair(config):
@@ -358,12 +378,17 @@ def simulate_correlated_pair(config):
 # CSV export
 # ---------------------------------------------------------------------------
 
+#: rows of a pair CSV formatted per write, which bounds the text held at once
+_CSV_ROWS = 2 ** 16
+
+
 def write_pair_csv(pair, fileobj):
     """Write a pair as `t,x1,x2` rows at full double precision."""
     fileobj.write("t,x1,x2\n")
-    times = pair.x1.times()
-    for t, a, b in zip(times, pair.x1.values, pair.x2.values):
-        fileobj.write(f"{t:.17g},{a:.17g},{b:.17g}\n")
+    columns = (pair.x1.times(), pair.x1.values, pair.x2.values)
+    for a in range(0, columns[0].size, _CSV_ROWS):
+        rows = zip(*(col[a:a + _CSV_ROWS].tolist() for col in columns))
+        fileobj.write("".join(map("%.17g,%.17g,%.17g\n".__mod__, rows)))
 
 
 # a newline and the blank or comment line after it (the literal start keeps a

@@ -333,17 +333,17 @@ def test_a_failed_block_stops_its_pool(tmp_path, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert _one_error_line(err) and "block 2 of 4" in err
     assert sorted(started) == [(0, 0), (0, 10)]  # blocks 3 and 4 never ran
-    # mc skips both cells of the failed (theta, T) group and runs the next
-    # group (group 1, T = 10: 8 blocks of 5 rows) for both r
+    # mc skips both cells of the failed (theta, dt) group and runs the next
+    # group (group 1, theta = 2 at dt 0.05: 8 blocks of 5 rows) for both r
     started.clear()
-    code, _, err = run_cli(capsys, "mc", "--thetas", "1", "--rs", "0,0.5", "--Ts", "5,10",
+    code, _, err = run_cli(capsys, "mc", "--thetas", "1,2", "--rs", "0,0.5", "--Ts", "5",
                            "--reps", "40", "--seed", "1", "--statistic", "rho_centered",
                            "--jobs", "2", "--out", str(tmp_path / "mc.csv"))
     assert code == 0
     lines = err.splitlines()
-    for cell in ("cell 1/4 theta=1.0 r=0.0 T=5.0", "cell 3/4 theta=1.0 r=0.5 T=5.0"):
+    for cell in ("cell 1/4 theta=1.0 r=0.0 T=5.0", "cell 2/4 theta=1.0 r=0.5 T=5.0"):
         assert f"{cell}: skipped (block 2 of 4)" in lines
-    for cell in ("cell 2/4 theta=1.0 r=0.0 T=10.0", "cell 4/4 theta=1.0 r=0.5 T=10.0"):
+    for cell in ("cell 3/4 theta=2.0 r=0.0 T=5.0", "cell 4/4 theta=2.0 r=0.5 T=5.0"):
         assert f"{cell}: done" in lines
     assert sorted(started) == [(0, 0), (0, 10)] + [(1, a) for a in range(0, 40, 5)]
     assert len((tmp_path / "mc.csv").read_text().splitlines()) == 4
@@ -967,3 +967,22 @@ def test_mc_horizon_flag_alias(tmp_path, capsys):
                          "--statistic", "rho_centered", "--out", str(out))
     assert code == 0
     assert len(out.read_text().splitlines()) == 4  # comment + header + 2 cells
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    # every call, a refused argv included, parses with the one parser built
+    # at the first call
+    from yule_ou import cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        argv = ("theory", "--quantity", "sigma", "--theta", "1", "--r", "0.5")
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0 and run_cli(capsys, *argv) == first
+        assert run_cli(capsys, "theory", "--nope")[0] == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]

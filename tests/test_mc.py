@@ -313,10 +313,134 @@ def test_a_simulated_pair_is_replication_0_of_each_r_of_group_0():
         _assert_same_bits(sample, 0, yule_rho(pair))
 
 
+@pytest.mark.parametrize("paths", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_tuple_of_T_reduces_a_prefix_of_the_longest_T_rows(monkeypatch, jobs, paths):
+    # every T of a tuple sharing dt 0.1 is reduced from the first n_T + 1
+    # nodes of the rows of the longest T (5.0: 51 nodes), bit for bit, over
+    # many small groups and blocks and at real sizes, in the tuple's order,
+    # a repeated T included; the longest T's entry is the one-T call's
+    theta, rs, Ts, seed, cell, reps = 1.0, (0.3, -1.0), (2.5, 5.0, 1.0, 2.5), 19, 4, 23
+    dt, width = 0.1, 51
+    for group_elems, block_elems in ((3 * width, 2 * 3 * (width - 1)),
+                                     (sde._GROUP_ELEMS, mc._BLOCK_ELEMS)):
+        monkeypatch.setattr(sde, "_GROUP_ELEMS", group_elems)
+        monkeypatch.setattr(mc, "_BLOCK_ELEMS", block_elems)
+        z1, z0 = np.empty((2, reps, width))
+        for p, z in enumerate((z1, z0)):  # the rows of T = 5.0, a group at a time
+            for a in range(0, reps, sde.group_rows(width)):
+                sde.draw_group(a, z[a:a + sde.group_rows(width)], seed, cell, p)
+        x1, x0 = sde.filtered_paths(theta, dt, z1.copy(), z0.copy())
+        shared = pair_sample(theta, rs, Ts, replications=reps, base_seed=seed,
+                             cell_index=cell, jobs=jobs, paths=paths)
+        assert len(shared) == len(Ts)
+        for T, per_r in zip(Ts, shared):
+            k = grid_size(T, dt)
+            prefix = np.ascontiguousarray(x1[:, :k + 1])
+            assert np.array_equal(sde.filtered_paths(theta, dt, z1[:, :k + 1].copy())[0], prefix)
+            y11, = functionals(prefix, dt=dt)
+            for r, got in zip(rs, per_r):
+                assert (got.theta, got.r, got.dt, got.horizon_T) == (theta, r, dt, k * dt)
+                assert np.array_equal(got.y11, y11), (group_elems, T)
+                assert np.array_equal(got.theta_hat, rate_estimate(y11, k * dt))
+                if paths == 1:
+                    assert (got.y22, got.y12, got.rho) == (None, None, None)
+                    continue
+                x2 = sde.mix_paths(r, x1, x0, np.empty_like(x1))[:, :k + 1]
+                want = functionals(prefix, np.ascontiguousarray(x2), dt)
+                for name, value in zip(("y11", "y22", "y12"), want):
+                    assert np.array_equal(getattr(got, name), value), (group_elems, T, r, name)
+                assert np.array_equal(got.rho, mc.correlation(*want))
+        alone = pair_sample(theta, rs, 5.0, replications=reps, base_seed=seed, cell_index=cell,
+                            jobs=jobs, paths=paths)
+        assert all(map(_same_samples, shared[1], alone))
+        one = pair_sample(theta, rs[0], Ts, replications=reps, base_seed=seed,
+                          cell_index=cell, jobs=jobs, paths=paths)
+        assert all(map(_same_samples, one, (per_r[0] for per_r in shared)))
+
+
+def test_a_tuple_of_T_refuses_each_T_that_its_dt_does_not_serve():
+    # a T the dt does not divide, or leaves one step, gets its error in its
+    # place and the others are simulated as without it; alone, it raises
+    cell = dict(theta=1.0, dt=0.1, replications=12, base_seed=3, cell_index=1)
+    got = pair_sample(r=(0.0, 0.5), horizon_T=(5.0, 5.05, 0.1, 2.5), **cell)
+    want = pair_sample(r=(0.0, 0.5), horizon_T=(5.0, 2.5), **cell)
+    assert all(map(_same_samples, got[0] + got[3], want[0] + want[1]))
+    assert "not an integer multiple" in str(got[1]) and "one step" in str(got[2])
+    assert isinstance(pair_sample(r=0.5, horizon_T=(5.0, 0.1), **cell)[1], ParameterError)
+    assert all(isinstance(s, ParameterError) for s in pair_sample(r=0.5, horizon_T=(0.1,), **cell))
+    for T in (5.05, 0.1):
+        with pytest.raises(ParameterError):
+            pair_sample(r=0.5, horizon_T=T, **cell)
+    # horizons with different default steps have no common dt
+    with pytest.raises(ParameterError, match="no common default dt"):
+        pair_sample(1.0, 0.5, (5.0, 0.15), replications=12)
+
+
+@pytest.mark.parametrize("bad", [[0.1, 0.2], "0.1", None, np.array([0.1])])
+def test_an_r_or_T_that_is_not_a_number_is_refused(bad):
+    # a list where the tuple form is expected, a string or None is named in
+    # a ParameterError, not a TypeError from abs() or a comparison
+    with pytest.raises(ParameterError, match="r must be a number"):
+        pair_sample(1.0, bad, 5.0, replications=4)
+    with pytest.raises(ParameterError, match="r must be a number"):
+        pair_sample(1.0, (0.1, bad), 5.0, replications=4)
+    with pytest.raises(ParameterError, match="horizon_T must be positive"):
+        pair_sample(1.0, 0.1, bad, dt=0.1, replications=4)
+    with pytest.raises(ParameterError, match="horizon_T must be positive"):
+        pair_sample(1.0, 0.1, (5.0, bad), replications=4)
+    with pytest.raises(ParameterError, match="need at least one"):
+        pair_sample(1.0, 0.1, (), replications=4)
+
+
+def test_a_simulated_pair_is_replication_0_of_cell_0_of_a_grid_of_T_and_2T(monkeypatch):
+    # cell 0 (theta0, r0, T0) is row 0 of group 0, whose rows are as long as
+    # 2*T0's: their first n0 + 1 nodes are the first normals of the stream,
+    # which simulate draws, and the filter gives that prefix the bits of
+    # the path of n0 steps
+    theta, r, T, seed = 1.0, 0.4, 5.0, 13
+    seen = []
+    real = mc.summarize_cell
+
+    def recording(sample, statistic, alpha):
+        seen.append(sample)
+        return real(sample, statistic, alpha)
+    monkeypatch.setattr(mc, "summarize_cell", recording)
+    grid = ExperimentGrid(thetas=(theta,), rs=(r, 0.0), horizons=(T, 2 * T),
+                          replications=3, base_seed=seed, statistic="rho_centered")
+    run_grid(grid, progress=lambda msg: None)
+    cell0, = (s for s in seen if (s.r, s.horizon_T) == (r, T))
+    pair = sde.simulate_correlated_pair(sde.CorrelatedPairConfig(
+        theta=theta, r=r, horizon_T=T, dt=cell0.dt, seed=seed))
+    _assert_same_bits(cell0, 0, yule_rho(pair))
+
+
+def test_a_refused_T_skips_only_its_cells_and_a_refused_theta_its_group():
+    # at the fixed dt 0.1, T = 5.05 is no multiple and T = 0.1 one step, so
+    # only their cells are skipped; theta = 2 breaks the step cap, so every
+    # cell of its group is; the others report as the grid without them
+    grid = ExperimentGrid(thetas=(1.0, 2.0), rs=(0.0, 0.5), horizons=(5.0, 5.05, 0.1, 2.5),
+                          replications=30, base_seed=6, dt_policy=0.1,
+                          statistic="numerator_centered")
+    messages = []
+    reports = run_grid(grid, progress=messages.append)
+    assert [(rep.theta, rep.r, rep.horizon_T) for rep in reports] == [
+        (1.0, r, T) for r in (0.0, 0.5) for T in (5.0, 2.5)]
+    assert [rep.csv_row() for rep in reports] == [rep.csv_row() for rep in run_grid(
+        dataclasses.replace(grid, thetas=(1.0,), horizons=(5.0, 2.5)), progress=len)]
+    skipped = [m for m in messages if "skipped" in m]
+    assert len(skipped) == 12 and len(messages) == 16
+    assert sum("not an integer multiple" in m for m in skipped) == 2
+    assert sum("one step" in m for m in skipped) == 2
+    assert sum("theta=2.0" in m and "step cap" in m for m in skipped) == 8
+
+
 @pytest.mark.parametrize("statistic", mc.STATISTICS)
 def test_draws_and_filters_do_not_grow_with_the_r_axis(monkeypatch, statistic):
-    # a grid draws and filters each (theta, T) group once, however many r
-    # it has
+    # a grid draws and filters each (theta, dt) group once, however many r
+    # and T it has: Ts 25, 50 and 100 share dt at each theta, so they draw
+    # the rows of T = 100 alone (one group of 40 rows at theta = 1, two of
+    # 32 rows at theta = 2)
     counts = collections.Counter()
 
     def counted(name, fn):
@@ -326,13 +450,16 @@ def test_draws_and_filters_do_not_grow_with_the_r_axis(monkeypatch, statistic):
         monkeypatch.setattr(sde, name, call)
     counted("draw_group", sde.draw_group)
     counted("ar1_paths", sde.ar1_paths)
-    grid = ExperimentGrid(thetas=(1.0, 2.0), rs=(0.0,), horizons=(5.0, 10.0),
+    grid = ExperimentGrid(thetas=(1.0, 2.0), rs=(0.0,), horizons=(100.0,),
                           replications=40, base_seed=5, statistic=statistic)
     run_grid(grid, progress=lambda m: None)
     once = dict(counts)
-    counts.clear()
-    run_grid(dataclasses.replace(grid, rs=(0.0, 0.3, 0.5)), progress=lambda m: None)
-    assert dict(counts) == once and once["draw_group"] == 4 * mc._STATISTICS[statistic][0]
+    assert once["draw_group"] == 3 * mc._STATISTICS[statistic][0]
+    for more in (dict(rs=(0.0, 0.3, 0.5)), dict(horizons=(25.0, 50.0, 100.0)),
+                 dict(rs=(0.0, 0.5), horizons=(50.0, 100.0, 25.0))):
+        counts.clear()
+        run_grid(dataclasses.replace(grid, **more), progress=lambda m: None)
+        assert dict(counts) == once, more
 
 
 @pytest.mark.parametrize("statistic", mc.STATISTICS)
@@ -358,8 +485,8 @@ def test_a_group_failure_skips_its_cells_and_an_r_failure_only_its_cell(monkeypa
     # and the r = 0.5 summary is refused, and only r = 0 is reported
     mix = sde.mix_paths
 
-    def overflowing(r, x1, x0, out, scratch=None):
-        mix(r, x1, x0, out, scratch)
+    def overflowing(r, x1, x0, out):
+        mix(r, x1, x0, out)
         if r == 0.3:
             out *= 1e300
         return out
@@ -397,26 +524,30 @@ def test_a_group_failure_skips_its_cells_and_an_r_failure_only_its_cell(monkeypa
 def test_a_block_holds_one_tile_array_per_path_plus_one_scratch(paths):
     # over four row groups of 32 rows (the last ragged) a block's traced
     # peak stays below one array of (32, n+1) float64 per path (x1; x1 and
-    # x0 of a pair, and the mixed x2 when there is more than one r,
-    # whatever their number) and one scratch, its (1 + 2*len(rs), m)
-    # output and a slack for the iteration buffers numpy's ufuncs take on
-    # strided views
+    # x0 of a pair) and one more (x2 and the reductions' products),
+    # whatever the number of r and T, plus its output and a slack under
+    # one such array for the iteration buffers numpy's ufuncs and einsum
+    # take (about 245 kB here).  A block that also serves T = 50 holds no
+    # more than one serving T = 100 alone, up to a few kB of Python objects
     n_steps, m = 2000, 120  # theta=1, T=100 at dt 0.05
     tile = sde.group_rows(n_steps + 1)
+    tile_bytes, slack = 8 * tile * (n_steps + 1), 3 * 2 ** 17
+    assert slack < tile_bytes
     for rs in ((0.5,), (0.0, 0.5, 1.0)):
-        block = (1.0, rs, 100.0, 0.05, 7, 0, 0, m, 0, paths)
-        mc._simulate_block(*block)  # warm-up
-        tracemalloc.start()
-        try:
-            out = mc._simulate_block(*block)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        rows = 1 + 2 * len(rs) if paths == 2 else 1
-        assert out.shape == (rows, m)
-        tile_bytes, slack = 8 * tile * (n_steps + 1), 2 ** 19
-        tiles = paths + (paths == 2 and len(rs) > 1) + 1
-        assert peak < tiles * tile_bytes + 8 * rows * m + slack, (rs, peak / tile_bytes)
+        held = {}
+        for steps in ((n_steps,), (n_steps // 2, n_steps)):
+            block = (1.0, rs, steps, 0.05, 7, 0, 0, m, 0, paths)
+            mc._simulate_block(*block)  # warm-up
+            tracemalloc.start()
+            try:
+                out = mc._simulate_block(*block)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.shape == (len(steps), 1 + 2 * len(rs) if paths == 2 else 1, m)
+            held[steps] = peak - out.nbytes
+            assert held[steps] < (paths + 1) * tile_bytes + slack, (rs, steps, peak / tile_bytes)
+        assert held[(n_steps // 2, n_steps)] <= held[(n_steps,)] + 2 ** 12, (rs, held)
 
 
 @pytest.mark.parametrize("paths", [1, 2])
@@ -441,7 +572,7 @@ def test_each_draw_names_the_shape_it_fills(monkeypatch, paths):
             written.append(out.size)
             return self._gen.standard_normal(size, out=out)
     monkeypatch.setattr(sde, "stream", lambda *key: Recording(keyed(*key)))
-    mc._simulate_block(1.0, (0.0, 0.5), 100.0, 0.05, 7, 0, start, stop, 0, paths)
+    mc._simulate_block(1.0, (0.0, 0.5), (n_steps,), 0.05, 7, 0, start, stop, 0, paths)
     assert draws == [((k, n_steps + 1), (k, n_steps + 1), True)
                      for k in (32, 32, 29) for _ in range(paths)]
     assert sum(written) == paths * (stop - start) * (n_steps + 1)
@@ -664,10 +795,11 @@ def test_y11_grids_never_key_the_second_process(monkeypatch):
         keys.append((cell, process))
         return keyed(seed, cell, process, group)
     monkeypatch.setattr(mc.sde, "stream", recording)
-    for statistic, expected in (("ybar_centered", [(0, 0), (1, 0)]),
-                                ("theta_hat_centered", [(0, 0), (1, 0)]),
-                                ("rho_centered", [(0, 0), (0, 1), (1, 0), (1, 1)]),
-                                ("numerator_centered", [(0, 0), (0, 1), (1, 0), (1, 1)])):
+    # T = 5 and T = 10 share dt 0.1, so they are one group, keyed once
+    for statistic, expected in (("ybar_centered", [(0, 0)]),
+                                ("theta_hat_centered", [(0, 0)]),
+                                ("rho_centered", [(0, 0), (0, 1)]),
+                                ("numerator_centered", [(0, 0), (0, 1)])):
         keys.clear()
         grid = ExperimentGrid(thetas=(1.0,), rs=(0.5,), horizons=(5.0, 10.0),
                               replications=30, base_seed=3, statistic=statistic)

@@ -14,7 +14,7 @@ import pytest
 
 from yule_ou import sde
 from yule_ou.errors import ParameterError
-from yule_ou.estimators import yule_rho
+from yule_ou.estimators import PathPair, yule_rho
 from yule_ou.mc import kolmogorov_distance, pair_sample, spde_mode_samples
 from yule_ou.sde import (MAX_STEPS, CorrelatedPairConfig, SamplePath,
                          ar1_paths, correlated_paths, default_dt, grid_size,
@@ -234,6 +234,25 @@ def test_ar1_paths_refuses_a_factor_outside_the_unit_interval():
     assert np.array_equal(ar1_paths(0.0, np.arange(9.0, -3.0, -3.0)), [0.0, 6.0, 3.0, 0.0])
 
 
+@pytest.mark.parametrize("factor", [0.0, 1.0, math.exp(-1e-6), math.exp(-0.1)])
+def test_ar1_paths_gives_a_prefix_the_bits_of_the_shorter_row(factor):
+    # the chunk length depends on the factor alone, and a last, partial
+    # chunk takes the first weights of a full one, so the first k+1 nodes
+    # of a long row are those of the row of k steps, on both sides of every
+    # chunk boundary
+    rate = -math.log(factor) if factor else math.inf
+    chunk = sde._CHUNK_STEPS if rate == 0.0 else max(1, min(
+        sde._CHUNK_STEPS, int(sde._CHUNK_DECAY / rate)))
+    n = 2 * chunk + 3
+    z = stream(12, 0).standard_normal((2, n + 1))
+    full = ar1_paths(factor, z.copy())
+    for k in sorted({1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk,
+                     2 * chunk + 1, n} - {0}):
+        assert np.array_equal(ar1_paths(factor, z[:, :k + 1].copy()), full[:, :k + 1]), k
+    if factor == 0.0:
+        assert np.array_equal(full[:, 1:], z[:, 1:])  # X = xi
+
+
 # ---------------------------------------------------------------------------
 # Transition and closed-form moments
 # ---------------------------------------------------------------------------
@@ -298,15 +317,17 @@ def test_correlated_paths_act_on_whole_rows_and_ignore_a_finite_node_0(pair):
 
 def test_correlated_paths_mixes_in_place_with_the_formula_bits():
     # z1 and z0 become the paths x1 and x0 filtered from the innovations
-    # sd*z1 and sd*z0, and z0 then becomes x2 = sqrt(1-r^2)*x0 + r*x1 bit
-    # for bit, with or without a scratch; node 0 (here NaN) is set to zero
+    # sd*z1 and sd*z0, and z0 then becomes x2 = c*((r/c)*x1 + x0), c =
+    # sqrt(1-r^2), bit for bit, with or without a scratch; node 0 (here
+    # NaN) is set to zero
     theta, r, dt = 1.3, -0.7, 0.02
     gen = stream(5, 0)
     z1, z0 = gen.standard_normal((3, 400)), gen.standard_normal((3, 400))
     sd = math.sqrt(innovation_variance(theta, dt))
     factor = transition_factor(theta, dt)
     want1, want0 = (ar1_paths(factor, _nodes(sd * z)) for z in (z1, z0))
-    want2 = math.sqrt(1.0 - r * r) * want0 + r * want1
+    c = math.sqrt(1.0 - r * r)
+    want2 = (r / c * want1 + want0) * c
     for scratch in (None, np.full((3, 401), math.nan)):
         b1, b0 = _nodes(z1, math.nan), _nodes(z0, math.nan)
         x1, x2 = correlated_paths(theta, r, dt, b1, b0, scratch=scratch)
@@ -578,6 +599,22 @@ def test_pair_csv_round_trip():
     np.testing.assert_array_equal(x1, pair.x1.values)
     np.testing.assert_array_equal(x2, pair.x2.values)
     np.testing.assert_allclose(t, pair.x1.times(), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("rows_per_write", [sde._CSV_ROWS, 3])
+def test_pair_csv_writes_the_bytes_of_one_formatted_line_per_row(monkeypatch, rows_per_write):
+    # the writer formats whole columns at once, in runs of rows; its bytes
+    # are those of the f-string written for each row in turn
+    monkeypatch.setattr(sde, "_CSV_ROWS", rows_per_write)
+    x1 = [-1.5, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.1, 1 / 3]
+    x2 = [1e-300, -7.0, 123456789.0, 2.0 ** 70, -1e22, 0.0, -0.30000000000000004]
+    for t0, dt in ((0.0, 0.01), (2.5, 1e-7), (1e10, 0.3)):
+        pair = PathPair(x1=SamplePath(t0, dt, x1), x2=SamplePath(t0, dt, x2))
+        buf = io.StringIO()
+        write_pair_csv(pair, buf)
+        want = "t,x1,x2\n" + "".join(f"{t:.17g},{a:.17g},{b:.17g}\n" for t, a, b in zip(
+            pair.x1.times(), pair.x1.values, pair.x2.values))
+        assert buf.getvalue() == want
 
 
 def test_pair_csv_reader_skips_blank_and_comment_lines():
