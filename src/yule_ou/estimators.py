@@ -99,11 +99,11 @@ def cross_functionals(x1, dt, scratch=None):
     return y11, against
 
 
-def functionals(x1, x2=None, dt=None, scratch=None):
+def functionals(x1, x2=None, dt=None):
     """Centered functionals (Y11, Y22, Y12) of paths of shape (..., n_nodes),
     or (Y11,) of x1 alone when x2 is omitted, with the pair's Y11 bits; the
     reduction of cross_functionals."""
-    y11, against = cross_functionals(x1, dt, scratch)
+    y11, against = cross_functionals(x1, dt)
     return (y11,) if x2 is None else (y11, *against(x2))
 
 

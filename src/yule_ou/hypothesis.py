@@ -65,8 +65,8 @@ class TestOutcome:
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    lower: float
-    upper: float
+    lower: float | np.ndarray
+    upper: float | np.ndarray
     alpha: float
 
 
@@ -78,10 +78,14 @@ def variant_statistic(stats, variant):
     if variant is TestVariant.RHO_KNOWN_THETA:
         return math.sqrt(stats.horizon_T) * stats.rho
     if variant is TestVariant.RHO_ESTIMATED_THETA:
-        if not np.all((stats.theta_hat > 0) & np.isfinite(stats.theta_hat)):
-            raise DegenerateStatisticError("degenerate theta estimate")
-        return np.sqrt(stats.horizon_T * stats.theta_hat) * stats.rho
+        return np.sqrt(stats.horizon_T * _estimated_rate(stats)) * stats.rho
     return stats.y12 / math.sqrt(stats.horizon_T)
+
+
+def _estimated_rate(stats):
+    if not np.all((stats.theta_hat > 0) & np.isfinite(stats.theta_hat)):
+        raise DegenerateStatisticError("degenerate theta estimate")
+    return stats.theta_hat
 
 
 def critical_value(variant, alpha, theta=None):
@@ -141,17 +145,21 @@ def numerator_test(num_stat, theta, alpha):
 
 def confidence_interval_r(stats, alpha, theta=None):
     """Asymptotic level-(1-alpha) interval rho +- q sqrt(1+rho^2)/sqrt(theta T),
-    at the known rate theta, or at stats.theta_hat when theta is None."""
+    at the known rate theta, or at stats.theta_hat when theta is None; floats
+    for a pair, arrays for a sample, as decide gives."""
     check_level(alpha)
+    if stats.rho is None:
+        raise ParameterError("the interval reads x2, which a one-path sample lacks")
     if theta is None:
-        theta = stats.theta_hat
-        if not theta > 0 or not math.isfinite(theta):
-            raise DegenerateStatisticError("degenerate theta estimate")
+        theta = _estimated_rate(stats)
     else:
         check_positive(theta=theta)
-    half = upper_quantile(alpha / 2.0) * math.sqrt(1.0 + stats.rho ** 2) \
-        / math.sqrt(theta * stats.horizon_T)
-    return ConfidenceInterval(lower=stats.rho - half, upper=stats.rho + half, alpha=alpha)
+    half = upper_quantile(alpha / 2.0) * np.sqrt(1.0 + stats.rho ** 2) \
+        / np.sqrt(theta * stats.horizon_T)
+    lower, upper = stats.rho - half, stats.rho + half
+    if np.ndim(lower) == 0:
+        lower, upper = float(lower), float(upper)
+    return ConfidenceInterval(lower=lower, upper=upper, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

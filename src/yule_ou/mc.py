@@ -6,7 +6,7 @@ correlation r and horizon T of the group at once.  Replication j of
 group c draws its two noise processes p = 0, 1 from keys (base_seed, c,
 p): the replications are cut into fixed groups of consecutive rows, row
 group g is the SFC64 stream sde.stream(base_seed, c, p, g), and its rows
-draw from it in order (see sde.draw_group).  The rows are as long as the
+draw from it in order (see sde.draw_paths).  The rows are as long as the
 group's longest T; x1 and the auxiliary path x0 are filtered once, each
 T reduces the prefix of its n_T + 1 nodes (the filter gives a prefix the
 bits of the shorter path), and each r's x2 = r*x1 + sqrt(1-r^2)*x0 is
@@ -155,22 +155,21 @@ def _simulate_block(theta, rs, steps, dt, base_seed, cell_index, start, stop,
     grid of k steps; with paths=1, Y11 alone, a (len(steps), 1, m) array.
 
     `start` starts a row group (_cell_blocks) of rows of n+1 normals, n =
-    steps[-1].  The block is computed one row group at a time: the group's
-    rows are drawn whole from its stream, one draw per process
-    (sde.draw_group), into one C-contiguous (G, n+1) array per process,
-    and sde.filtered_paths turns them into x1 and x0 in place, node 0 set
-    to zero.  Each k then reduces the prefix view of the first k+1 nodes,
-    which holds the paths of k steps bit for bit (sde.ar1_paths): Y11 and
-    x1's linear term once (estimators.cross_functionals), then for each r
-    sde.mix_paths forms x2 in a last (G, n+1) array, which is reduced
-    against x1.  That array also holds the products of x1's linear term
-    before the first mix, and those of x2's once its quadratic terms are
-    summed, so a block holds paths + 1 such arrays whatever its r and step
-    counts, and allocates none after its first group.  A one-path block
-    keys process 0 only and runs the same calls on x1 alone, so x1 and Y11
-    keep the pair's bits.  Rows never interact, so neither blocks nor
-    groups change any bit, and each r's rows are those of a group run with
-    that r alone.
+    steps[-1].  The block is computed one row group at a time: one
+    sde.draw_paths call, the one a simulated pair makes, draws the group's
+    rows of process process_offset + p whole into one C-contiguous (G, n+1)
+    array per path p and filters them into x1 and x0 in place.  Each k then
+    reduces the prefix view of the first k+1 nodes, which holds the paths
+    of k steps bit for bit (sde.ar1_paths): Y11 and x1's linear term once
+    (estimators.cross_functionals), then for each r sde.mix_paths forms x2
+    in a last (G, n+1) array, which is reduced against x1.  That array also
+    holds the products of x1's linear term before the first mix, and those
+    of x2's once its quadratic terms are summed, so a block holds paths + 1
+    such arrays whatever its r and step counts, and allocates none after
+    its first group.  A one-path block keys process 0 only and runs the
+    same calls on x1 alone, so x1 and Y11 keep the pair's bits.  Rows never
+    interact, so neither blocks nor groups change any bit, and each r's
+    rows are those of a group run with that r alone.
     """
     n_steps = steps[-1]
     m = stop - start
@@ -181,9 +180,8 @@ def _simulate_block(theta, rs, steps, dt, base_seed, cell_index, start, stop,
         for a in range(0, m, group):
             b = min(a + group, m)
             tiles = buffers[:, :b - a]
-            for p, path in enumerate(tiles[:paths], process_offset):
-                sde.draw_group(start + a, path, base_seed, cell_index, p)
-            sde.filtered_paths(theta, dt, *tiles[:paths])
+            sde.draw_paths(theta, dt, start + a, tiles[:paths], base_seed, cell_index,
+                           process_offset)
             for i, k in enumerate(steps):
                 x1, *x0, x2 = tiles[..., :k + 1]
                 y11, against = cross_functionals(x1, dt, x2)
@@ -267,8 +265,7 @@ def pair_sample(theta, r, horizon_T, dt=None, replications=1000, base_seed=0,
         raise ParameterError("need at least one correlation r and one horizon T")
     check_count("replications", replications, 1, _MAX_REPLICATIONS)
     check_count("jobs", jobs, 1)
-    if paths not in (1, 2):
-        raise ParameterError(f"paths must be 1 or 2, got {paths}")
+    check_count("paths", paths, 1, 2)
     check_positive(theta=theta)
     for each in rs:
         check_correlation(each)
@@ -370,20 +367,20 @@ class ExperimentGrid:
     alpha: float = 0.05
 
     def __post_init__(self):
-        for name in ("thetas", "rs", "horizons"):
-            seq = tuple(float(v) for v in getattr(self, name))
+        # grid-wide inputs fail here, axis values by pair_sample's rule before float()
+        for name, check in (("thetas", lambda v: check_positive(theta=v)),
+                            ("rs", check_correlation),
+                            ("horizons", lambda v: check_positive(horizon_T=v))):
+            seq = tuple(getattr(self, name))
             if not seq:
                 raise ParameterError(f"{name} must be nonempty")
-            object.__setattr__(self, name, seq)
+            for value in seq:
+                check(value)
+            object.__setattr__(self, name, tuple(map(float, seq)))
         check_count("replications", self.replications, 1, _MAX_REPLICATIONS)
-        # grid-wide inputs fail here; run_grid skips only cell-specific failures
-        for theta, horizon_T in itertools.product(self.thetas, self.horizons):
-            check_positive(theta=theta, horizon_T=horizon_T)
         if self.dt_policy is not None:
             check_positive(dt=self.dt_policy)
         check_count("seed", self.base_seed, 0, sde.MAX_SEED)
-        for r in self.rs:
-            check_correlation(r)
         if self.statistic not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.statistic!r}")
         check_level(self.alpha)

@@ -9,11 +9,11 @@ uniform grid through its exact Gaussian transition
 so the discrete skeleton has zero time-discretization bias; downstream
 statistics are only approximate through the quadrature of path integrals.
 
-Every path is drawn by draw_group: the rows of key (cell, process) are
-cut into groups, group g is the SFC64 stream keyed by SeedSequence(seed,
-spawn_key=(cell, process, g)), and its rows draw from it in order.  A
-single pair is row 0 of keys (seed, 0, 0) and (seed, 0, 1), the engine's
-replication 0 of cell 0.  Every path is reproducible from integers alone.
+Every simulated path is drawn and filtered by draw_paths: the rows of key
+(cell, process) are cut into groups, group g is the SFC64 stream keyed by
+SeedSequence(seed, spawn_key=(cell, process, g)), and its rows draw from
+it in order.  A single pair is row 0 of cell 0, the engine's replication 0
+by construction.  Every path is reproducible from integers alone.
 
 A pair is two filtered paths mixed by one rule (mix_paths): x1 and the
 auxiliary x0 are filtered from their own noise, and x2 = r*x1 +
@@ -43,9 +43,9 @@ STEP_CAP = 0.1
 #: Largest grid, in steps, that is simulated.  One path of this many steps
 #: is 128 MiB of float64.  A simulated pair holds three such arrays at once
 #: (x1 and x0, each filtered in place over its own draws, and x2, mixed in
-#: an array of its own and copied into x0's), and so does an engine block
-#: of a pair whatever its r and T (x2's array also holds the reductions'
-#: products), so a larger grid is refused before anything is allocated.
+#: an array of its own), and so does an engine block of a pair whatever its
+#: r and T (x2's array also holds the reductions' products), so a larger
+#: grid is refused before anything is allocated.
 MAX_STEPS = 2 ** 24
 
 _GRID_RTOL = 1e-9
@@ -301,9 +301,18 @@ def simulate_ou(theta, horizon_T, dt, seed):
     from row 0 of key (seed, 0, 0): the x1 of a pair simulated at `seed`."""
     check_positive(theta=theta, dt=dt)
     check_count("seed", seed, 0, MAX_SEED)
-    z = draw_group(0, np.empty((1, grid_size(horizon_T, dt) + 1)), seed, 0, 0)[0]
-    x, = filtered_paths(theta, dt, z)
-    return SamplePath(t0=0.0, dt=dt, values=x)
+    x, = draw_paths(theta, dt, 0, np.empty((1, 1, grid_size(horizon_T, dt) + 1)), seed, 0)
+    return SamplePath(t0=0.0, dt=dt, values=x[0])
+
+
+def draw_paths(theta, dt, first, out, seed, cell, process=0):
+    """Draw rows first, first+1, ... of key (seed, cell, process + i) into
+    each out[i] (draw_group), filter them in place (filtered_paths) and
+    return `out`: the one route of every simulated path."""
+    for p, rows in enumerate(out, process):
+        draw_group(first, rows, seed, cell, p)
+    filtered_paths(theta, dt, *out)
+    return out
 
 
 def filtered_paths(theta, dt, *z):
@@ -343,35 +352,14 @@ def mix_paths(r, x1, x0, out):
     return out
 
 
-def correlated_paths(theta, r, dt, z1, z0=None, scratch=None):
-    """Turn z1, and z0 if given, of shape (..., n+1) with standard normals
-    in nodes 1..n, into exact paths in place and return (z1,) or (z1, z0).
-
-    Both are filtered (filtered_paths), then z0, the auxiliary path x0,
-    becomes x2 = r*x1 + sqrt(1-r^2)*x0: mix_paths writes it to `scratch`,
-    an array of z1's shape (one is allocated if None), and it is copied
-    into z0.  Each leading index is one independent path or pair; a single
-    pair is a batch of one, and every row gets the same bits as it would
-    alone.  Without z0 the first path is that of the pair, bit for bit.
-    """
-    if z0 is None:
-        return filtered_paths(theta, dt, z1)
-    filtered_paths(theta, dt, z1, z0)
-    np.copyto(z0, mix_paths(r, z1, z0, np.empty_like(z1) if scratch is None else scratch))
-    return z1, z0
-
-
 def simulate_correlated_pair(config):
-    """Simulate a pair of paths with driving-noise correlation config.r.
-
-    Process p (x1's noise, then the auxiliary noise) is row 0 of key
-    (config.seed, 0, p), so the pair is the engine's replication 0 of cell 0.
-    """
-    z = np.empty((2, config.n_steps + 1))
-    for p in range(2):
-        draw_group(0, z[p:p + 1], config.seed, 0, p)
-    x1, x2 = correlated_paths(config.theta, config.r, config.dt, *z)
-    return PathPair(x1=SamplePath(0.0, config.dt, x1), x2=SamplePath(0.0, config.dt, x2))
+    """Simulate a pair with driving-noise correlation config.r from row 0 of
+    keys (config.seed, 0, p), p = 0 for x1 and 1 for the auxiliary x0: the
+    engine's replication 0 of cell 0."""
+    x1, x0 = draw_paths(config.theta, config.dt, 0, np.empty((2, 1, config.n_steps + 1)),
+                        config.seed, 0)
+    x2 = mix_paths(config.r, x1, x0, np.empty_like(x1))
+    return PathPair(*(SamplePath(0.0, config.dt, x[0]) for x in (x1, x2)))
 
 
 # ---------------------------------------------------------------------------

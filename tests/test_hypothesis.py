@@ -2,6 +2,7 @@
 multi-mode field test (mc.spde_family_rejections on engine samples), and
 the explicit type-II bounds."""
 
+import dataclasses
 import io
 import math
 import re
@@ -17,7 +18,7 @@ from yule_ou.hypothesis import (TestVariant, calibrate_berry_constant,
                                 rho_test_estimated_theta, sidak_level, spde_type2_bound,
                                 type2_bound_numerator, type2_bound_rho, variant_statistic,
                                 write_outcomes_csv)
-from yule_ou.mc import rejections, spde_family_rejections, spde_mode_samples
+from yule_ou.mc import pair_sample, rejections, spde_family_rejections, spde_mode_samples
 from yule_ou.sde import CorrelatedPairConfig, SamplePath, simulate_correlated_pair
 
 Q975 = 1.959963984540054
@@ -168,17 +169,44 @@ def test_ci_coverage_mc():
     sampling sd of rho is (1-r^2)/sqrt(theta T), so coverage approaches
     2*Phi(q*sqrt(1+r^2)/(1-r^2)) - 1 ~= 0.9965 at r=0.5.
     """
-    from yule_ou.mc import pair_sample
     from yule_ou.gaussian import norm_cdf
     reps = 1000
     for r, lo_expect, hi_expect in ((0.0, 0.93, 0.97), (0.5, 0.985, 1.0)):
-        s = pair_sample(1.0, r, 500.0, replications=reps, base_seed=101)
-        half = Q975 * np.sqrt(1.0 + s.rho ** 2) / math.sqrt(1.0 * s.horizon_T)
-        covered = np.mean(np.abs(s.rho - r) <= half)
+        ci = confidence_interval_r(pair_sample(1.0, r, 500.0, replications=reps,
+                                               base_seed=101), 0.05, theta=1.0)
+        covered = np.mean((ci.lower <= r) & (r <= ci.upper))
         assert lo_expect <= covered <= hi_expect, (r, covered)
     # sanity: the r=0.5 prediction itself
     predicted = 2 * norm_cdf(Q975 * math.sqrt(1.25) / 0.75) - 1
     assert predicted == pytest.approx(0.9965, abs=5e-4)
+
+
+@pytest.mark.parametrize("theta", [1.0, None], ids=["known", "estimated"])
+def test_ci_serves_a_sample_entry_by_entry(theta):
+    # a sample's bounds are arrays whose entries are the floats of each
+    # replication's pair, at the known rate or at its own theta_hat
+    sample = pair_sample(1.0, 0.5, 20.0, replications=5)
+    ci = confidence_interval_r(sample, 0.05, theta)
+    assert ci.lower.shape == ci.upper.shape == (5,)
+    for j in range(5):
+        one = YuleStatistics(y11=float(sample.y11[j]), y22=float(sample.y22[j]),
+                             y12=float(sample.y12[j]), rho=float(sample.rho[j]),
+                             theta_hat=float(sample.theta_hat[j]), horizon_T=20.0)
+        want = confidence_interval_r(one, 0.05, theta)
+        assert type(want.lower) is float and type(want.upper) is float
+        assert (ci.lower[j], ci.upper[j]) == (want.lower, want.upper), j
+
+
+def test_ci_refuses_a_degenerate_rate_anywhere_in_a_sample_and_a_one_path_sample():
+    sample = pair_sample(1.0, 0.5, 20.0, replications=5)
+    for bad in (0.0, math.inf, math.nan):
+        rates = sample.theta_hat.copy()
+        rates[3] = bad
+        with pytest.raises(DegenerateStatisticError, match="degenerate theta estimate"):
+            confidence_interval_r(dataclasses.replace(sample, theta_hat=rates), 0.05)
+    one_path = pair_sample(1.0, 0.5, 20.0, replications=5, paths=1)
+    with pytest.raises(ParameterError, match="one-path sample"):
+        confidence_interval_r(one_path, 0.05, theta=1.0)
 
 
 # ---------------------------------------------------------------------------

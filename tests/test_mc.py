@@ -6,6 +6,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +22,8 @@ from yule_ou.mc import (ExperimentGrid, error_rates, k_statistics,
                         kolmogorov_distance, pair_sample, rate_fit, rejections,
                         run_grid, spde_family_rejections, spde_mode_samples,
                         summarize_cell, wilson_interval, write_reports_csv)
-from yule_ou.sde import SamplePath, correlated_paths, default_dt, grid_size, stream
+from yule_ou.sde import (CorrelatedPairConfig, SamplePath, default_dt, grid_size,
+                         simulate_correlated_pair, simulate_ou, stream)
 from row_oracle import row_normals
 
 #: steps of theta=1, T=5 on the default grid; block sizes below are rows times this
@@ -161,6 +163,13 @@ def _row(seed, cell, rep, process, n):
     return row_normals(seed, cell, process, [rep], n + 1)[0]
 
 
+def _pair_paths(theta, r, dt, z1, z0):
+    """x1 and x2 of the pair driven by normals z1 and z0, filtered in place
+    and mixed by the package's own rules."""
+    x1, x0 = sde.filtered_paths(theta, dt, z1, z0)
+    return x1, sde.mix_paths(r, x1, x0, np.empty_like(x1))
+
+
 def test_engine_matches_single_path_route():
     # a single pair is a batch of one: same simulation core, same reduction;
     # the second cell has 10 001 nodes, where BLAS dot sums differ by batch
@@ -170,8 +179,8 @@ def test_engine_matches_single_path_route():
                              cell_index=cell)
         n = grid_size(T, dt)
         for rep in range(5):
-            x1, x2 = correlated_paths(theta, r, dt, _row(seed, cell, rep, 0, n),
-                                      _row(seed, cell, rep, 1, n))
+            x1, x2 = _pair_paths(theta, r, dt, _row(seed, cell, rep, 0, n),
+                                 _row(seed, cell, rep, 1, n))
             pair = PathPair(x1=SamplePath(0.0, dt, x1), x2=SamplePath(0.0, dt, x2))
             _assert_same_bits(sample, rep, yule_rho(pair))
 
@@ -183,11 +192,40 @@ def test_field_mode_rows_are_addressed_streams():
     for k, sample in enumerate(samples, start=1):
         n = grid_size(T, sample.dt)
         for j in range(reps):
-            x1, x2 = correlated_paths(sample.theta, r, sample.dt,
-                                      _row(seed, 0, j, 2 * (k - 1), n),
-                                      _row(seed, 0, j, 2 * k - 1, n))
+            x1, x2 = _pair_paths(sample.theta, r, sample.dt,
+                                 _row(seed, 0, j, 2 * (k - 1), n),
+                                 _row(seed, 0, j, 2 * k - 1, n))
             y11, y22, y12 = functionals(x1, x2, sample.dt)
             assert (sample.y11[j], sample.y22[j], sample.y12[j]) == (y11, y22, y12)
+
+
+def test_every_simulated_path_is_drawn_and_filtered_by_draw_paths(monkeypatch):
+    # a pair, a single path, each engine row group and each field mode make
+    # one draw_paths call, which names its rows' key and the shape it fills
+    calls = []
+    draw = sde.draw_paths
+
+    def recording(theta, dt, first, out, seed, cell, process=0):
+        calls.append((out.shape, first, seed, cell, process))
+        return draw(theta, dt, first, out, seed, cell, process)
+    monkeypatch.setattr(sde, "draw_paths", recording)
+    simulate_correlated_pair(CorrelatedPairConfig(theta=1.0, r=0.5, horizon_T=5.0,
+                                                  dt=0.05, seed=3))
+    assert calls == [((2, 1, 101), 0, 3, 0, 0)]
+    calls.clear()
+    simulate_ou(1.0, 5.0, 0.05, 3)
+    assert calls == [((1, 1, 101), 0, 3, 0, 0)]
+    calls.clear()
+    samples = spde_mode_samples(2, 0.3, 2.0, replications=3, base_seed=5)
+    assert calls == [((2, 3, grid_size(2.0, s.dt) + 1), 0, 5, 0, 2 * k)
+                     for k, s in enumerate(samples)]
+    monkeypatch.setattr(sde, "_GROUP_ELEMS", 4 * (_STEPS_1_5 + 1))  # groups of 4 rows
+    for paths in (1, 2):
+        calls.clear()
+        pair_sample(1.0, (0.0, 0.5), 5.0, replications=10, base_seed=9, cell_index=4,
+                    process_offset=6, paths=paths)
+        assert calls == [((paths, rows, _STEPS_1_5 + 1), first, 9, 4, 6)
+                         for first, rows in ((0, 4), (4, 4), (8, 2))], paths
 
 
 def test_engine_block_size_invariance(monkeypatch):
@@ -210,7 +248,7 @@ def test_engine_rows_are_the_oracle_rows_over_whole_group_blocks(monkeypatch, jo
     n = grid_size(T, dt)
     assert sde.group_rows(n + 1) == 3
     z1, z0 = (row_normals(seed, cell, p, range(reps), n + 1) for p in (0, 1))
-    expected = functionals(*correlated_paths(theta, r, dt, z1, z0), dt)
+    expected = functionals(*_pair_paths(theta, r, dt, z1, z0), dt)
     for groups, last in ((1, 2), (2, 5), (3, 5)):
         monkeypatch.setattr(mc, "_BLOCK_ELEMS", (groups * 3 + 1) * n)
         blocks = mc._cell_blocks(reps, n)
@@ -713,6 +751,64 @@ def test_replications_beyond_32_bits_are_refused_before_simulating(monkeypatch):
             ExperimentGrid(replications=reps, **good)
         with pytest.raises(ParameterError, match="replications"):
             pair_sample(1.0, 0.0, 10.0, replications=reps)
+
+
+_GRID = dict(thetas=(1.0,), rs=(0.0,), horizons=(5.0,), replications=4, base_seed=1)
+_PAIR = dict(theta=1.0, r=0.0, horizon_T=5.0, dt=0.05, seed=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pair_sample(True, 0.5, 5.0, replications=4),
+    lambda: pair_sample(1.0, True, 5.0, replications=4),
+    lambda: pair_sample(1.0, (0.0, False), 5.0, replications=4),
+    lambda: pair_sample(1.0, 0.5, True, dt=0.05, replications=4),
+    lambda: pair_sample(0.05, 0.5, 5.0, dt=True, replications=4),
+    lambda: pair_sample(1.0, 0.5, 5.0, replications=True),
+    lambda: pair_sample(1.0, 0.5, 5.0, replications=4, base_seed=False),
+    lambda: pair_sample(1.0, 0.5, 5.0, replications=4, jobs=True),
+    lambda: pair_sample(1.0, 0.5, 5.0, replications=4, paths=True),
+    lambda: pair_sample(True, True, 5.0, replications=True, base_seed=False),
+    lambda: spde_mode_samples(True, 0.0, 5.0, 4, 1),
+    lambda: mc.hyp.sidak_level(0.05, True),
+    lambda: CorrelatedPairConfig(**{**_PAIR, "theta": True}),
+    lambda: CorrelatedPairConfig(**{**_PAIR, "r": False}),
+    lambda: CorrelatedPairConfig(**{**_PAIR, "seed": True}),
+    lambda: CorrelatedPairConfig(theta=True, r=False, horizon_T=5.0, dt=0.05, seed=True),
+    lambda: ExperimentGrid(**{**_GRID, "thetas": (True,)}),
+    lambda: ExperimentGrid(**{**_GRID, "rs": (True,)}),
+    lambda: ExperimentGrid(**{**_GRID, "horizons": (True,)}),
+    lambda: ExperimentGrid(**{**_GRID, "replications": True}),
+    lambda: ExperimentGrid(**{**_GRID, "base_seed": False}),
+    lambda: ExperimentGrid(**{**_GRID, "dt_policy": True}),
+    lambda: run_grid(ExperimentGrid(**_GRID), jobs=True),
+])
+def test_a_bool_is_no_number(monkeypatch, call):
+    # True and False are Python integers, but no count, rate, horizon or
+    # correlation is given as one: each is refused before anything is drawn
+    def stream(*args):
+        raise AssertionError("drew random numbers before refusing the input")
+    monkeypatch.setattr(sde, "stream", stream)
+    with pytest.raises(ParameterError):
+        call()
+
+
+@pytest.mark.parametrize("axis, bad", [("thetas", "1"), ("rs", "0.1"), ("horizons", "5"),
+                                       ("rs", None), ("horizons", [5.0])])
+def test_a_grid_checks_each_axis_value_before_converting_it(axis, bad):
+    # float() turned '1' into 1.0, so a grid ran what pair_sample refuses;
+    # the grid refuses it too, with pair_sample's message
+    args = {"thetas": (bad, 0.0, 5.0), "rs": (1.0, bad, 5.0), "horizons": (1.0, 0.0, bad)}
+    with pytest.raises(ParameterError) as direct:
+        pair_sample(*args[axis], dt=0.05, replications=4)
+    with pytest.raises(ParameterError, match=re.escape(str(direct.value))):
+        ExperimentGrid(**{**_GRID, axis: (bad,)})
+
+
+def test_a_grid_converts_its_numbers_to_floats():
+    grid = ExperimentGrid(**{**_GRID, "thetas": (1, np.float32(2.0)), "rs": (0, np.int64(1)),
+                             "horizons": (5,)})
+    assert (grid.thetas, grid.rs, grid.horizons) == ((1.0, 2.0), (0.0, 1.0), (5.0,))
+    assert all(type(v) is float for v in grid.thetas + grid.rs + grid.horizons)
 
 
 def test_seeds_counts_and_workers_must_be_integers(monkeypatch):

@@ -17,9 +17,9 @@ from yule_ou.errors import ParameterError
 from yule_ou.estimators import PathPair, yule_rho
 from yule_ou.mc import kolmogorov_distance, pair_sample, spde_mode_samples
 from yule_ou.sde import (MAX_STEPS, CorrelatedPairConfig, SamplePath,
-                         ar1_paths, correlated_paths, default_dt, grid_size,
+                         ar1_paths, default_dt, filtered_paths, grid_size,
                          innovation_variance, mean_functional_variance, ou_covariance,
-                         read_pair_csv, simulate_correlated_pair, simulate_ou,
+                         mix_paths, read_pair_csv, simulate_correlated_pair, simulate_ou,
                          stream, transition_factor, write_pair_csv)
 from row_oracle import row_normals, simulated_pair
 
@@ -299,41 +299,49 @@ def test_ou_covariance_keeps_its_digits_at_a_small_rate(theta):
 
 
 @pytest.mark.parametrize("pair", [False, True])
-def test_correlated_paths_act_on_whole_rows_and_ignore_a_finite_node_0(pair):
+def test_filtered_and_mixed_paths_act_on_whole_rows_and_ignore_a_finite_node_0(pair):
     # every step of the filter acts on whole rows, node 0 included, and
-    # ar1_paths then zeroes node 0: any finite node 0 gives the same paths
+    # ar1_paths then zeroes node 0: any finite node 0 gives the same paths,
+    # and so does any content of the array x2 is mixed in
     theta, r, dt = 0.8, 0.4, 0.05
     z = stream(11, 0).standard_normal((1 + pair, 4, 300))
     paths = []
     for node0 in (0.0, 1e300, -3.5):
         nodes = _nodes(z, node0)
-        scratch = np.full(nodes.shape[1:], node0)
-        paths.append(correlated_paths(theta, r, dt, *nodes, scratch=scratch))
+        got = filtered_paths(theta, dt, *nodes)
+        if pair:
+            got = (got[0], mix_paths(r, *got, np.full(nodes.shape[1:], node0)))
+        paths.append(got)
     for got in paths[1:]:
         assert len(got) == 1 + pair
         for x, want in zip(got, paths[0]):
             assert np.array_equal(x, want) and not np.any(x[:, 0])
 
 
-def test_correlated_paths_mixes_in_place_with_the_formula_bits():
-    # z1 and z0 become the paths x1 and x0 filtered from the innovations
-    # sd*z1 and sd*z0, and z0 then becomes x2 = c*((r/c)*x1 + x0), c =
-    # sqrt(1-r^2), bit for bit, with or without a scratch; node 0 (here
-    # NaN) is set to zero
-    theta, r, dt = 1.3, -0.7, 0.02
-    gen = stream(5, 0)
-    z1, z0 = gen.standard_normal((3, 400)), gen.standard_normal((3, 400))
+def test_a_pair_is_filtered_and_mixed_with_the_formula_bits():
+    # z1 and z0 become, in place, the paths x1 and x0 filtered from the
+    # innovations sd*z1 and sd*z0, node 0 (here NaN) set to zero, and x2 =
+    # c*((r/c)*x1 + x0), c = sqrt(1-r^2), is mixed bit for bit into an
+    # array of its own (here NaN-filled); a simulated pair is these bits
+    # for row 0 of processes 0 and 1 of cell 0
+    theta, r, dt, seed = 1.3, -0.7, 0.02, 5
+    z1, z0 = (row_normals(seed, 0, p, range(3), 401)[:, 1:] for p in (0, 1))
     sd = math.sqrt(innovation_variance(theta, dt))
     factor = transition_factor(theta, dt)
     want1, want0 = (ar1_paths(factor, _nodes(sd * z)) for z in (z1, z0))
     c = math.sqrt(1.0 - r * r)
     want2 = (r / c * want1 + want0) * c
-    for scratch in (None, np.full((3, 401), math.nan)):
-        b1, b0 = _nodes(z1, math.nan), _nodes(z0, math.nan)
-        x1, x2 = correlated_paths(theta, r, dt, b1, b0, scratch=scratch)
-        assert x1 is b1 and x2 is b0
-        assert np.array_equal(x1, want1)
-        assert np.array_equal(x2, want2)
+    b1, b0 = _nodes(z1, math.nan), _nodes(z0, math.nan)
+    x1, x0 = filtered_paths(theta, dt, b1, b0)
+    assert x1 is b1 and x0 is b0
+    out = np.full_like(x1, math.nan)
+    assert mix_paths(r, x1, x0, out) is out
+    assert np.array_equal(x1, want1) and np.array_equal(x0, want0)
+    assert np.array_equal(out, want2)
+    pair = simulate_correlated_pair(CorrelatedPairConfig(
+        theta=theta, r=r, horizon_T=8.0, dt=dt, seed=seed))
+    assert np.array_equal(pair.x1.values, want1[0])
+    assert np.array_equal(pair.x2.values, want2[0])
 
 
 def test_mean_functional_variance_against_quadrature():
